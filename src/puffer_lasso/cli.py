@@ -12,7 +12,7 @@ Exit codes: 0 success (verify: all checks passed), 1 verification
 failure, 2 input error, 3 numerical failure. Errors print a single-line
 JSON record to stderr. Floats are serialized with 17 significant digits
 so identical runs produce byte-identical output that round-trips
-losslessly. PUFFER_LASSO_THREADS caps verify parallelism.
+losslessly.
 """
 
 from __future__ import annotations
@@ -88,6 +88,12 @@ class RunConfig:
             raise DataError(f"format must be json or csv, got {self.output_format}")
         if self.transform not in TRANSFORM_FLAGS:
             raise DataError(f"unknown transform {self.transform!r}")
+        numeric = [("--lambda", self.lam), ("--tau", self.tau), ("--sigma", self.sigma)]
+        numeric += [("--lambda-grid", t) for t in self.lambda_grid or ()]
+        numeric += [("--penalty-param", self.penalty.param)]
+        for flag, value in numeric:
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{flag} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +187,14 @@ def _fmt(value: float) -> str:
     return format(v, ".17g")
 
 
+# JSON string escapes: the two mandatory ones, the short forms of \n, \r
+# and \t, and \u00XX for every other control character.
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_JSON_ESCAPES.update(
+    {ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+)
+
+
 def _json(obj) -> str:
     if obj is None:
         return "null"
@@ -191,9 +205,7 @@ def _json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, np.ndarray):
         return _json(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -389,15 +401,8 @@ def _run_verify(config: RunConfig) -> int:
     if config.trials is not None:
         if config.trials < 1:
             raise DataError(f"--trials must be positive, got {config.trials}")
-        trials = {
-            "lemma1": config.trials,
-            "thm1": config.trials,
-            "thm2": config.trials,
-            "lemma2": config.trials,
-            "eq10_gap": config.trials,
-            "generalized": config.trials,
-            "thm3": max(2, config.trials // 25),
-        }
+        trials = dict.fromkeys(verify.DEFAULT_TRIALS, config.trials)
+        trials["thm3"] = max(2, config.trials // 25)  # per (penalty, tau)
     reports = verify.default_suite(config.seed, trials=trials)
     all_passed = all(r.passed for r in reports)
     if config.output_format == "csv":

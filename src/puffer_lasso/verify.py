@@ -33,24 +33,13 @@ sentinel discrepancy 1.0.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import estimators, preconditioners, solver
-from .errors import DataError
-from .penalties import (
-    PenaltySpec,
-    lasso,
-    mcp,
-    pen_derivative,
-    scad,
-    soft_threshold,
-    univariate_threshold,
-)
+from .penalties import PenaltySpec, lasso, mcp, pen_derivative, scad, univariate_threshold
 from .solver import SolverConfig
 
 Problem = tuple[np.ndarray, np.ndarray, float]
@@ -88,48 +77,12 @@ def _report(theorem_id, trials, max_discrepancy, tolerance, worst_case_seed, **d
     )
 
 
-def _resolve_threads(requested: int | None) -> int:
-    """Worker count for trial batches.
-
-    PUFFER_LASSO_THREADS caps any explicit request and supplies the
-    count when the caller leaves it unset; without either, trials run
-    sequentially (profitable here, since the per-trial numpy work is
-    small enough to be GIL-bound).
-    """
-    raw = os.environ.get("PUFFER_LASSO_THREADS")
-    cap = None
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise DataError(f"PUFFER_LASSO_THREADS must be an integer, got {raw!r}") from exc
-    if requested is None:
-        threads = cap if cap is not None else 1
-    elif cap is not None:
-        threads = min(requested, cap)
-    else:
-        threads = requested
-    return max(threads, 1)
-
-
-def _run_trials(fn, seeds, threads: int | None):
-    workers = _resolve_threads(threads)
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def _reduce(results):
-    """Max discrepancy and its seed; ties resolve to the smallest seed.
-
-    The reduction is order-insensitive so threaded and sequential runs
-    agree bit for bit.
-    """
+    """Max discrepancy and its seed; ties resolve to the first seed."""
     worst = -1.0
     worst_seed = -1
     for seed, disc in results:
-        if disc > worst or (disc == worst and seed < worst_seed):
+        if disc > worst:
             worst = disc
             worst_seed = seed
     return worst, worst_seed
@@ -315,93 +268,84 @@ def clustered_wide_problems(noise: float = 0.3) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_vector(pen: PenaltySpec, z: np.ndarray, lam: float) -> np.ndarray:
-    return np.array([univariate_threshold(pen, float(t), lam) for t in z])
+def _ols(x, y, sigma):
+    return estimators.ols(x, y)
 
 
-def check_lemma1(
-    gen: Generator,
-    trials: int,
-    *,
-    n_lambdas: int = 10,
-    seed: int = 0,
-    threads: int | None = None,
-) -> TheoremReport:
+def _scaled_z(x, y, sigma):
+    """sigma * Z_j / sqrt(n), which equals N^-1 beta_ols."""
+    return sigma * estimators.z_stats(x, y, sigma) / math.sqrt(x.shape[0])
+
+
+def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, list[solver.FitResult]]:
+    """Fit (x, y) at each lambda; return the worst sup-norm gap between a
+    fit and the thresholding map applied to b, and the fits."""
+    worst = 0.0
+    fits = []
+    for lam in lambdas:
+        lam = float(lam)
+        fit = solver.solve(x, y, lam, pen)
+        target = np.array([univariate_threshold(pen, float(t), lam) for t in b])
+        worst = max(worst, float(np.max(np.abs(fit.beta - target))))
+        fits.append(fit)
+    return worst, fits
+
+
+def _threshold_check(gen, seeds, transform, coefs, pen: PenaltySpec, n_lambdas: int | None):
+    """The thresholding identity over the problems gen(s), s in seeds.
+
+    The fit on data preconditioned by ``transform`` (a preconditioners
+    function, or None for the raw data) is compared with the thresholding
+    map applied to b = coefs(X, Y, sigma). b comes from the untransformed
+    X through estimators, never from a fit, so the two sides share no
+    code path. The lambdas form a grid of n_lambdas values over max |b|,
+    or, for n_lambdas=None, the negative controls' single max |b| / 4.
+    Returns the worst gap and its seed.
+    """
+    results = []
+    for s in seeds:
+        x, y, sigma = gen(s)
+        b = coefs(x, y, sigma)
+        if transform is not None:
+            pair = transform(x, y)
+            x, y = pair.x_tilde, pair.y_tilde
+        scale = float(np.max(np.abs(b)))
+        lambdas = (0.25 * scale,) if n_lambdas is None else _lambda_grid(scale, n_lambdas)
+        results.append((s, _threshold_gap(x, y, b, pen, lambdas)[0]))
+    return _reduce(results)
+
+
+def _negative_control(disc, gen, transform, coefs, seed: int, trials: int) -> tuple[float, float]:
+    """Run the Lasso identity where it must break by more than
+    NEGATIVE_CONTROL_MIN; if it does not, raise disc to the sentinel.
+    Returns disc and the control's worst gap."""
+    seeds = range(seed, seed + min(trials, 24))
+    control_worst = max(_threshold_check(gen, seeds, transform, coefs, lasso(), None)[0], 0.0)
+    if control_worst <= NEGATIVE_CONTROL_MIN:
+        disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
+    return disc, control_worst
+
+
+def check_lemma1(gen: Generator, trials: int, *, n_lambdas: int = 10, seed: int = 0) -> TheoremReport:
     """Orthonormal design: the Lasso fit equals soft-thresholded OLS."""
-
-    def trial(s: int) -> tuple[int, float]:
-        x, y, _ = gen(s)
-        bols = estimators.ols(x, y)
-        worst = 0.0
-        for lam in _lambda_grid(np.max(np.abs(bols)), n_lambdas):
-            fit = solver.solve(x, y, float(lam), lasso())
-            target = np.array([soft_threshold(float(b), float(lam)) for b in bols])
-            worst = max(worst, float(np.max(np.abs(fit.beta - target))))
-        return s, worst
-
-    results = _run_trials(trial, range(seed, seed + trials), threads)
-    disc, worst_seed = _reduce(results)
+    disc, worst_seed = _threshold_check(gen, range(seed, seed + trials), None, _ols, lasso(), n_lambdas)
     return _report("lemma1", trials, disc, THEOREM_TOL, worst_seed)
 
 
-def check_theorem1(
-    gen: Generator,
-    trials: int,
-    *,
-    n_lambdas: int = 10,
-    seed: int = 0,
-    threads: int | None = None,
-) -> TheoremReport:
+def check_theorem1(gen: Generator, trials: int, *, n_lambdas: int = 10, seed: int = 0) -> TheoremReport:
     """Full-rank n > p design: Lasso on puffer data equals thresholded OLS.
 
     Also runs the negative control: on rho = 0.9 equicorrelated designs
     the same identity without the preconditioner must break by more than
     1e-2 at a mid-path lambda.
     """
-
-    def trial(s: int) -> tuple[int, float]:
-        x, y, _ = gen(s)
-        bols = estimators.ols(x, y)
-        pair = preconditioners.puffer(x, y)
-        worst = 0.0
-        for lam in _lambda_grid(np.max(np.abs(bols)), n_lambdas):
-            fit = solver.solve(pair.x_tilde, pair.y_tilde, float(lam), lasso())
-            target = np.array([soft_threshold(float(b), float(lam)) for b in bols])
-            worst = max(worst, float(np.max(np.abs(fit.beta - target))))
-        return s, worst
-
-    results = _run_trials(trial, range(seed, seed + trials), threads)
-    disc, worst_seed = _reduce(results)
-
-    control_gen = equicorrelated_problems(0.9)
-    control_worst = 0.0
-    for s in range(seed, seed + min(trials, 24)):
-        x, y, _ = control_gen(s)
-        bols = estimators.ols(x, y)
-        lam = 0.25 * float(np.max(np.abs(bols)))
-        fit = solver.solve(x, y, lam, lasso())
-        target = np.array([soft_threshold(float(b), lam) for b in bols])
-        control_worst = max(control_worst, float(np.max(np.abs(fit.beta - target))))
-    if control_worst <= NEGATIVE_CONTROL_MIN:
-        disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
-    return _report(
-        "thm1",
-        trials,
-        disc,
-        THEOREM_TOL,
-        worst_seed,
-        negative_control_max=control_worst,
-    )
+    seeds = range(seed, seed + trials)
+    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer, _ols, lasso(), n_lambdas)
+    disc, control = _negative_control(disc, equicorrelated_problems(0.9), None, _ols, seed, trials)
+    return _report("thm1", trials, disc, THEOREM_TOL, worst_seed, negative_control_max=control)
 
 
-def check_theorem2(
-    gen: Generator,
-    trials: int,
-    *,
-    n_lambdas: int = 25,
-    seed: int = 0,
-    threads: int | None = None,
-) -> TheoremReport:
+def check_theorem2(gen: Generator, trials: int, *, n_lambdas: int = 25, seed: int = 0) -> TheoremReport:
     """Scaled transform: the Lasso active set matches the Z and p-value rules.
 
     Per lambda the three sets {beta_j != 0}, {|Z_j| > lam sqrt(n)/sigma}
@@ -420,16 +364,13 @@ def check_theorem2(
         inf = estimators.inference(x, y, sigma)
         scaled_ols = sigma * inf.z_stats / math.sqrt(n)  # == N^-1 beta_ols
         pair = preconditioners.puffer_scaled(x, y)
+        grid = _lambda_grid(np.max(np.abs(scaled_ols)), n_lambdas)
+        coef_worst, fits = _threshold_gap(pair.x_tilde, pair.y_tilde, scaled_ols, lasso(), grid)
         mismatches = 0
         ties = 0
-        coef_worst = 0.0
-        for lam in _lambda_grid(np.max(np.abs(scaled_ols)), n_lambdas):
-            lam = float(lam)
-            fit = solver.solve(pair.x_tilde, pair.y_tilde, lam, lasso())
-            zthr = lam * math.sqrt(n) / sigma
+        for fit in fits:
+            zthr = fit.lam * math.sqrt(n) / sigma
             pthr = estimators.two_sided_p(zthr)
-            target = np.array([soft_threshold(float(t), lam) for t in scaled_ols])
-            coef_worst = max(coef_worst, float(np.max(np.abs(fit.beta - target))))
             active = set(fit.active_set)
             for j in range(x.shape[1]):
                 if abs(abs(inf.z_stats[j]) - zthr) < TIE_TOL:
@@ -460,7 +401,7 @@ def check_theorem2(
                 rule_mismatches += 1
         return s, coef_worst, mismatches, rule_mismatches, ties
 
-    results = _run_trials(trial, range(seed, seed + trials), threads)
+    results = [trial(s) for s in range(seed, seed + trials)]
     coef_disc, worst_seed = _reduce([(s, c) for s, c, _, _, _ in results])
     total_mismatches = sum(m for _, _, m, _, _ in results)
     total_rule = sum(r for _, _, _, r, _ in results)
@@ -470,21 +411,9 @@ def check_theorem2(
         worst_seed = min(
             s for s, _, m, r, _ in results if m + r > 0
         )
-
-    control_gen = heteroskedastic_problems()
-    control_worst = 0.0
-    for s in range(seed, seed + min(trials, 24)):
-        x, y, sigma = control_gen(s)
-        n = x.shape[0]
-        inf = estimators.inference(x, y, sigma)
-        scaled_ols = sigma * inf.z_stats / math.sqrt(n)
-        pair = preconditioners.puffer(x, y)  # wrong transform on purpose
-        lam = 0.25 * float(np.max(np.abs(scaled_ols)))
-        fit = solver.solve(pair.x_tilde, pair.y_tilde, lam, lasso())
-        target = np.array([soft_threshold(float(t), lam) for t in scaled_ols])
-        control_worst = max(control_worst, float(np.max(np.abs(fit.beta - target))))
-    if control_worst <= NEGATIVE_CONTROL_MIN:
-        disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
+    disc, control = _negative_control(  # the unscaled transform, on purpose
+        disc, heteroskedastic_problems(), preconditioners.puffer, _scaled_z, seed, trials
+    )
     return _report(
         "thm2",
         trials,
@@ -494,7 +423,7 @@ def check_theorem2(
         set_mismatches=total_mismatches,
         rule_005_mismatches=total_rule,
         boundary_ties_excluded=total_ties,
-        negative_control_max=control_worst,
+        negative_control_max=control,
     )
 
 
@@ -506,8 +435,6 @@ def check_theorem3(
     *,
     n_lambdas: int = 4,
     seed: int = 0,
-    threads: int | None = None,
-    cfg: SolverConfig = SolverConfig(),
 ) -> tuple[TheoremReport, TheoremReport]:
     """p >= n: every local minimum on puffer_tau data, projected to the
     row space, sits within lam of the ridge fit, with exact gap
@@ -526,7 +453,7 @@ def check_theorem3(
         skipped = 0
         for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, n_lambdas):
             lam = float(lam)
-            for fit in solver.multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, pen, cfg=cfg):
+            for fit in solver.multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, pen):
                 if not fit.converged:
                     skipped += 1
                     continue
@@ -539,7 +466,7 @@ def check_theorem3(
                         inactive_worst = max(inactive_worst, abs(float(gap[j])) - lam)
         return s, active_worst, max(inactive_worst, 0.0), skipped
 
-    results = _run_trials(trial, range(seed, seed + trials), threads)
+    results = [trial(s) for s in range(seed, seed + trials)]
     active_disc, active_seed = _reduce([(s, a) for s, a, _, _ in results])
     inactive_disc, inactive_seed = _reduce([(s, i) for s, _, i, _ in results])
     nonconverged = sum(k for _, _, _, k in results)
@@ -550,13 +477,7 @@ def check_theorem3(
     )
 
 
-def check_lemma2(
-    gen: Generator,
-    trials: int,
-    *,
-    seed: int = 0,
-    threads: int | None = None,
-) -> TheoremReport:
+def check_lemma2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
     """Both factorization identities behind the ridge connection, compared
     against direct linear solves over randomized (X, v, Y, tau) tuples."""
     taus = (0.0, 0.1, 1.0, 10.0)
@@ -576,8 +497,7 @@ def check_lemma2(
             float(np.max(np.abs(ridge_direct - ridge_factored))),
         )
 
-    results = _run_trials(trial, range(seed, seed + trials), threads)
-    disc, worst_seed = _reduce(results)
+    disc, worst_seed = _reduce([trial(s) for s in range(seed, seed + trials)])
     return _report("lemma2", trials, disc, LEMMA2_TOL, worst_seed)
 
 
@@ -587,14 +507,13 @@ def check_local_min_gap(
     pens: tuple[PenaltySpec, ...] = (scad(), mcp(1.5)),
     *,
     seed: int = 0,
-    threads: int | None = None,
-    cfg: SolverConfig = SolverConfig(multistart_count=12),
 ) -> TheoremReport:
     """Distinct local minima under concave penalties stay within 2 * lam
     per row-space coordinate; pairs at different lambdas obey the
     lam1 + lam2 variant."""
     if any(not p.concave for p in pens):
         raise ValueError("the local-minima gap bound applies to concave penalties only")
+    cfg = SolverConfig(multistart_count=12)
 
     def trial(s: int) -> tuple[int, float, int]:
         x, y, _ = gen(s)
@@ -620,7 +539,7 @@ def check_local_min_gap(
                 worst = max(worst, float(np.max(np.abs(proj))) - (lam1 + lam2))
         return s, max(worst, 0.0), pairs
 
-    results = _run_trials(trial, range(seed, seed + trials), threads)
+    results = [trial(s) for s in range(seed, seed + trials)]
     disc, worst_seed = _reduce([(s, w) for s, w, _ in results])
     total_pairs = sum(p for _, _, p in results)
     return _report(
@@ -635,60 +554,22 @@ def check_local_min_gap(
 
 
 def check_generalized_theorem1(
-    gen: Generator,
-    trials: int,
-    pen: PenaltySpec,
-    *,
-    n_lambdas: int = 5,
-    seed: int = 0,
-    threads: int | None = None,
+    gen: Generator, trials: int, pen: PenaltySpec, *, n_lambdas: int = 5, seed: int = 0
 ) -> TheoremReport:
     """Puffer data with a regular sparse penalty: the fit equals the
     penalty's own thresholding map applied to the OLS coefficients."""
-
-    def trial(s: int) -> tuple[int, float]:
-        x, y, _ = gen(s)
-        bols = estimators.ols(x, y)
-        pair = preconditioners.puffer(x, y)
-        worst = 0.0
-        for lam in _lambda_grid(np.max(np.abs(bols)), n_lambdas):
-            fit = solver.solve(pair.x_tilde, pair.y_tilde, float(lam), pen)
-            target = _threshold_vector(pen, bols, float(lam))
-            worst = max(worst, float(np.max(np.abs(fit.beta - target))))
-        return s, worst
-
-    results = _run_trials(trial, range(seed, seed + trials), threads)
-    disc, worst_seed = _reduce(results)
+    seeds = range(seed, seed + trials)
+    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer, _ols, pen, n_lambdas)
     return _report("thm1_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
 def check_generalized_theorem2(
-    gen: Generator,
-    trials: int,
-    pen: PenaltySpec,
-    *,
-    n_lambdas: int = 5,
-    seed: int = 0,
-    threads: int | None = None,
+    gen: Generator, trials: int, pen: PenaltySpec, *, n_lambdas: int = 5, seed: int = 0
 ) -> TheoremReport:
     """Scaled-transform analogue: coefficients equal the thresholding map
     applied to sigma * Z_j / sqrt(n)."""
-
-    def trial(s: int) -> tuple[int, float]:
-        x, y, sigma = gen(s)
-        n = x.shape[0]
-        z = estimators.z_stats(x, y, sigma)
-        scaled_ols = sigma * z / math.sqrt(n)
-        pair = preconditioners.puffer_scaled(x, y)
-        worst = 0.0
-        for lam in _lambda_grid(np.max(np.abs(scaled_ols)), n_lambdas):
-            fit = solver.solve(pair.x_tilde, pair.y_tilde, float(lam), pen)
-            target = _threshold_vector(pen, scaled_ols, float(lam))
-            worst = max(worst, float(np.max(np.abs(fit.beta - target))))
-        return s, worst
-
-    results = _run_trials(trial, range(seed, seed + trials), threads)
-    disc, worst_seed = _reduce(results)
+    seeds = range(seed, seed + trials)
+    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer_scaled, _scaled_z, pen, n_lambdas)
     return _report("thm2_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
@@ -721,12 +602,7 @@ THM3_TAUS = (0.0, 0.1, 1.0)
 THM3_PENALTIES = (lasso(), scad(), mcp())
 
 
-def default_suite(
-    seed: int = 0,
-    *,
-    trials: dict | None = None,
-    threads: int | None = None,
-) -> list[TheoremReport]:
+def default_suite(seed: int = 0, *, trials: dict | None = None) -> list[TheoremReport]:
     """Run every check with its default generator and trial budget.
 
     Deterministic for a given seed; per-check seed blocks are disjoint so
@@ -741,9 +617,9 @@ def default_suite(
         return seed + k * block
 
     reports = [
-        check_lemma1(orthonormal_problems(), t["lemma1"], seed=base(1), threads=threads),
-        check_theorem1(mixed_full_rank_problems(), t["thm1"], seed=base(2), threads=threads),
-        check_theorem2(inference_scale_problems(), t["thm2"], seed=base(3), threads=threads),
+        check_lemma1(orthonormal_problems(), t["lemma1"], seed=base(1)),
+        check_theorem1(mixed_full_rank_problems(), t["thm1"], seed=base(2)),
+        check_theorem2(inference_scale_problems(), t["thm2"], seed=base(3)),
     ]
 
     actives: list[TheoremReport] = []
@@ -751,33 +627,22 @@ def default_suite(
     k = 4
     for pen in THM3_PENALTIES:
         for tau in THM3_TAUS:
-            a, i = check_theorem3(
-                wide_problems(), t["thm3"], pen, tau, seed=base(k), threads=threads
-            )
+            a, i = check_theorem3(wide_problems(), t["thm3"], pen, tau, seed=base(k))
             actives.append(a)
             inactives.append(i)
             k += 1
     reports.append(_merge("thm3_active", actives))
     reports.append(_merge("thm3_inactive", inactives))
 
-    reports.append(
-        check_local_min_gap(clustered_wide_problems(), t["eq10_gap"], seed=base(k), threads=threads)
-    )
-    reports.append(check_lemma2(wide_problems(), t["lemma2"], seed=base(k + 1), threads=threads))
+    reports.append(check_local_min_gap(clustered_wide_problems(), t["eq10_gap"], seed=base(k)))
+    reports.append(check_lemma2(wide_problems(), t["lemma2"], seed=base(k + 1)))
 
     gen1: list[TheoremReport] = []
     gen2: list[TheoremReport] = []
     for i, pen in enumerate((scad(), mcp())):
-        gen1.append(
-            check_generalized_theorem1(
-                mixed_full_rank_problems(), t["generalized"], pen, seed=base(k + 2 + i), threads=threads
-            )
-        )
-        gen2.append(
-            check_generalized_theorem2(
-                inference_scale_problems(), t["generalized"], pen, seed=base(k + 4 + i), threads=threads
-            )
-        )
+        g = t["generalized"]
+        gen1.append(check_generalized_theorem1(mixed_full_rank_problems(), g, pen, seed=base(k + 2 + i)))
+        gen2.append(check_generalized_theorem2(inference_scale_problems(), g, pen, seed=base(k + 4 + i)))
     reports.append(_merge("thm1_general", gen1))
     reports.append(_merge("thm2_general", gen2))
     return reports

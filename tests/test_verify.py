@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from puffer_lasso import verify
-from puffer_lasso.errors import DataError
 from puffer_lasso.penalties import elastic_net, mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
@@ -137,38 +136,23 @@ class TestReports:
         assert a == b
 
     def test_sentinel_fires_when_negative_control_passes(self, monkeypatch):
-        # feed the control path orthonormal designs: without the transform
-        # the identity then holds anyway, the control fails to break, and
-        # the report must fail with the sentinel discrepancy
+        # feed both control paths orthonormal designs: without the
+        # transform the thm1 identity then holds anyway, and nu = 1 makes
+        # the unscaled transform of the thm2 control equal the scaled one.
+        # The controls fail to break, and each report must fail with the
+        # sentinel discrepancy.
+        thm2_gen = inference_scale_problems()  # built before its families are patched
         monkeypatch.setattr(
             verify, "equicorrelated_problems", lambda rho, **kw: orthonormal_problems()
         )
-        report = check_theorem1(orthonormal_problems(), trials=8, seed=2)
-        assert not report.passed
-        assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
-        assert report.details["negative_control_max"] <= 1e-2
-
-
-class TestThreads:
-    def test_env_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("PUFFER_LASSO_THREADS", "2")
-        assert verify._resolve_threads(8) == 2
-        assert verify._resolve_threads(None) == 2  # env supplies the default
-        monkeypatch.setenv("PUFFER_LASSO_THREADS", "16")
-        assert verify._resolve_threads(4) == 4
-        monkeypatch.delenv("PUFFER_LASSO_THREADS")
-        assert verify._resolve_threads(None) == 1
-        assert verify._resolve_threads(3) == 3
-
-    def test_invalid_env_value(self, monkeypatch):
-        monkeypatch.setenv("PUFFER_LASSO_THREADS", "lots")
-        with pytest.raises(DataError):
-            verify._resolve_threads(2)
-
-    def test_threaded_run_matches_sequential(self):
-        seq = check_lemma2(wide_problems(), trials=24, seed=11, threads=1)
-        par = check_lemma2(wide_problems(), trials=24, seed=11, threads=4)
-        assert seq == par
+        monkeypatch.setattr(verify, "heteroskedastic_problems", lambda **kw: orthonormal_problems())
+        for report in (
+            check_theorem1(orthonormal_problems(), trials=8, seed=2),
+            check_theorem2(thm2_gen, trials=8, seed=2),
+        ):
+            assert not report.passed, report.theorem_id
+            assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
+            assert report.details["negative_control_max"] <= 1e-2, report.theorem_id
 
 
 class TestQuantileHelper:
