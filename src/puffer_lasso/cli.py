@@ -454,6 +454,27 @@ def _error_record(kind: str, exc: Exception, code: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# Every subcommand option takes exactly one value.
+_OPTIONS = (
+    ("--input", {"help": "CSV file with a header row"}),
+    (
+        "--response",
+        {"default": "0", "help": "response column name or index (default: first column)"},
+    ),
+    ("--penalty", {"choices": PENALTY_FLAGS, "default": "lasso"}),
+    ("--penalty-param", {"type": float, "default": None, "help": "enet alpha / scad a / mcp gamma"}),
+    ("--lambda", {"dest": "lam", "type": float, "default": None}),
+    ("--lambda-grid", {"default": None, "help": "comma-separated descending values"}),
+    ("--tau", {"type": float, "default": None}),
+    ("--sigma", {"type": float, "default": None}),
+    ("--transform", {"choices": TRANSFORM_FLAGS, "default": "none"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--trials", {"type": int, "default": None, "help": "verify: per-check trial count"}),
+    ("--output", {"default": None, "help": "output file (default: stdout)"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="puffer-lasso",
@@ -468,26 +489,34 @@ def _build_parser() -> argparse.ArgumentParser:
         ("inspect", "OLS coefficients, Z statistics, p-values"),
     ):
         p = sub.add_parser(name, help=text)
-        p.add_argument("--input", help="CSV file with a header row")
-        p.add_argument(
-            "--response",
-            default="0",
-            help="response column name or index (default: first column)",
-        )
-        p.add_argument("--penalty", choices=PENALTY_FLAGS, default="lasso")
-        p.add_argument(
-            "--penalty-param", type=float, default=None, help="enet alpha / scad a / mcp gamma"
-        )
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--lambda-grid", default=None, help="comma-separated descending values")
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--transform", choices=TRANSFORM_FLAGS, default="none")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=None, help="verify: per-check trial count")
-        p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag, spec in _OPTIONS:
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag value`` as ``--flag=value`` where the value starts
+    with a single '-'. argparse takes such a token (-inf, -1,2, -1e-3) for
+    an option unless it reads as a plain negative number, and would exit
+    with a usage message instead of reaching the input checks. A flag is
+    an option name or, as argparse allows, a prefix of exactly one; a
+    value starting with '--', and -h, stay options."""
+    flags = {flag for flag, _ in _OPTIONS}
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        is_flag = token in flags or (
+            token.startswith("--") and sum(f.startswith(token) for f in flags) == 1
+        )
+        if is_flag and value.startswith("-") and not value.startswith("--") and value != "-h":
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
 
 
 def _penalty_from_args(name: str, param: float | None) -> PenaltySpec:
@@ -529,7 +558,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_values(argv))
     try:
         config = _config_from_args(args)
     except DataError as exc:

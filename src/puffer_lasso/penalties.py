@@ -12,8 +12,21 @@ scalar problem
 
     minimize over b:  0.5 * (z - b)^2 + lam * pen(b)
 
-exactly. For the Lasso this is plain soft thresholding; for SCAD/MC+ the
-piecewise-quadratic objective is minimized by candidate enumeration.
+exactly. For the Lasso this is plain soft thresholding and for the
+elastic net a shrunken soft threshold. For SCAD and MC+ the objective is
+piecewise quadratic. Where it is convex (MC+ with lam < gamma, SCAD with
+lam < a - 1) the minimizer has a closed form: firm thresholding for MC+
+(Zhang 2010) and the three-piece SCAD rule (Fan & Li 2001; Breheny &
+Huang 2011). In the unit-scale parameterization used here these read
+
+    MC+:   0 for z <= lam, gamma (z - lam) / (gamma - lam) for z < gamma,
+           z beyond;
+    SCAD:  0 for z <= lam, z - lam up to 1, (z - lam a/(a-1)) / (1 - lam/(a-1))
+           up to a, z beyond.
+
+Otherwise a middle piece is concave and the minimizer is one of a few
+candidates (0, a piece boundary, a convex piece's stationary point, z),
+compared by objective with ties going to the smaller magnitude.
 """
 
 from __future__ import annotations
@@ -131,41 +144,63 @@ def pen_derivative(p: PenaltySpec, x: float) -> float:
     return 0.0
 
 
-def _scalar_objective(p: PenaltySpec, z: float, lam: float, b: float) -> float:
-    r = z - b
-    return 0.5 * r * r + lam * pen_value(p, b)
+def _threshold_scad(a: float, z: float, lam: float) -> float:
+    # z > 0, lam > 0. The objective is quadratic on [0, 1], [1, a] and
+    # [a, inf), with curvature 1 - lam/(a-1) on the middle piece.
+    b1 = z - lam
+    curv = 1.0 - lam / (a - 1.0)
+    if curv > 0.0:
+        # convex: the stationary point of the piece that holds it
+        if b1 <= 0.0:
+            return 0.0
+        if b1 <= 1.0:
+            return b1
+        b2 = (z - lam * a / (a - 1.0)) / curv
+        # float rounding can put b2 one ulp above z
+        return min(b2, z) if b2 <= a else z
+    # middle piece not convex: the minimizer is 0, the first piece's
+    # stationary point, 1, a or z. Candidates go in ascending order and
+    # only a strictly smaller objective replaces the best, so ties
+    # resolve toward the smaller-magnitude solution.
+    best, best_f = 0.0, 0.5 * z * z
+    if 0.0 < b1 <= 1.0:
+        r = z - b1
+        f = 0.5 * r * r + lam * b1
+        if f < best_f:
+            best, best_f = b1, f
+    r = z - 1.0
+    f = 0.5 * r * r + lam
+    if f < best_f:
+        best, best_f = 1.0, f
+    r = z - a
+    f = 0.5 * r * r + lam * ((2.0 * a * a - a * a - 1.0) / (2.0 * (a - 1.0)))
+    if f < best_f:
+        best, best_f = a, f
+    if z > a and lam * (0.5 * (a + 1.0)) < best_f:
+        best = z
+    return best
 
 
-def _threshold_nonconvex(p: PenaltySpec, z: float, lam: float) -> float:
-    # z >= 0 here. The objective is piecewise quadratic on [0, inf); the
-    # global minimizer is either an interior stationary point of a convex
-    # piece or a piece boundary, so enumerating those candidates is exact.
-    # Stationary-point formulas are clamped to z: the minimizer never
-    # exceeds z, but their float evaluation can round one ulp above it.
-    if p.kind == "scad":
-        a = p.param
-        candidates = [0.0, 1.0, a]
-        b1 = z - lam
-        if 0.0 < b1 <= 1.0:
-            candidates.append(min(b1, z))
-        curv = 1.0 - lam / (a - 1.0)
-        if curv > 0.0:
-            b2 = (z - lam * a / (a - 1.0)) / curv
-            if 1.0 <= b2 <= a:
-                candidates.append(min(b2, z))
-        if z >= a:
-            candidates.append(z)
-    else:  # mcp
-        g = p.param
-        candidates = [0.0, g]
-        if lam < g:
-            b1 = g * (z - lam) / (g - lam)
-            if 0.0 < b1 <= g:
-                candidates.append(min(b1, z))
-        if z >= g:
-            candidates.append(z)
-    # ties resolve toward the smaller-magnitude solution
-    return min(candidates, key=lambda b: (_scalar_objective(p, z, lam, b), b))
+def _threshold_mcp(g: float, z: float, lam: float) -> float:
+    # z > 0, lam > 0. The objective has curvature 1 - lam/g on [0, g]
+    # and is 0.5 * (z - b)^2 + const beyond.
+    if lam < g:
+        # convex: firm thresholding
+        if z <= lam:
+            return 0.0
+        if z < g:
+            return min(g * (z - lam) / (g - lam), z)
+        return z
+    # concave on [0, g]: the minimizer is 0, g or z; ties resolve toward
+    # the smaller-magnitude solution
+    best, best_f = 0.0, 0.5 * z * z
+    r = z - g
+    f = 0.5 * r * r + lam * (g - g * g / (2.0 * g))
+    if f < best_f:
+        best, best_f = g, f
+    if z > g and lam * (0.5 * g) < best_f:
+        best = z
+    return best
 
 
 def univariate_threshold(p: PenaltySpec, z: float, lam: float) -> float:
@@ -180,6 +215,7 @@ def univariate_threshold(p: PenaltySpec, z: float, lam: float) -> float:
         return soft_threshold(z, lam) / (1.0 + lam * p.param)
     if z == 0.0:
         return 0.0
+    threshold = _threshold_scad if p.kind == "scad" else _threshold_mcp
     if z < 0.0:
-        return -_threshold_nonconvex(p, -z, lam)
-    return _threshold_nonconvex(p, z, lam)
+        return -threshold(p.param, -z, lam)
+    return threshold(p.param, z, lam)

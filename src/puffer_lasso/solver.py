@@ -104,12 +104,16 @@ def solve(
 
     gram = m.T @ m
     xty = m.T @ v
-    diag = np.diag(gram).copy()
     if init is None:
         beta = np.zeros(p)
     else:
         beta = linalg.as_vector(init, p).copy()
 
+    # The sweep runs on Python floats and row views; the numpy beta is
+    # rebuilt only where a matrix product needs it.
+    coef = beta.tolist()
+    diag = np.diag(gram).tolist()
+    rows = list(gram)  # symmetric: row j == column j
     grad = xty - gram @ beta  # maintained as X'(Y - X beta)
     converged = False
     sweeps = 0
@@ -117,25 +121,30 @@ def solve(
         max_change = 0.0
         for j in range(p):
             cj = diag[j]
-            old = beta[j]
+            old = coef[j]
             if cj <= 0.0:
                 new = 0.0
             else:
-                rho = float(grad[j]) + cj * old
-                new = univariate_threshold(pen, rho / cj, lam / cj)
+                new = univariate_threshold(pen, (float(grad[j]) + cj * old) / cj, lam / cj)
             step = new - old
             if step != 0.0:
-                grad -= step * gram[j]  # symmetric: row j == column j
-                beta[j] = new
-                max_change = max(max_change, abs(step))
+                grad -= step * rows[j]
+                coef[j] = new
+                if step > max_change:
+                    max_change = step
+                elif -step > max_change:
+                    max_change = -step
         if max_change < cfg.coord_tol:
+            beta = np.array(coef)
             grad = xty - gram @ beta  # exact refresh before the KKT check
             if kkt_residual(grad, beta, lam, pen) < cfg.kkt_tol:
                 converged = True
                 break
         elif sweeps % 64 == 0:
+            beta = np.array(coef)
             grad = xty - gram @ beta  # cap incremental drift
 
+    beta = np.array(coef)
     final_grad = m.T @ (v - m @ beta)
     return FitResult(
         beta=beta,

@@ -27,7 +27,8 @@ without the 0.5 factor every lambda below corresponds to 2 * lambda):
 Negative controls guard against trivially-passing checks: thm1 without
 the preconditioner and thm2 with the unscaled transform must both show
 discrepancies above 1e-2; if they do not, the report fails with the
-sentinel discrepancy 1.0.
+sentinel discrepancy 1.0. eq10_gap fails the same way when it finds no
+pair of distinct local minima to compare.
 """
 
 from __future__ import annotations
@@ -542,6 +543,9 @@ def check_local_min_gap(
     results = [trial(s) for s in range(seed, seed + trials)]
     disc, worst_seed = _reduce([(s, w) for s, w, _ in results])
     total_pairs = sum(p for _, _, p in results)
+    if total_pairs == 0:
+        # no pair of distinct minima means the bound was never tested
+        disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
     return _report(
         "eq10_gap",
         trials,

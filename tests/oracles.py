@@ -5,6 +5,13 @@ come from cyclic Jacobi rotations, linear systems from Gauss-Jordan
 elimination, integrals from composite Simpson, the normal CDF from a
 Taylor series plus a Laplace continued fraction, and the Lasso from
 subgradient descent and exact sign-pattern enumeration.
+
+Two exceptions are not independent: they keep an earlier, plainer form of
+a fast path as a reference for tests that demand the same floats.
+``threshold_by_enumeration`` is the SCAD/MC+ candidate enumeration that
+preceded the closed-form thresholds, on the library's ``pen_value``.
+``coordinate_descent_reference`` is the plain cyclic sweep on numpy
+arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from puffer_lasso.penalties import PenaltySpec, pen_value, univariate_threshold
+from puffer_lasso.solver import DEFAULT_CONFIG, SolverConfig, kkt_residual
 
 
 def jacobi_eigenvalues(sym, max_sweeps: int = 200, tol: float = 1e-14) -> np.ndarray:
@@ -231,3 +241,94 @@ def lasso_sign_enumeration(x, y, lam: float) -> np.ndarray:
             best = beta
     assert best is not None, "no consistent sign pattern found"
     return best
+
+
+def _scalar_objective(p: PenaltySpec, z: float, lam: float, b: float) -> float:
+    r = z - b
+    return 0.5 * r * r + lam * pen_value(p, b)
+
+
+def _threshold_nonconvex(p: PenaltySpec, z: float, lam: float) -> float:
+    # z >= 0 here. The objective is piecewise quadratic on [0, inf); the
+    # global minimizer is either an interior stationary point of a convex
+    # piece or a piece boundary, so enumerating those candidates is exact.
+    # Stationary-point formulas are clamped to z: the minimizer never
+    # exceeds z, but their float evaluation can round one ulp above it.
+    if p.kind == "scad":
+        a = p.param
+        candidates = [0.0, 1.0, a]
+        b1 = z - lam
+        if 0.0 < b1 <= 1.0:
+            candidates.append(min(b1, z))
+        curv = 1.0 - lam / (a - 1.0)
+        if curv > 0.0:
+            b2 = (z - lam * a / (a - 1.0)) / curv
+            if 1.0 <= b2 <= a:
+                candidates.append(min(b2, z))
+        if z >= a:
+            candidates.append(z)
+    else:  # mcp
+        g = p.param
+        candidates = [0.0, g]
+        if lam < g:
+            b1 = g * (z - lam) / (g - lam)
+            if 0.0 < b1 <= g:
+                candidates.append(min(b1, z))
+        if z >= g:
+            candidates.append(z)
+    # ties resolve toward the smaller-magnitude solution
+    return min(candidates, key=lambda b: (_scalar_objective(p, z, lam, b), b))
+
+
+def threshold_by_enumeration(p: PenaltySpec, z: float, lam: float) -> float:
+    """SCAD/MC+ scalar threshold by enumerating every candidate minimizer."""
+    assert p.kind in ("scad", "mcp") and lam >= 0
+    if lam == 0.0:
+        return z
+    if z == 0.0:
+        return 0.0
+    if z < 0.0:
+        return -_threshold_nonconvex(p, -z, lam)
+    return _threshold_nonconvex(p, z, lam)
+
+
+def coordinate_descent_reference(
+    x, y, lam: float, pen: PenaltySpec, init=None, cfg: SolverConfig = DEFAULT_CONFIG
+):
+    """Plain cyclic coordinate descent on numpy arrays, with the update
+    order, incremental gradient, drift refresh and stopping rule of
+    ``solver.solve``. Returns (beta, sweeps, converged)."""
+    m = np.asarray(x, dtype=np.float64)
+    v = np.asarray(y, dtype=np.float64)
+    p = m.shape[1]
+    gram = m.T @ m
+    xty = m.T @ v
+    diag = np.diag(gram).copy()
+    beta = np.zeros(p) if init is None else np.array(init, dtype=np.float64)
+
+    grad = xty - gram @ beta
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, cfg.max_iter + 1):
+        max_change = 0.0
+        for j in range(p):
+            cj = diag[j]
+            old = beta[j]
+            if cj <= 0.0:
+                new = 0.0
+            else:
+                rho = float(grad[j]) + cj * old
+                new = univariate_threshold(pen, rho / cj, lam / cj)
+            step = new - old
+            if step != 0.0:
+                grad -= step * gram[j]
+                beta[j] = new
+                max_change = max(max_change, abs(step))
+        if max_change < cfg.coord_tol:
+            grad = xty - gram @ beta
+            if kkt_residual(grad, beta, lam, pen) < cfg.kkt_tol:
+                converged = True
+                break
+        elif sweeps % 64 == 0:
+            grad = xty - gram @ beta
+    return beta, sweeps, converged

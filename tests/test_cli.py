@@ -317,6 +317,50 @@ class TestErrorHandling:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--input", "-missing.csv"),
+            ("--response", "-1"),
+            ("--penalty", "-x"),
+            ("--penalty-param", "-inf"),
+            ("--lambda", "-inf"),
+            ("--lambda", "-1e-3"),
+            ("--lambda-grid", "-1,2"),
+            ("--tau", "-inf"),
+            ("--ta", "-inf"),
+            ("--sigma", "-inf"),
+            ("--transform", "-x"),
+            ("--seed", "-1"),
+            ("--trials", "-1"),
+            ("--output", "-out.json"),
+            ("--format", "-x"),
+        ],
+    )
+    def test_value_starting_with_dash(self, small_csv, tmp_path, monkeypatch, capsys, flag, value):
+        # "--flag value" must behave exactly like "--flag=value", also when
+        # the value starts with '-' without being a plain negative number
+        monkeypatch.chdir(tmp_path)
+        command = "path" if flag == "--lambda-grid" else "fit"
+        base = [command, "--input", str(small_csv), "--response", "y"]
+        if command == "fit" and flag != "--lambda":
+            base += ["--lambda", "0.1"]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        joined = outcome(base + [f"{flag}={value}"])
+        assert outcome(base + [flag, value]) == joined
+        if flag in ("--lambda", "--lambda-grid"):
+            assert joined[0] == 2
+            record = json.loads(joined[2])
+            assert record["error"] == "DataError" and record["exit_code"] == 2
+
     def test_error_record_single_line(self, capsys):
         code = main(["fit", "--input", "/nonexistent.csv", "--response", "y", "--lambda", "1"])
         assert code == 2

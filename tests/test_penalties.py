@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,47 @@ class TestUnivariateThreshold:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             univariate_threshold(scad(), 1.0, -1.0)
+
+    @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.5), mcp(3.0)])
+    def test_matches_candidate_enumeration(self, pen):
+        # The closed forms against the candidate enumeration they replaced.
+        # Near a breakpoint (a z where two candidates tie) the enumeration's
+        # float comparison can pick the other candidate. Both answers are
+        # then minimizers to rounding, and the gap in b grows with the
+        # offset times the firm-threshold slope gamma/(gamma - lam), so:
+        # every draw must reach the enumeration's objective; draws within
+        # 1e-12 relative of a breakpoint must also agree in b to 1e-9 (1 + |z|);
+        # draws at least 1e-6 relative from every breakpoint must be bit-equal.
+        rng = np.random.default_rng(20)
+        shape = pen.param
+        lams = [*rng.uniform(0.02, 8.0, size=12), shape - 1.0 if pen.kind == "scad" else shape]
+        for lam in lams:
+            if pen.kind == "scad":
+                points = [lam, 1.0 + lam, shape, math.sqrt(lam * (shape + 1.0)), 0.5 * (shape + 1.0 + lam)]
+            else:
+                points = [lam, shape, math.sqrt(lam * shape)]
+            draws = [(z, "away") for z in rng.uniform(0.0, 1.5 * max(points), size=40)]
+            for point in points:
+                sides = rng.choice([-1.0, 1.0], size=14)
+                offsets = [0.0, *10.0 ** rng.uniform(-16, -12, 5), *10.0 ** rng.uniform(-12, -6, 4)]
+                offsets += list(10.0 ** rng.uniform(-6, -2, 4))
+                for side, offset in zip(sides, offsets):
+                    band = "tie" if offset <= 1e-12 else "near" if offset < 1e-6 else "away"
+                    draws.append((point * (1.0 + side * offset), band))
+            for z, band in draws:
+                if band == "away" and min(abs(z - t) / t for t in points) < 1e-6:
+                    band = "near"
+                z = z if rng.random() < 0.5 else -z
+                b = univariate_threshold(pen, z, lam)
+                ref = oracles.threshold_by_enumeration(pen, z, lam)
+                where = (pen, z, lam, b, ref)
+                if band == "away":
+                    assert b.hex() == ref.hex(), where
+                    continue
+                slack = 1e-12 * (1.0 + z * z)
+                assert scalar_objective(pen, z, lam, b) <= scalar_objective(pen, z, lam, ref) + slack, where
+                if band == "tie":
+                    assert abs(b - ref) <= 1e-9 * (1.0 + abs(z)), where
 
     def test_exact_tie_resolves_to_smaller_magnitude(self):
         # mcp(gamma=2), lam=2, z=2: the objective at b=0 and b=2 is exactly

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from puffer_lasso import estimators
 from puffer_lasso.errors import DataError
 from puffer_lasso.penalties import (
+    elastic_net,
     lasso,
     mcp,
     pen_derivative,
@@ -23,6 +24,7 @@ from puffer_lasso.solver import (
     solve,
     solve_path,
 )
+from puffer_lasso.verify import wide_problems
 
 import oracles
 
@@ -175,6 +177,48 @@ class TestSolve:
         r = y - x @ fit.beta
         manual = 0.5 * float(r @ r) + 0.7 * float(np.sum(np.abs(fit.beta)))
         assert fit.objective == pytest.approx(manual, rel=1e-14)
+
+
+class TestKernelMatchesReference:
+    """solve's sweep against the plain numpy loop in oracles: same update
+    order and arithmetic, so beta is bit-equal and the sweep count and
+    convergence flag agree."""
+
+    @staticmethod
+    def designs():
+        rng = np.random.default_rng(31)
+        for seed in range(3):
+            x, y = tall_problem(seed=200 + seed, n=14, p=6)
+            yield f"tall{seed}", x, y
+            x, y, _ = wide_problems()(seed)
+            yield f"wide{seed}", x, y
+        x, y = tall_problem(seed=210, n=12, p=5)
+        x[:, 3] = 0.0
+        yield "zero_column", x, y
+        yield "scaled_columns", x * rng.uniform(0.1, 10.0, size=5), y
+
+    @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
+    def test_bit_equal_beta_sweeps_and_flag(self, pen):
+        rng = np.random.default_rng(32)
+        cfgs = [SolverConfig(), SolverConfig(max_iter=70)]
+        checked_long = False
+        for name, x, y in self.designs():
+            scale = lambda_max(x, y)
+            for frac in (0.05, 0.3, 0.7):
+                lam = frac * scale
+                for init in (None, rng.uniform(-scale, scale, size=x.shape[1])):
+                    for cfg in cfgs:
+                        fit = solve(x, y, lam, pen, init=init, cfg=cfg)
+                        beta, sweeps, converged = oracles.coordinate_descent_reference(
+                            x, y, lam, pen, init=init, cfg=cfg
+                        )
+                        where = (name, frac, init is None, cfg.max_iter)
+                        assert fit.beta.tobytes() == beta.tobytes(), where
+                        assert fit.iterations == sweeps, where
+                        assert fit.converged == converged, where
+                        checked_long |= sweeps > 64
+        # the 64-sweep drift refresh is on the compared path
+        assert checked_long
 
 
 class TestSolvePath:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from puffer_lasso import verify
+from puffer_lasso import solver, verify
 from puffer_lasso.penalties import elastic_net, mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
@@ -119,6 +119,19 @@ class TestReports:
         report = check_local_min_gap(clustered_wide_problems(), trials=12, seed=0)
         assert report.passed
         assert report.details["pairs_checked"] >= 1
+
+    def test_local_min_gap_fails_without_pairs(self, monkeypatch):
+        # every multistart yields the same single minimum, the all-zero
+        # fit, so no pair is left to check: the bound was never tested and
+        # the report must fail with the sentinel
+        def single_fit(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
+            return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen, cfg=cfg)]
+
+        monkeypatch.setattr(solver, "multistart_local_minima", single_fit)
+        report = check_local_min_gap(clustered_wide_problems(), trials=3, seed=0)
+        assert report.details["pairs_checked"] == 0
+        assert not report.passed
+        assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
 
     def test_local_min_gap_rejects_convex_only_penalties(self):
         with pytest.raises(ValueError):
