@@ -203,6 +203,19 @@ def _threshold_mcp(g: float, z: float, lam: float) -> float:
     return best
 
 
+def zero_within_level(p: PenaltySpec, lam: float) -> bool:
+    """True when ``univariate_threshold(p, z, lam)`` is zero for every
+    |z| <= lam: always for the convex penalties, and for SCAD and MC+ only
+    where their scalar objective is convex (the tests in
+    ``_threshold_scad`` and ``_threshold_mcp``). Otherwise a z just below
+    lam can map to z itself."""
+    if p.kind == "mcp":
+        return lam < p.param
+    if p.kind == "scad":
+        return 1.0 - lam / (p.param - 1.0) > 0.0
+    return True
+
+
 def univariate_threshold(p: PenaltySpec, z: float, lam: float) -> float:
     """Global minimizer of 0.5*(z - b)^2 + lam * pen(b) over scalar b."""
     if lam < 0:

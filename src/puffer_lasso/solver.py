@@ -16,12 +16,13 @@ lam' = 2 * lam here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .penalties import PenaltySpec, pen_derivative, pen_value, univariate_threshold
+from .penalties import PenaltySpec, pen_derivative, pen_value, univariate_threshold, zero_within_level
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,11 @@ def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
         b = float(beta[j])
         g = float(grad[j])
         if b != 0.0:
-            worst = max(worst, abs(g - lam * pen_derivative(pen, b)))
+            gap = abs(g - lam * pen_derivative(pen, b))
         else:
-            worst = max(worst, abs(g) - lam)
+            gap = abs(g) - lam
+        if gap > worst or gap != gap:  # max() would drop a NaN
+            worst = gap
     return max(worst, 0.0)
 
 
@@ -82,6 +85,20 @@ def lambda_max(x, y) -> float:
     return float(np.max(np.abs(m.T @ v)))
 
 
+def _check_lambda(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+
+
+def _normal_equations(x, y) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Validated (X, Y) and their (X'X, X'Y), for fitting one design many times."""
+    m = linalg.as_matrix(x)
+    v = linalg.as_vector(y, m.shape[0])
+    return m, v, (m.T @ m, m.T @ v)
+
+
 def solve(
     x,
     y,
@@ -89,21 +106,24 @@ def solve(
     pen: PenaltySpec,
     init=None,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    *,
+    normal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FitResult:
     """Run cyclic coordinate descent from ``init`` (zeros by default).
 
     Always returns a FitResult; if max_iter is exhausted the result is
     flagged converged=False rather than raising. The reported KKT
-    residual is recomputed from the raw inputs at the end.
+    residual is recomputed from the raw inputs at the end. ``normal`` is
+    (X'X, X'Y) already computed from these x and y; ``solve_path`` and
+    ``multistart_local_minima`` pass it so that a design's Gram is built
+    once per call rather than once per fit.
     """
     m = linalg.as_matrix(x)
     n, p = m.shape
     v = linalg.as_vector(y, n)
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _check_lambda(lam)
 
-    gram = m.T @ m
-    xty = m.T @ v
+    gram, xty = (m.T @ m, m.T @ v) if normal is None else normal
     if init is None:
         beta = np.zeros(p)
     else:
@@ -114,14 +134,22 @@ def solve(
     coef = beta.tolist()
     diag = np.diag(gram).tolist()
     rows = list(gram)  # symmetric: row j == column j
+    # A coordinate at zero with -lam <= grad_j <= lam stays at zero when
+    # the threshold map is zero on [-lam/c_j, lam/c_j], since correctly
+    # rounded division is monotone; it is not for SCAD and MC+ in their
+    # nonconvex regime. A zero column's update is always 0.
+    settled = [cj <= 0.0 or zero_within_level(pen, lam / cj) for cj in diag]
+    lo = -lam
     grad = xty - gram @ beta  # maintained as X'(Y - X beta)
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_iter + 1):
         max_change = 0.0
         for j in range(p):
-            cj = diag[j]
             old = coef[j]
+            if old == 0.0 and settled[j] and lo <= grad[j] <= lam:
+                continue
+            cj = diag[j]
             if cj <= 0.0:
                 new = 0.0
             else:
@@ -169,14 +197,18 @@ def solve_path(
     lams = [float(t) for t in lambdas]
     if not lams:
         raise ValueError("lambda grid is empty")
+    for t in lams:
+        if not math.isfinite(t):
+            raise ValueError(f"lambda grid entries must be finite, got {t}")
     if any(t <= 0 for t in lams):
         raise ValueError("lambda grid entries must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be strictly descending")
+    m, v, normal = _normal_equations(x, y)
     results: list[FitResult] = []
     warm = None
     for lam in lams:
-        fit = solve(x, y, lam, pen, init=warm, cfg=cfg)
+        fit = solve(m, v, lam, pen, init=warm, cfg=cfg, normal=normal)
         results.append(fit)
         warm = fit.beta
     return results
@@ -202,18 +234,18 @@ def multistart_local_minima(
     sup-distance 1e-5. Output order is deterministic: by objective,
     then coefficients.
     """
+    _check_lambda(lam)
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen, cfg=cfg)]
-    m = linalg.as_matrix(x)
-    v = linalg.as_vector(y, m.shape[0])
+    m, v, normal = _normal_equations(x, y)
     p = m.shape[1]
-    scale = lambda_max(m, v)
+    scale = float(np.max(np.abs(normal[1])))  # lambda_max(x, y)
     rng = np.random.default_rng(cfg.rng_seed)
     fits: list[FitResult] = []
     betas: list[np.ndarray] = []
     for _ in range(cfg.multistart_count):
         init = rng.uniform(-scale, scale, size=p)
-        fit = solve(m, v, lam, pen, init=init, cfg=cfg)
+        fit = solve(m, v, lam, pen, init=init, cfg=cfg, normal=normal)
         if _distinct(betas, fit.beta):
             betas.append(fit.beta)
             fits.append(fit)

@@ -293,11 +293,12 @@ def threshold_by_enumeration(p: PenaltySpec, z: float, lam: float) -> float:
 
 
 def coordinate_descent_reference(
-    x, y, lam: float, pen: PenaltySpec, init=None, cfg: SolverConfig = DEFAULT_CONFIG
+    x, y, lam: float, pen: PenaltySpec, init=None, cfg: SolverConfig = DEFAULT_CONFIG, visits=None
 ):
     """Plain cyclic coordinate descent on numpy arrays, with the update
     order, incremental gradient, drift refresh and stopping rule of
-    ``solver.solve``. Returns (beta, sweeps, converged)."""
+    ``solver.solve``. Returns (beta, sweeps, converged). A ``visits``
+    list receives (old, z, level, new) for every threshold call."""
     m = np.asarray(x, dtype=np.float64)
     v = np.asarray(y, dtype=np.float64)
     p = m.shape[1]
@@ -319,6 +320,8 @@ def coordinate_descent_reference(
             else:
                 rho = float(grad[j]) + cj * old
                 new = univariate_threshold(pen, rho / cj, lam / cj)
+                if visits is not None:
+                    visits.append((old, rho / cj, lam / cj, new))
             step = new - old
             if step != 0.0:
                 grad -= step * gram[j]

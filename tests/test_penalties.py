@@ -250,6 +250,25 @@ class TestUnivariateThreshold:
                 if band == "tie":
                     assert abs(b - ref) <= 1e-9 * (1.0 + abs(z)), where
 
+    def test_nonconvex_map_is_not_zero_below_lambda(self):
+        # why solve skips a zero coordinate with |z| <= lam only where
+        # zero_within_level holds: past MC+'s gamma or SCAD's a - 1 the
+        # scalar minimizer can be z itself
+        assert univariate_threshold(mcp(1.5), 1.9, 2.0) == 1.9
+        assert univariate_threshold(scad(), 9.0, 10.0) == 9.0
+        assert not penalties.zero_within_level(mcp(1.5), 2.0)
+        assert not penalties.zero_within_level(scad(), 10.0)
+        assert penalties.zero_within_level(mcp(1.5), 1.4)
+        assert penalties.zero_within_level(scad(), 2.6)
+
+    @pytest.mark.parametrize("pen", [*ALL_KINDS, scad(2.5), mcp(1.5)])
+    @settings(max_examples=60, deadline=None)
+    @given(lam=lams, frac=st.floats(-1, 1))
+    def test_zero_within_level(self, pen, lam, frac):
+        if penalties.zero_within_level(pen, lam):
+            assert univariate_threshold(pen, frac * lam, lam) == 0.0
+            assert univariate_threshold(pen, math.copysign(lam, frac), lam) == 0.0
+
     def test_exact_tie_resolves_to_smaller_magnitude(self):
         # mcp(gamma=2), lam=2, z=2: the objective at b=0 and b=2 is exactly
         # 2.0 in floats; the tie must go to the smaller-magnitude solution

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from puffer_lasso.preconditioners import project_rowspace, puffer_tau
 from puffer_lasso.solver import (
     FitResult,
     SolverConfig,
+    kkt_residual,
     lambda_max,
     multistart_local_minima,
     objective_value,
@@ -121,6 +124,24 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(x, y, -0.1, lasso())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("entry", ["solve", "solve_path", "multistart"])
+    def test_nonfinite_lambda_rejected(self, entry, value):
+        # NaN fails every comparison, so a lam < 0 check alone lets it
+        # through to a "converged" all-zero fit; +inf gives a NaN objective
+        x, y = tall_problem()
+        with pytest.raises(ValueError, match=str(value)):
+            if entry == "solve":
+                solve(x, y, value, mcp())
+            elif entry == "solve_path":
+                solve_path(x, y, [3.0, value, 1.0], lasso())
+            else:
+                multistart_local_minima(x, y, value, mcp())
+
+    def test_kkt_residual_keeps_nan(self):
+        assert math.isnan(kkt_residual(np.array([math.nan, 0.0]), np.zeros(2), 1.0, lasso()))
+        assert math.isnan(kkt_residual(np.array([0.0, math.nan]), np.array([0.0, 1.0]), 1.0, lasso()))
+
     def test_dimension_mismatch_rejected(self):
         x, y = tall_problem()
         with pytest.raises(DataError):
@@ -196,12 +217,17 @@ class TestKernelMatchesReference:
         x[:, 3] = 0.0
         yield "zero_column", x, y
         yield "scaled_columns", x * rng.uniform(0.1, 10.0, size=5), y
+        # lam / c_j exceeds gamma of mcp(1.5) and a - 1 of scad(): the
+        # threshold map is nonzero inside [-lam/c_j, lam/c_j] there
+        x, y = tall_problem(seed=212, n=12, p=5)
+        yield "shrunken_columns", x * rng.uniform(0.04, 0.06, size=5), y
 
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
     def test_bit_equal_beta_sweeps_and_flag(self, pen):
         rng = np.random.default_rng(32)
         cfgs = [SolverConfig(), SolverConfig(max_iter=70)]
         checked_long = False
+        left_zero = False
         for name, x, y in self.designs():
             scale = lambda_max(x, y)
             for frac in (0.05, 0.3, 0.7):
@@ -209,16 +235,78 @@ class TestKernelMatchesReference:
                 for init in (None, rng.uniform(-scale, scale, size=x.shape[1])):
                     for cfg in cfgs:
                         fit = solve(x, y, lam, pen, init=init, cfg=cfg)
+                        visits = []
                         beta, sweeps, converged = oracles.coordinate_descent_reference(
-                            x, y, lam, pen, init=init, cfg=cfg
+                            x, y, lam, pen, init=init, cfg=cfg, visits=visits
                         )
                         where = (name, frac, init is None, cfg.max_iter)
                         assert fit.beta.tobytes() == beta.tobytes(), where
                         assert fit.iterations == sweeps, where
                         assert fit.converged == converged, where
                         checked_long |= sweeps > 64
+                        left_zero |= any(
+                            old == 0.0 and abs(z) <= level and new != 0.0 for old, z, level, new in visits
+                        )
         # the 64-sweep drift refresh is on the compared path
         assert checked_long
+        # and so is, for SCAD and MC+, a coordinate that left zero with
+        # |z| <= lam / c_j: the nonconvex regime, where solve must not skip
+        assert left_zero == (not pen.convex)
+
+
+class TestSharedGram:
+    """solve_path and multistart_local_minima hand one X'X to every fit;
+    each result must be the one a plain solve call gives."""
+
+    @staticmethod
+    def designs():
+        x, y = tall_problem(seed=220, n=14, p=6)
+        yield "tall", x, y
+        for seed in range(2):
+            x, y, _ = wide_problems()(seed)
+            yield f"wide{seed}", x, y
+        x, y = tall_problem(seed=221, n=12, p=5)
+        x[:, 1] = 0.0
+        yield "zero_column", x, y
+
+    @staticmethod
+    def assert_same(fit, ref, where):
+        assert fit.beta.tobytes() == ref.beta.tobytes(), where
+        assert fit.iterations == ref.iterations, where
+        assert fit.converged == ref.converged, where
+        assert fit.kkt_residual == ref.kkt_residual, where
+        assert fit.objective == ref.objective, where
+
+    @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
+    def test_path_equals_warm_started_chain(self, pen):
+        for name, x, y in self.designs():
+            top = lambda_max(x, y)
+            grid = np.geomspace(top, 0.02 * top, 12)
+            fits = solve_path(x, y, grid, pen)
+            warm = None
+            for lam, fit in zip(grid, fits):
+                ref = solve(x, y, float(lam), pen, init=warm)
+                self.assert_same(fit, ref, (name, lam))
+                warm = ref.beta
+
+    @pytest.mark.parametrize("pen", [scad(), mcp(1.5)])
+    def test_multistart_equals_plain_solves(self, pen):
+        cfg = SolverConfig(multistart_count=6, rng_seed=7)
+        designs = [*self.designs(), *((f"clustered{s}", *clustered_wide(s)) for s in range(3))]
+        for name, x, y in designs:
+            scale = lambda_max(x, y)
+            lam = 0.3 * scale
+            fits = multistart_local_minima(x, y, lam, pen, cfg=cfg)
+            rng = np.random.default_rng(cfg.rng_seed)
+            refs = []
+            for _ in range(cfg.multistart_count):
+                ref = solve(x, y, lam, pen, init=rng.uniform(-scale, scale, size=x.shape[1]), cfg=cfg)
+                if all(np.max(np.abs(ref.beta - r.beta)) > 1e-5 for r in refs):
+                    refs.append(ref)
+            refs.sort(key=lambda f: (f.objective, tuple(f.beta)))
+            assert len(fits) == len(refs), name
+            for fit, ref in zip(fits, refs):
+                self.assert_same(fit, ref, name)
 
 
 class TestSolvePath:
