@@ -9,7 +9,7 @@ the classical quantities.
 
 from .errors import DataError, DegreesOfFreedomError, NumericalError, RankError
 from .estimators import InferenceResult, inference, ols, p_values, ridge, sigma_hat, z_stats
-from .linalg import SvdFactors, gram_inverse_diagonal, pseudoinverse_gram, rank_of, svd
+from .linalg import SvdFactors, gram_inverse_diagonal, rank_of, svd
 from .penalties import (
     PenaltySpec,
     elastic_net,
@@ -67,7 +67,6 @@ __all__ = [
     "pen_derivative",
     "pen_value",
     "project_rowspace",
-    "pseudoinverse_gram",
     "puffer",
     "puffer_scaled",
     "puffer_tau",

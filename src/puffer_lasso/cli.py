@@ -365,16 +365,7 @@ def _run_inspect(config: RunConfig) -> int:
         raise DataError(
             f"inspect requires n > p for Z statistics and p-values, got n={n}, p={p}"
         )
-    if config.sigma is None:
-        sigma = estimators.sigma_hat(data.x, data.y)
-        if sigma == 0.0:
-            raise DataError(
-                "degenerate fit: the response lies exactly in the column span, "
-                "so the residual noise-scale estimate is zero; supply --sigma"
-            )
-        result = estimators.inference(data.x, data.y)
-    else:
-        result = estimators.inference(data.x, data.y, config.sigma)
+    result = estimators.inference(data.x, data.y, config.sigma)
     if config.output_format == "csv":
         lines = ["feature,beta_ols,z_stat,p_value"]
         for j, name in enumerate(data.feature_names):

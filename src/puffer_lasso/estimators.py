@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegreesOfFreedomError, RankError
+from .errors import DataError, DegreesOfFreedomError, RankError
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,22 @@ class InferenceResult:
     sigma_source: str  # "user_supplied" or "residual_estimate"
 
 
-def ols(x, y) -> np.ndarray:
-    """Least-squares coefficients (X'X)^-1 X'Y for full-rank X with n > p."""
+def _ols_fit(x, y):
+    """Validate (X, Y), factor X once and solve for beta_ols. Every
+    estimator here derives from the returned (X, Y, SVD of X, beta_ols)."""
     m = linalg.as_matrix(x)
     n, p = m.shape
     v = linalg.as_vector(y, n)
     if n <= p:
         raise RankError(f"ols requires n > p, got n={n}, p={p}")
-    f = linalg.svd(m, "skinny")
+    f = linalg.svd(m)
     linalg.require_full_column_rank(f)
-    return f.v @ ((f.u.T @ v) / f.d)
+    return m, v, f, f.v @ ((f.u.T @ v) / f.d)
+
+
+def ols(x, y) -> np.ndarray:
+    """Least-squares coefficients (X'X)^-1 X'Y for full-rank X with n > p."""
+    return _ols_fit(x, y)[3]
 
 
 def ridge(x, y, tau: float) -> np.ndarray:
@@ -62,11 +68,13 @@ def z_stats(x, y, sigma: float) -> np.ndarray:
     """Classical test statistics sqrt(n) * beta_j / sqrt(sigma^2 * nu_j)."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    m = linalg.as_matrix(x)
-    n = m.shape[0]
-    beta = ols(m, y)
-    nu = linalg.gram_inverse_diagonal(m)
-    return math.sqrt(n) * beta / (sigma * np.sqrt(nu))
+    return _z(_ols_fit(x, y), sigma)
+
+
+def _z(fit, sigma: float) -> np.ndarray:
+    m, _, f, beta = fit
+    nu = linalg._gram_inverse_diagonal(f)
+    return math.sqrt(m.shape[0]) * beta / (sigma * np.sqrt(nu))
 
 
 def normal_cdf(t: float) -> float:
@@ -92,35 +100,48 @@ def sigma_hat(x, y) -> float:
     the caller should treat as such); residual norms at the rounding
     level, below max(n, p) * eps * ||Y||, count as in-span.
     """
+    return _sigma_hat_fit(x, y)[0]
+
+
+def _sigma_hat_fit(x, y):
+    """sigma_hat together with the (X, Y, SVD, beta_ols) it came from."""
     m = linalg.as_matrix(x)
     n, p = m.shape
     if n <= p + 1:
         raise DegreesOfFreedomError(
             f"sigma_hat requires n > p + 1, got n={n}, p={p}"
         )
-    v = linalg.as_vector(y, n)
-    resid = v - m @ ols(m, v)
-    norm = float(np.linalg.norm(resid))
+    fit = m, v, _, beta = _ols_fit(m, y)
+    norm = float(np.linalg.norm(v - m @ beta))
     if norm <= max(n, p) * linalg.EPS * float(np.linalg.norm(v)):
-        return 0.0
-    return norm / math.sqrt(n - p)
+        return 0.0, fit
+    return norm / math.sqrt(n - p), fit
 
 
 def inference(x, y, sigma: float | None = None) -> InferenceResult:
-    """Assemble OLS coefficients, Z statistics and p-values.
+    """Assemble OLS coefficients, Z statistics and p-values from one SVD.
 
     sigma=None estimates the noise scale from residuals; the choice is
-    recorded in sigma_source.
+    recorded in sigma_source. A zero estimate (Y in the column span of X)
+    raises DataError: without a noise scale there is no Z statistic.
     """
     if sigma is None:
-        sigma_used = sigma_hat(x, y)
+        sigma_used, fit = _sigma_hat_fit(x, y)
+        if sigma_used == 0.0:
+            raise DataError(
+                "degenerate fit: the response lies exactly in the column span, "
+                "so the residual noise-scale estimate is zero; supply --sigma"
+            )
         source = "residual_estimate"
     else:
         sigma_used = float(sigma)
+        if not sigma_used > 0:
+            raise ValueError(f"sigma must be positive, got {sigma_used}")
+        fit = _ols_fit(x, y)
         source = "user_supplied"
-    z = z_stats(x, y, sigma_used)
+    z = _z(fit, sigma_used)
     return InferenceResult(
-        beta_ols=ols(x, y),
+        beta_ols=fit[3],
         z_stats=z,
         p_values=p_values(z),
         sigma=sigma_used,

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: SVD, numerical rank, Gram pseudoinverse.
+"""Dense linear-algebra kernels: SVD, numerical rank, diag((X'X)^-1).
 
 Everything downstream (preconditioners, estimators, the solver) consumes
 these routines. Matrices are plain 2-D float64 numpy arrays; all
@@ -40,48 +40,31 @@ def as_vector(y, length: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Factors X = U diag(d) V' with d nonincreasing and nonnegative.
-
-    ``skinny`` mode keeps k = min(n, p) columns in both U and V; ``full``
-    mode carries the complete orthogonal bases (U is n x n, V is p x p)
-    while d still lists the min(n, p) singular values.
-    """
+    """Skinny factors X = U diag(d) V' with d nonincreasing and nonnegative;
+    U is n x k and V is p x k with k = min(n, p)."""
 
     u: np.ndarray
     d: np.ndarray
     v: np.ndarray
-    mode: str
     rank_tol: float
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.u.shape[0], self.v.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """Multiply the factors back together."""
-        k = self.d.size
-        return (self.u[:, :k] * self.d) @ self.v[:, :k].T
+def svd(x) -> SvdFactors:
+    """Skinny singular value decomposition of a dense matrix.
 
-
-def svd(x, mode: str = "skinny") -> SvdFactors:
-    """Singular value decomposition of a dense matrix.
-
-    mode="skinny" returns n x k and p x k factors with k = min(n, p);
-    mode="full" returns complete square bases. Raises NumericalError if
-    the underlying iteration fails to converge (never silent NaN).
+    Raises NumericalError if the underlying iteration fails to converge
+    (never silent NaN).
     """
-    if mode not in ("skinny", "full"):
-        raise ValueError(f"mode must be 'skinny' or 'full', got {mode!r}")
     m = as_matrix(x)
     try:
-        u, d, vt = np.linalg.svd(m, full_matrices=(mode == "full"))
+        u, d, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(d))):
         raise NumericalError("SVD produced non-finite factors")
     n, p = m.shape
     tol = max(n, p) * EPS * (float(d[0]) if d.size else 0.0)
-    return SvdFactors(u=u, d=d, v=vt.T, mode=mode, rank_tol=tol)
+    return SvdFactors(u=u, d=d, v=vt.T, rank_tol=tol)
 
 
 def rank_of(f: SvdFactors) -> int:
@@ -91,39 +74,22 @@ def rank_of(f: SvdFactors) -> int:
 
 def require_full_column_rank(f: SvdFactors) -> None:
     """Raise RankError naming the offending singular value if rank < p."""
-    p = f.v.shape[0]
-    r = rank_of(f)
-    if r < p:
-        offender = float(f.d[r]) if r < f.d.size else 0.0
-        raise RankError(
-            f"matrix is column-rank deficient: rank {r} < {p} columns "
-            f"(singular value {offender:.3e} <= tol {f.rank_tol:.3e})"
-        )
+    _require_rank(f, f.v.shape[0], "column", "columns")
 
 
 def require_full_row_rank(f: SvdFactors) -> None:
     """Raise RankError naming the offending singular value if rank < n."""
-    n = f.u.shape[0]
+    _require_rank(f, f.u.shape[0], "row", "rows")
+
+
+def _require_rank(f: SvdFactors, full: int, kind: str, unit: str) -> None:
     r = rank_of(f)
-    if r < n:
+    if r < full:
         offender = float(f.d[r]) if r < f.d.size else 0.0
         raise RankError(
-            f"matrix is row-rank deficient: rank {r} < {n} rows "
+            f"matrix is {kind}-rank deficient: rank {r} < {full} {unit} "
             f"(singular value {offender:.3e} <= tol {f.rank_tol:.3e})"
         )
-
-
-def pseudoinverse_gram(x) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of X'X, computed as V diag(d^-2) V'.
-
-    Singular values at or below the rank tolerance are zeroed rather than
-    inverted, so rank deficiency is handled without error.
-    """
-    f = svd(x, "skinny")
-    inv2 = np.zeros_like(f.d)
-    keep = f.d > f.rank_tol
-    inv2[keep] = 1.0 / np.square(f.d[keep])
-    return (f.v * inv2) @ f.v.T
 
 
 def gram_inverse_diagonal(x) -> np.ndarray:
@@ -136,6 +102,11 @@ def gram_inverse_diagonal(x) -> np.ndarray:
     n, p = m.shape
     if n <= p:
         raise RankError(f"gram_inverse_diagonal requires n > p, got n={n}, p={p}")
-    f = svd(m, "skinny")
+    f = svd(m)
     require_full_column_rank(f)
+    return _gram_inverse_diagonal(f)
+
+
+def _gram_inverse_diagonal(f: SvdFactors) -> np.ndarray:
+    """diag((X'X)^-1) = V^2 d^-2 from the factors of a full-column-rank X."""
     return np.square(f.v) @ (1.0 / np.square(f.d))

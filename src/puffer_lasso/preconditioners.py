@@ -44,7 +44,7 @@ def puffer(x, y) -> PreconditionedPair:
     v = linalg.as_vector(y, n)
     if n <= p:
         raise RankError(f"puffer requires n > p, got n={n}, p={p}")
-    f = linalg.svd(m, "skinny")
+    f = linalg.svd(m)
     linalg.require_full_column_rank(f)
     x_tilde = f.u @ f.v.T
     y_tilde = f.u @ ((f.u.T @ v) / f.d)
@@ -79,7 +79,7 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
         raise DataError(f"puffer_tau requires p >= n, got n={n}, p={p}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    f = linalg.svd(m, "skinny")  # U is n x n here
+    f = linalg.svd(m)  # U is n x n here
     if tau == 0.0:
         linalg.require_full_row_rank(f)
     w = 1.0 / np.sqrt(np.square(f.d) + tau)
@@ -99,7 +99,7 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if tau == 0.0:
-        linalg.require_full_row_rank(linalg.svd(m, "skinny"))
+        linalg.require_full_row_rank(linalg.svd(m))
     w = np.linalg.solve(m @ m.T + tau * np.eye(n), m @ vec)
     return m.T @ w
 

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import estimators, preconditioners, solver
+from . import estimators, linalg, preconditioners, solver
 from .penalties import PenaltySpec, lasso, mcp, pen_derivative, scad, univariate_threshold
 from .solver import SolverConfig
 
@@ -204,8 +204,6 @@ def inference_scale_problems(noise: float = 0.5) -> Generator:
     """Full-rank designs whose signal is drawn in standard-error units,
     keeping |Z_j| small enough that two-sided p-values stay above the
     float64 underflow threshold (reached near |z| = 38.6)."""
-    from . import linalg
-
     families = (
         heteroskedastic_problems(noise=noise),
         equicorrelated_problems(0.5, noise=noise),

@@ -6,12 +6,15 @@ elimination, integrals from composite Simpson, the normal CDF from a
 Taylor series plus a Laplace continued fraction, and the Lasso from
 subgradient descent and exact sign-pattern enumeration.
 
-Two exceptions are not independent: they keep an earlier, plainer form of
-a fast path as a reference for tests that demand the same floats.
+Three exceptions are not independent: they keep an earlier, plainer form
+of a fast path as a reference for tests that demand the same floats.
 ``threshold_by_enumeration`` is the SCAD/MC+ candidate enumeration that
 preceded the closed-form thresholds, on the library's ``pen_value``.
 ``coordinate_descent_reference`` is the plain cyclic sweep on numpy
 arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
+``inference_reference`` is the composition of separately factored
+estimators that preceded the single-SVD ``inference``; it calls
+``np.linalg.svd`` itself and the library's ``p_values``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 
 import numpy as np
 
+from puffer_lasso.estimators import p_values
 from puffer_lasso.penalties import PenaltySpec, pen_value, univariate_threshold
 from puffer_lasso.solver import DEFAULT_CONFIG, SolverConfig, kkt_residual
 
@@ -335,3 +339,28 @@ def coordinate_descent_reference(
         elif sweeps % 64 == 0:
             grad = xty - gram @ beta
     return beta, sweeps, converged
+
+
+def inference_reference(x, y, sigma: float | None = None):
+    """OLS coefficients, Z statistics, p-values and sigma as the separately
+    factored estimators computed them: sigma_hat (one SVD for its OLS fit),
+    then z_stats (one SVD for OLS, one for diag((X'X)^-1)), then OLS again.
+    Full-column-rank X with n > p + 1 only. Returns (beta, z, p, sigma)."""
+    m = np.asarray(x, dtype=np.float64)
+    v = np.asarray(y, dtype=np.float64)
+    n, p = m.shape
+
+    def ols():
+        u, d, vt = np.linalg.svd(m, full_matrices=False)
+        return vt.T @ ((u.T @ v) / d)
+
+    def gram_inverse_diagonal():
+        _, d, vt = np.linalg.svd(m, full_matrices=False)
+        return np.square(vt.T) @ (1.0 / np.square(d))
+
+    if sigma is None:
+        sigma = float(np.linalg.norm(v - m @ ols())) / math.sqrt(n - p)
+    sigma = float(sigma)
+    beta = ols()
+    z = math.sqrt(n) * beta / (sigma * np.sqrt(gram_inverse_diagonal()))
+    return ols(), z, p_values(z), sigma

@@ -303,6 +303,55 @@ class TestInspectCommand:
         assert "requires n > p" in err["message"]
 
 
+# designs of unit columns, whose SVD is exact: the in-span residual is
+# exactly zero, and the duplicated column's singular value exactly 0.0
+IN_SPAN = [[2, 1, 0], [-1, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+DUPLICATE_COLUMN = [[1, 1, 0, 1], [2, 0, 1, 0], [3, 0, 0, 0], [4, 0, 0, 0], [5, 0, 0, 0]]
+RANK_RECORD = (
+    "matrix is column-rank deficient: rank 2 < 3 columns "
+    "(singular value 0.000e+00 <= tol 1.570e-15)"
+)
+
+
+class TestEstimatorErrorRecords:
+    @pytest.mark.parametrize(
+        "argv,rows,message",
+        [
+            (
+                ["inspect"],
+                IN_SPAN,
+                "degenerate fit: the response lies exactly in the column span, "
+                "so the residual noise-scale estimate is zero; supply --sigma",
+            ),
+            (["inspect"], np.arange(16.0).reshape(4, 4) % 5, "sigma_hat requires n > p + 1, got n=4, p=3"),
+            (["inspect"], DUPLICATE_COLUMN, RANK_RECORD),
+            (
+                ["fit", "--transform", "puffer", "--lambda", "0.1"],
+                np.arange(28.0).reshape(4, 7) % 3,
+                "puffer requires n > p, got n=4, p=6",
+            ),
+            (
+                ["fit", "--transform", "puffer_scaled", "--lambda", "0.1"],
+                np.arange(28.0).reshape(4, 7) % 3,
+                "gram_inverse_diagonal requires n > p, got n=4, p=6",
+            ),
+            (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], DUPLICATE_COLUMN, RANK_RECORD),
+        ],
+        ids=["degenerate_sigma", "n_is_p_plus_1", "inspect_rank", "puffer_wide", "scaled_wide", "scaled_rank"],
+    )
+    def test_exact_record(self, tmp_path, capsys, argv, rows, message):
+        rows = np.asarray(rows, dtype=float)
+        path = tmp_path / "data.csv"
+        write_csv(path, ["y"] + [f"x{j}" for j in range(1, rows.shape[1])], rows.tolist())
+        code = main([argv[0], "--input", str(path), "--response", "y", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == json.dumps(
+            {"error": "DataError", "message": message, "exit_code": 2}, separators=(",", ":")
+        ) + "\n"
+
+
 class TestErrorHandling:
     def test_missing_input_exit_code(self, capsys):
         code = main(["fit", "--input", "/nonexistent.csv", "--response", "y", "--lambda", "0.1"])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import estimators
-from puffer_lasso.errors import DegreesOfFreedomError, RankError
+from puffer_lasso import estimators, linalg
+from puffer_lasso.cli import main
+from puffer_lasso.errors import DataError, DegreesOfFreedomError, RankError
 from puffer_lasso.estimators import (
     inference,
     normal_cdf,
@@ -16,6 +17,8 @@ from puffer_lasso.estimators import (
     sigma_hat,
     z_stats,
 )
+from puffer_lasso.preconditioners import puffer_scaled
+from puffer_lasso.verify import heteroskedastic_problems, spiked_problems
 
 import oracles
 
@@ -214,3 +217,63 @@ class TestInference:
         result = inference(x, y, 1.0)
         recomputed = p_values(result.z_stats)
         assert np.array_equal(result.p_values, recomputed)
+
+    def test_response_in_span_without_sigma_is_a_data_error(self):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(DataError, match="^degenerate fit: .* supply --sigma$"):
+            inference(x, x @ np.array([2.0, -1.0]))
+
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    def test_bit_equal_to_separately_factored_reference(self, sigma):
+        designs = [problem(60 + s, 8 + 5 * s, 2 + s) for s in range(3)]
+        for gen in (heteroskedastic_problems(), spiked_problems()):
+            designs += [gen(s)[:2] for s in range(4)]
+        for x, y in designs:
+            result = inference(x, y, sigma)
+            beta, z, p, sigma_ref = oracles.inference_reference(x, y, sigma)
+            assert result.beta_ols.tobytes() == beta.tobytes()
+            assert result.z_stats.tobytes() == z.tobytes()
+            assert result.p_values.tobytes() == p.tobytes()
+            assert np.float64(result.sigma).tobytes() == np.float64(sigma_ref).tobytes()
+
+
+class TestOneSvdPerDesign:
+    """Every factorization goes through linalg.svd; each estimator makes one
+    and puffer_scaled two (X, then X N)."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        shapes = []
+        real = linalg.svd
+
+        def counted(x, *rest):
+            shapes.append(np.shape(x))
+            return real(x, *rest)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        return shapes
+
+    CALLS = {
+        "ols": (ols, 1),
+        "sigma_hat": (sigma_hat, 1),
+        "z_stats": (lambda x, y: z_stats(x, y, 0.5), 1),
+        "inference_sigma": (lambda x, y: inference(x, y, 0.5), 1),
+        "inference_estimated": (inference, 1),
+        "puffer_scaled": (puffer_scaled, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_library(self, svd_calls, name):
+        call, expected = self.CALLS[name]
+        call(*problem(70, 15, 4))
+        assert len(svd_calls) == expected
+
+    @pytest.mark.parametrize("extra", [[], ["--sigma", "0.5"]])
+    def test_cli_inspect(self, svd_calls, tmp_path, extra):
+        x, y = problem(71, 15, 4)
+        path = tmp_path / "data.csv"
+        rows = [",".join(repr(float(v)) for v in row) for row in np.column_stack([y, x])]
+        path.write_text("\n".join(["y,a,b,c,d", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["inspect", "--input", str(path), "--response", "y", "--output", str(out), *extra]) == 0
+        assert svd_calls == [(15, 4)]

@@ -36,18 +36,6 @@ class TestSvd:
         eig = oracles.characteristic_cubic_eigenvalues(x.T @ x)
         assert np.max(np.abs(f.d - np.sqrt(np.clip(eig, 0, None)))) <= 1e-10
 
-    def test_full_mode_shapes(self):
-        x = random_matrix(0, 5, 3)
-        f = linalg.svd(x, "full")
-        assert f.u.shape == (5, 5)
-        assert f.v.shape == (3, 3)
-        assert f.d.shape == (3,)
-        assert np.allclose(f.reconstruct(), x)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            linalg.svd(np.eye(2), "fat")
-
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             linalg.svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
@@ -72,15 +60,14 @@ class TestSvd:
     @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 12))
     def test_reconstruction_and_orthonormality(self, seed, n, p):
         x = random_matrix(seed, n, p)
-        for mode in ("skinny", "full"):
-            f = linalg.svd(x, mode)
-            assert np.linalg.norm(f.reconstruct() - x) <= 1e-8 * max(np.linalg.norm(x), 1e-30)
-            k = f.u.shape[1]
-            assert np.max(np.abs(f.u.T @ f.u - np.eye(k))) <= 1e-10
-            kv = f.v.shape[1]
-            assert np.max(np.abs(f.v.T @ f.v - np.eye(kv))) <= 1e-10
-            assert np.all(np.diff(f.d) <= 0)
-            assert np.all(f.d >= 0)
+        f = linalg.svd(x)
+        k = min(n, p)
+        assert f.u.shape == (n, k) and f.v.shape == (p, k) and f.d.shape == (k,)
+        assert np.linalg.norm((f.u * f.d) @ f.v.T - x) <= 1e-8 * max(np.linalg.norm(x), 1e-30)
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(k))) <= 1e-10
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(k))) <= 1e-10
+        assert np.all(np.diff(f.d) <= 0)
+        assert np.all(f.d >= 0)
 
 
 class TestVectorValidation:
@@ -96,7 +83,7 @@ class TestVectorValidation:
 class TestRankOf:
     def test_plain(self):
         f = linalg.SvdFactors(
-            u=np.eye(3), d=np.array([3.0, 2.0, 1.0]), v=np.eye(3), mode="skinny", rank_tol=1e-12
+            u=np.eye(3), d=np.array([3.0, 2.0, 1.0]), v=np.eye(3), rank_tol=1e-12
         )
         assert linalg.rank_of(f) == 3
 
@@ -110,35 +97,6 @@ class TestRankOf:
         c, d = rng.standard_normal((2, 3))
         x = np.outer(a, c) + np.outer(b, d)
         assert linalg.rank_of(linalg.svd(x)) == 2
-
-
-class TestPseudoinverseGram:
-    def test_orthonormal_columns(self):
-        q, _ = np.linalg.qr(random_matrix(3, 6, 3))
-        assert np.max(np.abs(linalg.pseudoinverse_gram(q) - np.eye(3))) <= 1e-12
-
-    def test_diagonal_with_zero(self):
-        out = linalg.pseudoinverse_gram(np.diag([2.0, 0.0]))
-        assert np.allclose(out, np.diag([0.25, 0.0]))
-
-    def test_full_rank_4x3_inverts_gram(self):
-        x = random_matrix(9, 4, 3)
-        p = linalg.pseudoinverse_gram(x)
-        assert np.max(np.abs(p @ (x.T @ x) - np.eye(3))) <= 1e-8
-        # cross-check against plain elimination
-        inv = oracles.gauss_jordan_inverse(x.T @ x)
-        assert np.max(np.abs(p - inv)) <= 1e-8
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 8))
-    def test_moore_penrose_identity(self, seed, n, p):
-        # tolerance is relative to the pseudoinverse scale: near-singular
-        # draws legitimately blow up its entries
-        x = random_matrix(seed, n, p)
-        g = x.T @ x
-        pinv = linalg.pseudoinverse_gram(x)
-        scale = max(1.0, float(np.max(np.abs(pinv))))
-        assert np.max(np.abs(pinv @ g @ pinv - pinv)) <= 1e-8 * scale
 
 
 class TestGramInverseDiagonal:
