@@ -30,7 +30,7 @@ from . import __version__, estimators, verify
 from .errors import DataError, NumericalError
 from .penalties import PenaltySpec, elastic_net, lasso, mcp, scad
 from .preconditioners import PreconditionedPair, puffer, puffer_scaled, puffer_tau
-from .solver import FitResult, SolverConfig, lambda_max, solve, solve_path
+from .solver import FitResult, lambda_max, solve, solve_path
 
 PENALTY_FLAGS = ("lasso", "enet", "scad", "mcp")
 TRANSFORM_FLAGS = ("none", "puffer", "puffer_scaled", "puffer_tau")
@@ -53,7 +53,7 @@ class Dataset:
 class RunConfig:
     command: str
     input_path: str | None = None
-    response_column: str | None = None
+    response_column: str = "0"
     penalty: PenaltySpec = lasso()
     lam: float | None = None
     lambda_grid: tuple[float, ...] | None = None
@@ -94,6 +94,10 @@ class RunConfig:
         for flag, value in numeric:
             if value is not None and not math.isfinite(value):
                 raise DataError(f"{flag} must be finite, got {value}")
+        if self.trials is not None and self.trials < 1:
+            raise DataError(f"--trials must be positive, got {self.trials}")
+        if self.tau is not None and self.transform != "puffer_tau":
+            raise DataError(f"--tau applies only to --transform puffer_tau, got {self.transform}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def _coefficients_csv(fits: list[FitResult], names: tuple[str, ...]) -> str:
 def _run_fit(config: RunConfig) -> int:
     data = load_dataset(config.input_path, config.response_column)
     x, y, pair = _transform_pair(config, data)
-    fit = solve(x, y, config.lam, config.penalty, cfg=SolverConfig(rng_seed=config.seed))
+    fit = solve(x, y, config.lam, config.penalty)
     if config.output_format == "csv":
         _emit(config, _coefficients_csv([fit], data.feature_names))
         return EXIT_OK
@@ -335,7 +339,7 @@ def _run_path(config: RunConfig) -> int:
     data = load_dataset(config.input_path, config.response_column)
     x, y, pair = _transform_pair(config, data)
     grid = config.lambda_grid or _default_grid(x, y)
-    fits = solve_path(x, y, grid, config.penalty, cfg=SolverConfig(rng_seed=config.seed))
+    fits = solve_path(x, y, grid, config.penalty)
     if config.output_format == "csv":
         _emit(config, _coefficients_csv(fits, data.feature_names))
         return EXIT_OK
@@ -388,13 +392,7 @@ def _run_inspect(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    trials = None
-    if config.trials is not None:
-        if config.trials < 1:
-            raise DataError(f"--trials must be positive, got {config.trials}")
-        trials = dict.fromkeys(verify.DEFAULT_TRIALS, config.trials)
-        trials["thm3"] = max(2, config.trials // 25)  # per (penalty, tau)
-    reports = verify.default_suite(config.seed, trials=trials)
+    reports = verify.default_suite(config.seed, trials=config.trials)
     all_passed = all(r.passed for r in reports)
     if config.output_format == "csv":
         lines = ["theorem_id,trials,max_discrepancy,tolerance,passed,worst_case_seed"]
@@ -445,25 +443,37 @@ def _error_record(kind: str, exc: Exception, code: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Every subcommand option takes exactly one value.
-_OPTIONS = (
-    ("--input", {"help": "CSV file with a header row"}),
-    (
-        "--response",
-        {"default": "0", "help": "response column name or index (default: first column)"},
-    ),
-    ("--penalty", {"choices": PENALTY_FLAGS, "default": "lasso"}),
-    ("--penalty-param", {"type": float, "default": None, "help": "enet alpha / scad a / mcp gamma"}),
-    ("--lambda", {"dest": "lam", "type": float, "default": None}),
-    ("--lambda-grid", {"default": None, "help": "comma-separated descending values"}),
-    ("--tau", {"type": float, "default": None}),
-    ("--sigma", {"type": float, "default": None}),
-    ("--transform", {"choices": TRANSFORM_FLAGS, "default": "none"}),
-    ("--seed", {"type": int, "default": 0}),
-    ("--trials", {"type": int, "default": None, "help": "verify: per-check trial count"}),
-    ("--output", {"default": None, "help": "output file (default: stdout)"}),
-    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+# Every option takes exactly one value. "dest" is the RunConfig field it
+# sets, and no option has a default: an absent flag leaves the RunConfig
+# default in place.
+_FLAGS = {
+    "--input": {"dest": "input_path", "help": "CSV file with a header row"},
+    "--response": {"dest": "response_column", "help": "response column name or index (default: the first)"},
+    "--penalty": {"choices": PENALTY_FLAGS},
+    "--penalty-param": {"type": float, "help": "enet alpha / scad a / mcp gamma"},
+    "--lambda": {"dest": "lam", "type": float},
+    "--lambda-grid": {"help": "comma-separated descending values"},
+    "--tau": {"type": float},
+    "--sigma": {"type": float},
+    "--transform": {"choices": TRANSFORM_FLAGS},
+    "--seed": {"type": int},
+    "--trials": {"type": int, "help": "per-check trial count"},
+    "--output": {"dest": "output_path", "help": "output file (default: stdout)"},
+    "--format": {"dest": "output_format", "choices": ("json", "csv")},
+}
+# Each subcommand's help and flags. fit and path take both lambda flags so
+# that RunConfig names the wrong one: argparse would otherwise read
+# "path --lambda 1" as an abbreviation of --lambda-grid.
+_FIT = (
+    "--input --response --penalty --penalty-param --lambda --lambda-grid --tau --transform --output --format"
 )
+_COMMANDS = {
+    "fit": ("one penalized fit at a single lambda", _FIT),
+    "path": ("fits along a descending lambda grid", _FIT),
+    "precondition": ("write transformed (X, Y) as CSV", "--input --response --tau --transform --output"),
+    "verify": ("run the equivalence-certificate suite", "--seed --trials --output --format"),
+    "inspect": ("OLS coefficients, Z statistics, p-values", "--input --response --sigma --output --format"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -472,16 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Preconditioned penalized least squares and equivalence verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("fit", "one penalized fit at a single lambda"),
-        ("path", "fits along a descending lambda grid"),
-        ("precondition", "write transformed (X, Y) as CSV"),
-        ("verify", "run the equivalence-certificate suite"),
-        ("inspect", "OLS coefficients, Z statistics, p-values"),
-    ):
-        p = sub.add_parser(name, help=text)
-        for flag, spec in _OPTIONS:
-            p.add_argument(flag, **spec)
+    for name, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -490,9 +494,9 @@ def _attach_values(argv: list[str]) -> list[str]:
     with a single '-'. argparse takes such a token (-inf, -1,2, -1e-3) for
     an option unless it reads as a plain negative number, and would exit
     with a usage message instead of reaching the input checks. A flag is
-    an option name or, as argparse allows, a prefix of exactly one; a
-    value starting with '--', and -h, stay options."""
-    flags = {flag for flag, _ in _OPTIONS}
+    an option of the subcommand argv[0] or, as argparse allows, a prefix
+    of exactly one; a value starting with '--', and -h, stay options."""
+    flags = _COMMANDS[argv[0]][1].split() if argv and argv[0] in _COMMANDS else ()
     out: list[str] = []
     i = 0
     while i < len(argv):
@@ -521,31 +525,22 @@ def _penalty_from_args(name: str, param: float | None) -> PenaltySpec:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grid = None
-    if args.lambda_grid is not None:
+    values = dict(vars(args))
+    if "lambda_grid" in values:
         try:
-            grid = tuple(float(t) for t in args.lambda_grid.split(","))
+            values["lambda_grid"] = tuple(float(t) for t in values["lambda_grid"].split(","))
         except ValueError:
-            raise DataError(f"could not parse --lambda-grid {args.lambda_grid!r}") from None
-    try:
-        pen = _penalty_from_args(args.penalty, args.penalty_param)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    return RunConfig(
-        command=args.command,
-        input_path=args.input,
-        response_column=args.response,
-        penalty=pen,
-        lam=args.lam,
-        lambda_grid=grid,
-        tau=args.tau,
-        sigma=args.sigma,
-        transform=args.transform,
-        seed=args.seed,
-        trials=args.trials,
-        output_path=args.output,
-        output_format=args.format,
-    )
+            raise DataError(f"could not parse --lambda-grid {values['lambda_grid']!r}") from None
+    param = values.pop("penalty_param", None)
+    if "penalty" in values:
+        try:
+            values["penalty"] = _penalty_from_args(values["penalty"], param)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+    config = RunConfig(**values)
+    if param is not None and config.penalty.kind == "lasso":
+        raise DataError("--penalty-param does not apply to --penalty lasso")
+    return config
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,8 @@ Negative controls guard against trivially-passing checks: thm1 without
 the preconditioner and thm2 with the unscaled transform must both show
 discrepancies above 1e-2; if they do not, the report fails with the
 sentinel discrepancy 1.0. eq10_gap fails the same way when it finds no
-pair of distinct local minima to compare.
+pair of distinct local minima to compare, and thm3 when it checks no
+converged local minimum.
 """
 
 from __future__ import annotations
@@ -442,7 +443,7 @@ def check_theorem3(
     Returns the active-coordinate and inactive-coordinate reports.
     """
 
-    def trial(s: int) -> tuple[int, float, float, int]:
+    def trial(s: int) -> tuple[int, float, float, int, int]:
         x, y, _ = gen(s)
         pair = preconditioners.puffer_tau(x, y, tau)
         ridge_fit = estimators.ridge(x, y, tau)
@@ -450,12 +451,14 @@ def check_theorem3(
         active_worst = 0.0
         inactive_worst = 0.0
         skipped = 0
+        checked = 0
         for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, n_lambdas):
             lam = float(lam)
             for fit in solver.multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, pen):
                 if not fit.converged:
                     skipped += 1
                     continue
+                checked += 1
                 gap = ridge_fit - preconditioners.project_rowspace(x, fit.beta, tau)
                 for j in range(x.shape[1]):
                     if fit.beta[j] != 0.0:
@@ -463,12 +466,16 @@ def check_theorem3(
                         active_worst = max(active_worst, abs(float(gap[j]) - expected))
                     else:
                         inactive_worst = max(inactive_worst, abs(float(gap[j])) - lam)
-        return s, active_worst, max(inactive_worst, 0.0), skipped
+        return s, active_worst, max(inactive_worst, 0.0), skipped, checked
 
     results = [trial(s) for s in range(seed, seed + trials)]
-    active_disc, active_seed = _reduce([(s, a) for s, a, _, _ in results])
-    inactive_disc, inactive_seed = _reduce([(s, i) for s, _, i, _ in results])
-    nonconverged = sum(k for _, _, _, k in results)
+    active_disc, active_seed = _reduce([(s, a) for s, a, _, _, _ in results])
+    inactive_disc, inactive_seed = _reduce([(s, i) for s, _, i, _, _ in results])
+    nonconverged = sum(k for _, _, _, k, _ in results)
+    if not any(c for *_, c in results):
+        # no converged fit means the identity was never tested
+        active_disc = max(active_disc, NEGATIVE_CONTROL_SENTINEL)
+        inactive_disc = max(inactive_disc, NEGATIVE_CONTROL_SENTINEL)
     info = {"penalty": pen.kind, "tau": tau, "nonconverged_excluded": nonconverged}
     return (
         _report("thm3_active", trials, active_disc, THEOREM_TOL, active_seed, **info),
@@ -576,9 +583,13 @@ def check_generalized_theorem2(
 
 
 def _merge(theorem_id: str, reports: list[TheoremReport]) -> TheoremReport:
-    """Aggregate same-identity reports by worst discrepancy."""
+    """Aggregate same-identity reports by worst discrepancy; the details
+    are the worst component's, except that exclusion counts are summed
+    over all components."""
     worst = max(reports, key=lambda r: (r.max_discrepancy, -r.worst_case_seed))
     details = dict(worst.details)
+    if "nonconverged_excluded" in details:
+        details["nonconverged_excluded"] = sum(r.details["nonconverged_excluded"] for r in reports)
     details["components"] = len(reports)
     return _report(
         theorem_id,
@@ -604,15 +615,17 @@ THM3_TAUS = (0.0, 0.1, 1.0)
 THM3_PENALTIES = (lasso(), scad(), mcp())
 
 
-def default_suite(seed: int = 0, *, trials: dict | None = None) -> list[TheoremReport]:
+def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremReport]:
     """Run every check with its default generator and trial budget.
 
+    ``trials`` replaces every budget of DEFAULT_TRIALS, except thm3's,
+    which becomes max(2, trials // 25) per (penalty, tau) combination.
     Deterministic for a given seed; per-check seed blocks are disjoint so
     trial streams never collide.
     """
-    t = dict(DEFAULT_TRIALS)
-    if trials:
-        t.update(trials)
+    t = DEFAULT_TRIALS
+    if trials is not None:
+        t = {**dict.fromkeys(DEFAULT_TRIALS, trials), "thm3": max(2, trials // 25)}
     block = 1_000_003
 
     def base(k: int) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from puffer_lasso.cli import (
     Dataset,
     RunConfig,
+    _build_parser,
     _fmt,
     _json,
     load_dataset,
@@ -141,6 +143,10 @@ class TestRunConfigValidation:
         with pytest.raises(DataError, match="--input"):
             RunConfig(command="fit", lam=0.1)
 
+    def test_trials_must_be_positive(self):
+        with pytest.raises(DataError, match="^--trials must be positive, got 0$"):
+            RunConfig(command="verify", trials=0)
+
     @pytest.mark.parametrize(
         "flag, overrides",
         [
@@ -210,7 +216,7 @@ class TestFitCommand:
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = [
             "fit", "--input", str(small_csv), "--response", "y",
-            "--penalty", "mcp", "--lambda", "0.2", "--seed", "11",
+            "--penalty", "mcp", "--lambda", "0.2",
         ]
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
@@ -390,10 +396,15 @@ class TestErrorHandling:
         # "--flag value" must behave exactly like "--flag=value", also when
         # the value starts with '-' without being a plain negative number
         monkeypatch.chdir(tmp_path)
-        command = "path" if flag == "--lambda-grid" else "fit"
-        base = [command, "--input", str(small_csv), "--response", "y"]
+        owner = {"--lambda-grid": "path", "--sigma": "inspect", "--seed": "verify", "--trials": "verify"}
+        command = owner.get(flag, "fit")
+        base = [command]
+        if command != "verify":
+            base += ["--input", str(small_csv), "--response", "y"]
         if command == "fit" and flag != "--lambda":
             base += ["--lambda", "0.1"]
+        if flag == "--seed":
+            base += ["--trials", "1"]  # keeps the suite short
 
         def outcome(argv):
             try:
@@ -463,3 +474,119 @@ class TestVerifyCommand:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["all_passed"] is False
+
+
+def record(message):
+    """The exact stderr line of a DataError."""
+    payload = {"error": "DataError", "message": message, "exit_code": 2}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+FIT_FLAGS = {
+    "--input", "--response", "--penalty", "--penalty-param", "--transform", "--tau",
+    "--lambda", "--lambda-grid", "--output", "--format",
+}
+COMMAND_FLAGS = {
+    "fit": FIT_FLAGS,
+    "path": FIT_FLAGS,
+    "precondition": {"--input", "--response", "--transform", "--tau", "--output"},
+    "inspect": {"--input", "--response", "--sigma", "--output", "--format"},
+    "verify": {"--seed", "--trials", "--output", "--format"},
+}
+
+
+def registered_flags():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, command in sub.choices.items()
+    }
+
+
+class TestPerCommandFlags:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_registered_options(self, command):
+        assert registered_flags()[command] == COMMAND_FLAGS[command]
+
+    def test_thirty_four_options_in_all(self):
+        flags = registered_flags()
+        assert set(flags) == set(COMMAND_FLAGS)
+        assert sum(len(f) for f in flags.values()) == 34
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "x.csv", "--lambda", "0.1", "--seed", "3"],
+            ["path", "--input", "x.csv", "--trials", "3"],
+            ["precondition", "--input", "x.csv", "--format", "csv"],
+            ["inspect", "--input", "x.csv", "--transform", "puffer"],
+            ["verify", "--penalty", "scad"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_foreign_flag_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: puffer-lasso")
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+    def test_trials_abbreviation(self, capsys):
+        assert main(["verify", "--t", "0"]) == 2
+        assert capsys.readouterr().err == record("--trials must be positive, got 0")
+
+    def test_echo_keeps_the_runconfig_defaults(self, monkeypatch, capsys):
+        from puffer_lasso import cli as cli_module
+
+        seen = {}
+
+        def suite(seed, *, trials):
+            seen.update(seed=seed, trials=trials)
+            return []
+
+        monkeypatch.setattr(cli_module.verify, "default_suite", suite)
+        assert main(["verify", "--trials", "9"]) == 0
+        assert seen == {"seed": 0, "trials": 9}
+        config = json.loads(capsys.readouterr().out)["meta"]["config"]
+        assert config == {
+            "command": "verify", "input": None, "response": "0", "penalty": "lasso",
+            "penalty_param": 0, "lambda": None, "lambda_grid": None, "tau": None, "sigma": None,
+            "transform": "none", "seed": 0, "trials": 9, "format": "json",
+        }
+
+
+PARAM_WITH_LASSO = "--penalty-param does not apply to --penalty lasso"
+TAU_WITHOUT_PUFFER_TAU = "--tau applies only to --transform puffer_tau, got "
+
+
+class TestFlagRecords:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # with only --lambda-grid registered on path, argparse would read
+            # "path --lambda 1" as an abbreviation of it and fit a one-point path
+            (["path", "--lambda", "1"], "path takes --lambda-grid (not --lambda)"),
+            (["fit", "--lambda-grid", "1,0.5"], "fit takes exactly --lambda (not --lambda-grid)"),
+            # values that would be silently ignored
+            (["fit", "--lambda", "0.1", "--penalty-param", "0.5"], PARAM_WITH_LASSO),
+            (["path", "--penalty", "lasso", "--penalty-param", "nan"], PARAM_WITH_LASSO),
+            (["fit", "--lambda", "0.1", "--tau", "0.5"], TAU_WITHOUT_PUFFER_TAU + "none"),
+            (["precondition", "--transform", "puffer", "--tau", "0"], TAU_WITHOUT_PUFFER_TAU + "puffer"),
+            # checks that already failed keep their records
+            (["fit", "--lambda", "0.1", "--tau", "-inf"], "tau must be nonnegative, got -inf"),
+            (["fit", "--lambda", "0.1", "--tau", "inf"], "--tau must be finite, got inf"),
+            (["fit", "--lambda", "-1", "--penalty-param", "0.5"], "lambda must be nonnegative, got -1.0"),
+        ],
+        ids=[
+            "path_lambda", "fit_lambda_grid", "param_implicit_lasso", "param_lasso", "tau_none", "tau_puffer",
+            "tau_neg_inf", "tau_inf", "lambda",
+        ],
+    )
+    def test_exact_record(self, small_csv, capsys, argv, message):
+        code = main([argv[0], "--input", str(small_csv), "--response", "y", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == record(message)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,41 @@ class TestReports:
         assert report.details["pairs_checked"] == 0
         assert not report.passed
         assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
+
+    def test_theorem3_fails_without_converged_fits(self, monkeypatch):
+        # every multistart yields only a non-converged fit, which thm3
+        # excludes: no local minimum is left to check, so the identity was
+        # never tested and both reports must fail with the sentinel
+        def nonconverged(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
+            return [dataclasses.replace(solver.solve(x, y, lam, pen, cfg=cfg), converged=False)]
+
+        monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
+        for report in check_theorem3(wide_problems(), trials=2, pen=mcp(), tau=0.1, seed=3):
+            assert report.details["nonconverged_excluded"] == 2 * 4, report.theorem_id
+            assert not report.passed, report.theorem_id
+            assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
+
+    def test_merge_sums_exclusions(self):
+        # the worst component gives the discrepancy, seed, penalty and tau;
+        # exclusions of every component are counted
+        components = [
+            verify._report("thm3_active", 2, disc, 1e-6, seed, penalty=pen, tau=tau, nonconverged_excluded=k)
+            for disc, seed, pen, tau, k in [
+                (1e-9, 11, "lasso", 0.0, 0), (3e-8, 22, "mcp", 0.1, 1), (2e-8, 33, "scad", 1.0, 4),
+            ]
+        ]
+        merged = verify._merge("thm3_active", components)
+        assert (merged.trials, merged.max_discrepancy, merged.worst_case_seed) == (6, 3e-8, 22)
+        assert merged.details == {"penalty": "mcp", "tau": 0.1, "nonconverged_excluded": 5, "components": 3}
+
+    def test_default_suite_uniform_trials(self):
+        # one count for every check; thm3 gets max(2, trials // 25) per
+        # (penalty, tau) component, and the merged reports sum components
+        reports = verify.default_suite(1, trials=2)
+        assert [(r.theorem_id, r.trials) for r in reports] == [
+            ("lemma1", 2), ("thm1", 2), ("thm2", 2), ("thm3_active", 18), ("thm3_inactive", 18),
+            ("eq10_gap", 2), ("lemma2", 2), ("thm1_general", 4), ("thm2_general", 4),
+        ]
 
     def test_local_min_gap_rejects_convex_only_penalties(self):
         with pytest.raises(ValueError):
