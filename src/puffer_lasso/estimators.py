@@ -77,11 +77,6 @@ def _z(fit, sigma: float) -> np.ndarray:
     return math.sqrt(m.shape[0]) * beta / (sigma * np.sqrt(nu))
 
 
-def normal_cdf(t: float) -> float:
-    """Standard normal CDF via erfc."""
-    return 0.5 * math.erfc(-t / math.sqrt(2.0))
-
-
 def two_sided_p(z: float) -> float:
     """2 * (1 - Phi(|z|)), simplified to erfc(|z| / sqrt(2))."""
     return math.erfc(abs(z) / math.sqrt(2.0))

@@ -29,11 +29,13 @@ the preconditioner and thm2 with the unscaled transform must both show
 discrepancies above 1e-2; if they do not, the report fails with the
 sentinel discrepancy 1.0. eq10_gap fails the same way when it finds no
 pair of distinct local minima to compare, and thm3 when it checks no
-converged local minimum.
+converged local minimum; both count the non-converged multistart fits
+they exclude.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -79,21 +81,30 @@ def _report(theorem_id, trials, max_discrepancy, tolerance, worst_case_seed, **d
     )
 
 
-def _reduce(results):
-    """Max discrepancy and its seed; ties resolve to the first seed."""
+def _trials(seed: int, trials: int, trial) -> list[tuple]:
+    """Rows (s, *trial(s)) for s = seed, ..., seed + trials - 1. A check
+    without trials would certify nothing, so trials < 1 raises."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    return [(s, *trial(s)) for s in range(seed, seed + trials)]
+
+
+def _reduce(rows, col: int = 1):
+    """Max of column col over the rows and its seed; ties resolve to the
+    first seed."""
     worst = -1.0
     worst_seed = -1
-    for seed, disc in results:
-        if disc > worst:
-            worst = disc
-            worst_seed = seed
+    for row in rows:
+        if row[col] > worst:
+            worst = row[col]
+            worst_seed = row[0]
     return worst, worst_seed
 
 
-def _lambda_grid(scale: float, count: int, lo_frac: float = 1e-3, hi_frac: float = 1.2):
+def _lambda_grid(scale: float, count: int):
     """Log-spaced grid reaching past the all-zero threshold at the top."""
     s = max(float(scale), 1e-8)
-    return np.geomspace(lo_frac * s, hi_frac * s, count)
+    return np.geomspace(1e-3 * s, 1.2 * s, count)
 
 
 def _upper_quantile(p_two_sided: float) -> float:
@@ -109,8 +120,10 @@ def _upper_quantile(p_two_sided: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# problem generators
+# problem generators: each maps a seed to one (X, Y, sigma) problem
 # ---------------------------------------------------------------------------
+
+NOISE = 0.5
 
 
 def _signal(rng, p, density=0.7):
@@ -119,148 +132,108 @@ def _signal(rng, p, density=0.7):
     return beta
 
 
-def _response(rng, x, noise):
+def _problem(rng, x) -> Problem:
+    """x with a sparse signal plus N(0, NOISE^2) noise as its response."""
     n, p = x.shape
-    return x @ _signal(rng, p) + noise * rng.standard_normal(n)
+    return x, x @ _signal(rng, p) + NOISE * rng.standard_normal(n), NOISE
 
 
-def orthonormal_problems(n_max: int = 48, p_max: int = 16, noise: float = 0.5) -> Generator:
+def _tall(seed: int, p_max: int = 10, n_max: int = 40, margin: int = 4):
+    """The seed's generator and its shape draw: 3 <= p <= p_max, then
+    2p + margin <= n <= n_max."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(3, p_max + 1))
+    return rng, int(rng.integers(2 * p + margin, n_max + 1)), p
+
+
+def orthonormal_problems(seed: int) -> Problem:
     """Designs with exactly orthonormal columns, n > p."""
-
-    def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(3, p_max + 1))
-        n = int(rng.integers(2 * p + 2, max(2 * p + 3, n_max + 1)))
-        q, _ = np.linalg.qr(rng.standard_normal((n, p)))
-        x = q[:, :p]
-        return x, _response(rng, x, noise), noise
-
-    return gen
+    rng, n, p = _tall(seed, p_max=16, n_max=48, margin=2)
+    q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    return _problem(rng, q)
 
 
-def equicorrelated_problems(rho: float, n_max: int = 40, p_max: int = 10, noise: float = 0.5) -> Generator:
+def equicorrelated_problems(rho: float) -> Generator:
     """Columns with common pairwise correlation rho."""
+    c1 = math.sqrt(1.0 - rho)
 
     def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(3, p_max + 1))
-        n = int(rng.integers(2 * p + 4, max(2 * p + 5, n_max + 1)))
+        rng, n, p = _tall(seed)
         z = rng.standard_normal((n, p))
-        c1 = math.sqrt(1.0 - rho)
         c2 = math.sqrt(1.0 - rho + p * rho)
-        x = c1 * z + (c2 - c1) * z.mean(axis=1, keepdims=True)
-        return x, _response(rng, x, noise), noise
+        return _problem(rng, c1 * z + (c2 - c1) * z.mean(axis=1, keepdims=True))
 
     return gen
 
 
-def heteroskedastic_problems(n_max: int = 40, p_max: int = 10, noise: float = 0.5) -> Generator:
+def heteroskedastic_problems(seed: int) -> Problem:
     """Column norms spanning two orders of magnitude."""
-
-    def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(3, p_max + 1))
-        n = int(rng.integers(2 * p + 4, max(2 * p + 5, n_max + 1)))
-        scales = np.geomspace(0.1, 10.0, p)
-        x = rng.standard_normal((n, p)) * scales
-        return x, _response(rng, x, noise), noise
-
-    return gen
+    rng, n, p = _tall(seed)
+    return _problem(rng, rng.standard_normal((n, p)) * np.geomspace(0.1, 10.0, p))
 
 
-def spiked_problems(cond_max: float = 1e4, n_max: int = 40, p_max: int = 10, noise: float = 0.5) -> Generator:
-    """Spiked singular spectrum with condition number up to cond_max."""
-
-    def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(3, p_max + 1))
-        n = int(rng.integers(2 * p + 4, max(2 * p + 5, n_max + 1)))
-        cond = 10.0 ** rng.uniform(1.0, math.log10(cond_max))
-        u, _ = np.linalg.qr(rng.standard_normal((n, p)))
-        v, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        d = np.geomspace(1.0, 1.0 / cond, p)
-        x = (u * d) @ v.T
-        return x, _response(rng, x, noise), noise
-
-    return gen
+def spiked_problems(seed: int) -> Problem:
+    """Spiked singular spectrum with condition number up to 1e4."""
+    rng, n, p = _tall(seed)
+    cond = 10.0 ** rng.uniform(1.0, 4.0)
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return _problem(rng, (u * np.geomspace(1.0, 1.0 / cond, p)) @ v.T)
 
 
-def mixed_full_rank_problems(noise: float = 0.5) -> Generator:
+_FULL_RANK = (
+    *map(equicorrelated_problems, (0.0, 0.5, 0.9)),
+    heteroskedastic_problems,
+    spiked_problems,
+)
+_INFERENCE_SCALE = (heteroskedastic_problems, *_FULL_RANK[1:3], spiked_problems)  # rho = 0.5, 0.9
+
+
+def mixed_full_rank_problems(seed: int) -> Problem:
     """Rotates between the equicorrelated, heteroskedastic and spiked families."""
-    families = (
-        equicorrelated_problems(0.0, noise=noise),
-        equicorrelated_problems(0.5, noise=noise),
-        equicorrelated_problems(0.9, noise=noise),
-        heteroskedastic_problems(noise=noise),
-        spiked_problems(noise=noise),
-    )
-
-    def gen(seed: int) -> Problem:
-        return families[seed % len(families)](seed)
-
-    return gen
+    return _FULL_RANK[seed % len(_FULL_RANK)](seed)
 
 
-def inference_scale_problems(noise: float = 0.5) -> Generator:
+def inference_scale_problems(seed: int) -> Problem:
     """Full-rank designs whose signal is drawn in standard-error units,
     keeping |Z_j| small enough that two-sided p-values stay above the
     float64 underflow threshold (reached near |z| = 38.6)."""
-    families = (
-        heteroskedastic_problems(noise=noise),
-        equicorrelated_problems(0.5, noise=noise),
-        equicorrelated_problems(0.9, noise=noise),
-        spiked_problems(noise=noise),
-    )
-
-    def gen(seed: int) -> Problem:
-        x, _, _ = families[seed % len(families)](seed)
-        rng = np.random.default_rng(seed + 0x51ED5EED)
-        n, p = x.shape
-        nu = linalg.gram_inverse_diagonal(x)
-        u = rng.uniform(0.3, 2.5, size=p) * rng.choice([-1.0, 1.0], size=p)
-        u[rng.random(p) >= 0.75] = 0.0
-        beta = u * noise * np.sqrt(nu)
-        y = x @ beta + noise * rng.standard_normal(n)
-        return x, y, noise
-
-    return gen
+    x, _, _ = _INFERENCE_SCALE[seed % len(_INFERENCE_SCALE)](seed)
+    rng = np.random.default_rng(seed + 0x51ED5EED)
+    n, p = x.shape
+    nu = linalg.gram_inverse_diagonal(x)
+    u = rng.uniform(0.3, 2.5, size=p) * rng.choice([-1.0, 1.0], size=p)
+    u[rng.random(p) >= 0.75] = 0.0
+    beta = u * NOISE * np.sqrt(nu)
+    return x, x @ beta + NOISE * rng.standard_normal(n), NOISE
 
 
-def wide_problems(n_max: int = 12, p_max: int = 36, noise: float = 0.5) -> Generator:
+def wide_problems(seed: int) -> Problem:
     """p >= n designs with singular values kept in [0.5, 3] so the tau=0
     transforms stay well conditioned."""
-
-    def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, n_max + 1))
-        p = int(rng.integers(n + 4, max(n + 5, p_max + 1)))
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        v, _ = np.linalg.qr(rng.standard_normal((p, n)))
-        d = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
-        x = (u * d) @ v.T
-        return x, _response(rng, x, noise), noise
-
-    return gen
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    p = int(rng.integers(n + 4, 37))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, n)))
+    d = np.sort(rng.uniform(0.5, 3.0, size=n))[::-1]
+    return _problem(rng, (u * d) @ v.T)
 
 
-def clustered_wide_problems(noise: float = 0.3) -> Generator:
+def clustered_wide_problems(seed: int) -> Problem:
     """Tiny p > n designs with near-duplicate columns; under concave
     penalties these routinely admit several local minima."""
-
-    def gen(seed: int) -> Problem:
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 4))
-        base = rng.standard_normal((n, n))
-        cols = []
-        for j in range(n):
-            cols.append(base[:, j])
-            cols.append(base[:, j] + 0.05 * rng.standard_normal(n))
-        x = np.column_stack(cols)
-        x /= np.linalg.norm(x, axis=0)
-        y = x @ _signal(rng, x.shape[1], density=0.9) + noise * rng.standard_normal(n)
-        return x, y, noise
-
-    return gen
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    base = rng.standard_normal((n, n))
+    cols = []
+    for j in range(n):
+        cols.append(base[:, j])
+        cols.append(base[:, j] + 0.05 * rng.standard_normal(n))
+    x = np.column_stack(cols)
+    x /= np.linalg.norm(x, axis=0)
+    y = x @ _signal(rng, x.shape[1], density=0.9) + 0.3 * rng.standard_normal(n)
+    return x, y, 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +264,8 @@ def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, list[solv
     return worst, fits
 
 
-def _threshold_check(gen, seeds, transform, coefs, pen: PenaltySpec, n_lambdas: int | None):
-    """The thresholding identity over the problems gen(s), s in seeds.
+def _threshold_check(gen, seed, trials, transform, coefs, pen: PenaltySpec, n_lambdas: int | None):
+    """The thresholding identity over the problems gen(s) of the trials.
 
     The fit on data preconditioned by ``transform`` (a preconditioners
     function, or None for the raw data) is compared with the thresholding
@@ -302,8 +275,8 @@ def _threshold_check(gen, seeds, transform, coefs, pen: PenaltySpec, n_lambdas: 
     or, for n_lambdas=None, the negative controls' single max |b| / 4.
     Returns the worst gap and its seed.
     """
-    results = []
-    for s in seeds:
+
+    def trial(s: int) -> tuple[float]:
         x, y, sigma = gen(s)
         b = coefs(x, y, sigma)
         if transform is not None:
@@ -311,41 +284,48 @@ def _threshold_check(gen, seeds, transform, coefs, pen: PenaltySpec, n_lambdas: 
             x, y = pair.x_tilde, pair.y_tilde
         scale = float(np.max(np.abs(b)))
         lambdas = (0.25 * scale,) if n_lambdas is None else _lambda_grid(scale, n_lambdas)
-        results.append((s, _threshold_gap(x, y, b, pen, lambdas)[0]))
-    return _reduce(results)
+        return (_threshold_gap(x, y, b, pen, lambdas)[0],)
+
+    return _reduce(_trials(seed, trials, trial))
 
 
 def _negative_control(disc, gen, transform, coefs, seed: int, trials: int) -> tuple[float, float]:
     """Run the Lasso identity where it must break by more than
     NEGATIVE_CONTROL_MIN; if it does not, raise disc to the sentinel.
     Returns disc and the control's worst gap."""
-    seeds = range(seed, seed + min(trials, 24))
-    control_worst = max(_threshold_check(gen, seeds, transform, coefs, lasso(), None)[0], 0.0)
+    control_worst = max(_threshold_check(gen, seed, min(trials, 24), transform, coefs, lasso(), None)[0], 0.0)
     if control_worst <= NEGATIVE_CONTROL_MIN:
         disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
     return disc, control_worst
 
 
-def check_lemma1(gen: Generator, trials: int, *, n_lambdas: int = 10, seed: int = 0) -> TheoremReport:
+def _converged_minima(x, y, lam: float, pen: PenaltySpec, cfg: SolverConfig = solver.DEFAULT_CONFIG):
+    """The converged multistart local minima, and how many non-converged
+    fits were left out of them."""
+    fits = solver.multistart_local_minima(x, y, lam, pen, cfg=cfg)
+    converged = [fit for fit in fits if fit.converged]
+    return converged, len(fits) - len(converged)
+
+
+def check_lemma1(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
     """Orthonormal design: the Lasso fit equals soft-thresholded OLS."""
-    disc, worst_seed = _threshold_check(gen, range(seed, seed + trials), None, _ols, lasso(), n_lambdas)
+    disc, worst_seed = _threshold_check(gen, seed, trials, None, _ols, lasso(), 10)
     return _report("lemma1", trials, disc, THEOREM_TOL, worst_seed)
 
 
-def check_theorem1(gen: Generator, trials: int, *, n_lambdas: int = 10, seed: int = 0) -> TheoremReport:
+def check_theorem1(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
     """Full-rank n > p design: Lasso on puffer data equals thresholded OLS.
 
     Also runs the negative control: on rho = 0.9 equicorrelated designs
     the same identity without the preconditioner must break by more than
     1e-2 at a mid-path lambda.
     """
-    seeds = range(seed, seed + trials)
-    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer, _ols, lasso(), n_lambdas)
+    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer, _ols, lasso(), 10)
     disc, control = _negative_control(disc, equicorrelated_problems(0.9), None, _ols, seed, trials)
     return _report("thm1", trials, disc, THEOREM_TOL, worst_seed, negative_control_max=control)
 
 
-def check_theorem2(gen: Generator, trials: int, *, n_lambdas: int = 25, seed: int = 0) -> TheoremReport:
+def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
     """Scaled transform: the Lasso active set matches the Z and p-value rules.
 
     Per lambda the three sets {beta_j != 0}, {|Z_j| > lam sqrt(n)/sigma}
@@ -358,13 +338,13 @@ def check_theorem2(gen: Generator, trials: int, *, n_lambdas: int = 25, seed: in
     """
     z95 = _upper_quantile(0.05)  # ~1.959964; 1.96 is the conventional rounding
 
-    def trial(s: int) -> tuple[int, float, int, int, int]:
+    def trial(s: int) -> tuple[float, int, int, int]:
         x, y, sigma = gen(s)
         n = x.shape[0]
         inf = estimators.inference(x, y, sigma)
         scaled_ols = sigma * inf.z_stats / math.sqrt(n)  # == N^-1 beta_ols
         pair = preconditioners.puffer_scaled(x, y)
-        grid = _lambda_grid(np.max(np.abs(scaled_ols)), n_lambdas)
+        grid = _lambda_grid(np.max(np.abs(scaled_ols)), 25)
         coef_worst, fits = _threshold_gap(pair.x_tilde, pair.y_tilde, scaled_ols, lasso(), grid)
         mismatches = 0
         ties = 0
@@ -399,20 +379,16 @@ def check_theorem2(gen: Generator, trials: int, *, n_lambdas: int = 25, seed: in
                 continue
             if (j in active) != (inf.p_values[j] < 0.05):
                 rule_mismatches += 1
-        return s, coef_worst, mismatches, rule_mismatches, ties
+        return coef_worst, mismatches, rule_mismatches, ties
 
-    results = [trial(s) for s in range(seed, seed + trials)]
-    coef_disc, worst_seed = _reduce([(s, c) for s, c, _, _, _ in results])
-    total_mismatches = sum(m for _, _, m, _, _ in results)
-    total_rule = sum(r for _, _, _, r, _ in results)
-    total_ties = sum(t for _, _, _, _, t in results)
+    rows = _trials(seed, trials, trial)
+    coef_disc, worst_seed = _reduce(rows)
+    total_mismatches, total_rule, total_ties = (sum(row[k] for row in rows) for k in (2, 3, 4))
     disc = max(coef_disc, float(total_mismatches + total_rule))
     if total_mismatches + total_rule > 0:
-        worst_seed = min(
-            s for s, _, m, r, _ in results if m + r > 0
-        )
+        worst_seed = min(s for s, _, m, r, _ in rows if m + r > 0)
     disc, control = _negative_control(  # the unscaled transform, on purpose
-        disc, heteroskedastic_problems(), preconditioners.puffer, _scaled_z, seed, trials
+        disc, heteroskedastic_problems, preconditioners.puffer, _scaled_z, seed, trials
     )
     return _report(
         "thm2",
@@ -428,13 +404,7 @@ def check_theorem2(gen: Generator, trials: int, *, n_lambdas: int = 25, seed: in
 
 
 def check_theorem3(
-    gen: Generator,
-    trials: int,
-    pen: PenaltySpec,
-    tau: float,
-    *,
-    n_lambdas: int = 4,
-    seed: int = 0,
+    gen: Generator, trials: int, pen: PenaltySpec, tau: float, *, seed: int = 0
 ) -> tuple[TheoremReport, TheoremReport]:
     """p >= n: every local minimum on puffer_tau data, projected to the
     row space, sits within lam of the ridge fit, with exact gap
@@ -443,7 +413,7 @@ def check_theorem3(
     Returns the active-coordinate and inactive-coordinate reports.
     """
 
-    def trial(s: int) -> tuple[int, float, float, int, int]:
+    def trial(s: int) -> tuple[float, float, int, int]:
         x, y, _ = gen(s)
         pair = preconditioners.puffer_tau(x, y, tau)
         ridge_fit = estimators.ridge(x, y, tau)
@@ -452,13 +422,12 @@ def check_theorem3(
         inactive_worst = 0.0
         skipped = 0
         checked = 0
-        for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, n_lambdas):
+        for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, 4):
             lam = float(lam)
-            for fit in solver.multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, pen):
-                if not fit.converged:
-                    skipped += 1
-                    continue
-                checked += 1
+            fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen)
+            skipped += excluded
+            checked += len(fits)
+            for fit in fits:
                 gap = ridge_fit - preconditioners.project_rowspace(x, fit.beta, tau)
                 for j in range(x.shape[1]):
                     if fit.beta[j] != 0.0:
@@ -466,17 +435,16 @@ def check_theorem3(
                         active_worst = max(active_worst, abs(float(gap[j]) - expected))
                     else:
                         inactive_worst = max(inactive_worst, abs(float(gap[j])) - lam)
-        return s, active_worst, max(inactive_worst, 0.0), skipped, checked
+        return active_worst, max(inactive_worst, 0.0), skipped, checked
 
-    results = [trial(s) for s in range(seed, seed + trials)]
-    active_disc, active_seed = _reduce([(s, a) for s, a, _, _, _ in results])
-    inactive_disc, inactive_seed = _reduce([(s, i) for s, _, i, _, _ in results])
-    nonconverged = sum(k for _, _, _, k, _ in results)
-    if not any(c for *_, c in results):
+    rows = _trials(seed, trials, trial)
+    active_disc, active_seed = _reduce(rows, 1)
+    inactive_disc, inactive_seed = _reduce(rows, 2)
+    if not any(row[4] for row in rows):
         # no converged fit means the identity was never tested
         active_disc = max(active_disc, NEGATIVE_CONTROL_SENTINEL)
         inactive_disc = max(inactive_disc, NEGATIVE_CONTROL_SENTINEL)
-    info = {"penalty": pen.kind, "tau": tau, "nonconverged_excluded": nonconverged}
+    info = {"penalty": pen.kind, "tau": tau, "nonconverged_excluded": sum(row[3] for row in rows)}
     return (
         _report("thm3_active", trials, active_disc, THEOREM_TOL, active_seed, **info),
         _report("thm3_inactive", trials, inactive_disc, THEOREM_TOL, inactive_seed, **info),
@@ -488,7 +456,7 @@ def check_lemma2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport
     against direct linear solves over randomized (X, v, Y, tau) tuples."""
     taus = (0.0, 0.1, 1.0, 10.0)
 
-    def trial(s: int) -> tuple[int, float]:
+    def trial(s: int) -> tuple[float]:
         x, y, _ = gen(s)
         tau = taus[s % len(taus)]
         rng = np.random.default_rng(s + 0x9E3779B9)
@@ -498,40 +466,33 @@ def check_lemma2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport
         proj_factored = pair.x_tilde.T @ (pair.x_tilde @ v)
         ridge_direct = estimators.ridge(x, y, tau)
         ridge_factored = preconditioners.ridge_via_precond(x, y, tau)
-        return s, max(
-            float(np.max(np.abs(proj_direct - proj_factored))),
-            float(np.max(np.abs(ridge_direct - ridge_factored))),
-        )
+        proj_gap = float(np.max(np.abs(proj_direct - proj_factored)))
+        return (max(proj_gap, float(np.max(np.abs(ridge_direct - ridge_factored)))),)
 
-    disc, worst_seed = _reduce([trial(s) for s in range(seed, seed + trials)])
+    disc, worst_seed = _reduce(_trials(seed, trials, trial))
     return _report("lemma2", trials, disc, LEMMA2_TOL, worst_seed)
 
 
-def check_local_min_gap(
-    gen: Generator,
-    trials: int,
-    pens: tuple[PenaltySpec, ...] = (scad(), mcp(1.5)),
-    *,
-    seed: int = 0,
-) -> TheoremReport:
-    """Distinct local minima under concave penalties stay within 2 * lam
-    per row-space coordinate; pairs at different lambdas obey the
-    lam1 + lam2 variant."""
-    if any(not p.concave for p in pens):
-        raise ValueError("the local-minima gap bound applies to concave penalties only")
+def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+    """Distinct local minima under the concave SCAD and MC+ (gamma = 1.5)
+    penalties stay within 2 * lam per row-space coordinate; pairs at
+    different lambdas obey the lam1 + lam2 variant. Non-converged
+    multistart fits are excluded and counted."""
+    pens = (scad(), mcp(1.5))
     cfg = SolverConfig(multistart_count=12)
 
-    def trial(s: int) -> tuple[int, float, int]:
+    def trial(s: int) -> tuple[float, int, int]:
         x, y, _ = gen(s)
         pair = preconditioners.puffer_tau(x, y, 0.0)
         lmax = solver.lambda_max(pair.x_tilde, pair.y_tilde)
         groups: list[tuple[float, np.ndarray]] = []
+        skipped = 0
         for frac in (0.35, 0.55):
             lam = frac * lmax
             for pen in pens:
-                for fit in solver.multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, pen, cfg=cfg):
-                    if fit.converged:
-                        groups.append((lam, fit.beta))
+                fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen, cfg)
+                skipped += excluded
+                groups += [(lam, fit.beta) for fit in fits]
         pairs = 0
         worst = 0.0
         for a in range(len(groups)):
@@ -543,11 +504,11 @@ def check_local_min_gap(
                 pairs += 1
                 proj = preconditioners.project_rowspace(x, beta1 - beta2, 0.0)
                 worst = max(worst, float(np.max(np.abs(proj))) - (lam1 + lam2))
-        return s, max(worst, 0.0), pairs
+        return max(worst, 0.0), pairs, skipped
 
-    results = [trial(s) for s in range(seed, seed + trials)]
-    disc, worst_seed = _reduce([(s, w) for s, w, _ in results])
-    total_pairs = sum(p for _, _, p in results)
+    rows = _trials(seed, trials, trial)
+    disc, worst_seed = _reduce(rows)
+    total_pairs = sum(row[2] for row in rows)
     if total_pairs == 0:
         # no pair of distinct minima means the bound was never tested
         disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
@@ -558,27 +519,26 @@ def check_local_min_gap(
         THEOREM_TOL,
         worst_seed,
         pairs_checked=total_pairs,
-        trials_without_pairs=sum(1 for _, _, p in results if p == 0),
+        trials_without_pairs=sum(1 for row in rows if row[2] == 0),
+        nonconverged_excluded=sum(row[3] for row in rows),
     )
 
 
 def check_generalized_theorem1(
-    gen: Generator, trials: int, pen: PenaltySpec, *, n_lambdas: int = 5, seed: int = 0
+    gen: Generator, trials: int, pen: PenaltySpec, *, seed: int = 0
 ) -> TheoremReport:
     """Puffer data with a regular sparse penalty: the fit equals the
     penalty's own thresholding map applied to the OLS coefficients."""
-    seeds = range(seed, seed + trials)
-    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer, _ols, pen, n_lambdas)
+    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer, _ols, pen, 5)
     return _report("thm1_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
 def check_generalized_theorem2(
-    gen: Generator, trials: int, pen: PenaltySpec, *, n_lambdas: int = 5, seed: int = 0
+    gen: Generator, trials: int, pen: PenaltySpec, *, seed: int = 0
 ) -> TheoremReport:
     """Scaled-transform analogue: coefficients equal the thresholding map
     applied to sigma * Z_j / sqrt(n)."""
-    seeds = range(seed, seed + trials)
-    disc, worst_seed = _threshold_check(gen, seeds, preconditioners.puffer_scaled, _scaled_z, pen, n_lambdas)
+    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer_scaled, _scaled_z, pen, 5)
     return _report("thm2_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
@@ -632,32 +592,28 @@ def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremRe
         return seed + k * block
 
     reports = [
-        check_lemma1(orthonormal_problems(), t["lemma1"], seed=base(1)),
-        check_theorem1(mixed_full_rank_problems(), t["thm1"], seed=base(2)),
-        check_theorem2(inference_scale_problems(), t["thm2"], seed=base(3)),
+        check_lemma1(orthonormal_problems, t["lemma1"], seed=base(1)),
+        check_theorem1(mixed_full_rank_problems, t["thm1"], seed=base(2)),
+        check_theorem2(inference_scale_problems, t["thm2"], seed=base(3)),
     ]
 
-    actives: list[TheoremReport] = []
-    inactives: list[TheoremReport] = []
-    k = 4
-    for pen in THM3_PENALTIES:
-        for tau in THM3_TAUS:
-            a, i = check_theorem3(wide_problems(), t["thm3"], pen, tau, seed=base(k))
-            actives.append(a)
-            inactives.append(i)
-            k += 1
-    reports.append(_merge("thm3_active", actives))
-    reports.append(_merge("thm3_inactive", inactives))
+    thm3 = [
+        check_theorem3(wide_problems, t["thm3"], pen, tau, seed=base(4 + i))
+        for i, (pen, tau) in enumerate(itertools.product(THM3_PENALTIES, THM3_TAUS))
+    ]
+    reports.append(_merge("thm3_active", [active for active, _ in thm3]))
+    reports.append(_merge("thm3_inactive", [inactive for _, inactive in thm3]))
+    k = 4 + len(thm3)
 
-    reports.append(check_local_min_gap(clustered_wide_problems(), t["eq10_gap"], seed=base(k)))
-    reports.append(check_lemma2(wide_problems(), t["lemma2"], seed=base(k + 1)))
+    reports.append(check_local_min_gap(clustered_wide_problems, t["eq10_gap"], seed=base(k)))
+    reports.append(check_lemma2(wide_problems, t["lemma2"], seed=base(k + 1)))
 
     gen1: list[TheoremReport] = []
     gen2: list[TheoremReport] = []
     for i, pen in enumerate((scad(), mcp())):
         g = t["generalized"]
-        gen1.append(check_generalized_theorem1(mixed_full_rank_problems(), g, pen, seed=base(k + 2 + i)))
-        gen2.append(check_generalized_theorem2(inference_scale_problems(), g, pen, seed=base(k + 4 + i)))
+        gen1.append(check_generalized_theorem1(mixed_full_rank_problems, g, pen, seed=base(k + 2 + i)))
+        gen2.append(check_generalized_theorem2(inference_scale_problems, g, pen, seed=base(k + 4 + i)))
     reports.append(_merge("thm1_general", gen1))
     reports.append(_merge("thm2_general", gen2))
     return reports

@@ -167,12 +167,6 @@ def normal_upper_tail_oracle(t: float) -> float:
     return pdf / (t + cf)
 
 
-def normal_cdf_oracle(z: float) -> float:
-    if z >= 0:
-        return 1.0 - normal_upper_tail_oracle(z)
-    return normal_upper_tail_oracle(-z)
-
-
 def two_sided_p_oracle(z: float) -> float:
     return 2.0 * normal_upper_tail_oracle(abs(z))
 

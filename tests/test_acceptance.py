@@ -69,24 +69,24 @@ def package_env() -> dict:
 
 @pytest.fixture(scope="session")
 def lemma1_run():
-    return timed(check_lemma1, orthonormal_problems(), trials=200, n_lambdas=10, seed=SEED)
+    return timed(check_lemma1, orthonormal_problems, trials=200, seed=SEED)
 
 
 @pytest.fixture(scope="session")
 def theorem1_run():
-    return timed(check_theorem1, mixed_full_rank_problems(), trials=200, seed=SEED + 1)
+    return timed(check_theorem1, mixed_full_rank_problems, trials=200, seed=SEED + 1)
 
 
 @pytest.fixture(scope="session")
 def theorem2_run():
-    return timed(check_theorem2, inference_scale_problems(), trials=200, n_lambdas=25, seed=SEED + 2)
+    return timed(check_theorem2, inference_scale_problems, trials=200, seed=SEED + 2)
 
 
 @pytest.fixture(scope="session")
 def theorem3_run():
     start = time.perf_counter()
     reports = [
-        check_theorem3(wide_problems(), trials=8, pen=pen, tau=tau, seed=SEED + 3 + 13 * i)
+        check_theorem3(wide_problems, trials=8, pen=pen, tau=tau, seed=SEED + 3 + 13 * i)
         for i, (pen, tau) in enumerate(
             (pen, tau) for pen in THM3_PENALTIES for tau in THM3_TAUS
         )
@@ -164,7 +164,7 @@ def test_criterion_4_theorem3(theorem3_run):
 
 
 def test_criterion_5_lemma2():
-    report, elapsed = timed(check_lemma2, wide_problems(), trials=500, seed=SEED + 50)
+    report, elapsed = timed(check_lemma2, wide_problems, trials=500, seed=SEED + 50)
     ok = report.passed and report.trials >= 500
     announce(
         "5 (projection and ridge factorization identities)",
@@ -179,7 +179,7 @@ def test_criterion_5_lemma2():
 
 def test_criterion_6_local_minima_gap():
     report, elapsed = timed(
-        check_local_min_gap, clustered_wide_problems(), trials=48, seed=SEED + 60
+        check_local_min_gap, clustered_wide_problems, trials=48, seed=SEED + 60
     )
     ok = report.passed and report.details["pairs_checked"] >= 1
     announce(
@@ -198,12 +198,12 @@ def test_criterion_7_generalized_penalties():
     for i, pen in enumerate((scad(), mcp())):
         reports.append(
             check_generalized_theorem1(
-                mixed_full_rank_problems(), trials=100, pen=pen, seed=SEED + 70 + i
+                mixed_full_rank_problems, trials=100, pen=pen, seed=SEED + 70 + i
             )
         )
         reports.append(
             check_generalized_theorem2(
-                inference_scale_problems(), trials=100, pen=pen, seed=SEED + 80 + i
+                inference_scale_problems, trials=100, pen=pen, seed=SEED + 80 + i
             )
         )
     elapsed = time.perf_counter() - start
@@ -249,7 +249,7 @@ def test_criterion_8_kkt_certificates():
                 recheck(x, y, solve(x, y, lam, pen))
             for fit in solve_path(x, y, np.geomspace(top, 1e-3 * top, 8), pen):
                 recheck(x, y, fit)
-    gen = wide_problems()
+    gen = wide_problems
     for trial in range(12):
         x, y, _ = gen(SEED + trial)
         pair = puffer_tau(x, y, 0.0)
@@ -264,6 +264,25 @@ def test_criterion_8_kkt_certificates():
         f"100% of {checked} converged fits pass at kkt_tol {kkt_tol:g}; {elapsed:.1f}s",
     )
     assert checked >= 300
+
+
+# The reports of verify --seed 0 in order: id, trials, tolerance and the
+# details keys in order, with every integer count pinned (None: the key
+# must be present, its value is not pinned).
+VERIFY_SEED0_REPORTS = [
+    ("lemma1", 200, 1e-6, {}),
+    ("thm1", 200, 1e-6, {"negative_control_max": None}),
+    ("thm2", 200, 1e-6, {
+        "set_mismatches": 0, "rule_005_mismatches": 0, "boundary_ties_excluded": 0,
+        "negative_control_max": None,
+    }),
+    ("thm3_active", 72, 1e-6, {"penalty": None, "tau": None, "nonconverged_excluded": 1, "components": 9}),
+    ("thm3_inactive", 72, 1e-6, {"penalty": None, "tau": None, "nonconverged_excluded": 1, "components": 9}),
+    ("eq10_gap", 48, 1e-6, {"pairs_checked": 2953, "trials_without_pairs": 0, "nonconverged_excluded": 19}),
+    ("lemma2", 500, 1e-8, {}),
+    ("thm1_general", 120, 1e-6, {"penalty": None, "components": 2}),
+    ("thm2_general", 120, 1e-6, {"penalty": None, "components": 2}),
+]
 
 
 def test_criterion_9_cli_verify_end_to_end(tmp_path):
@@ -291,3 +310,9 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
     assert elapsed < 300.0
     assert len(reports) == 9
     assert payload["result"]["all_passed"] is True
+    assert [r["theorem_id"] for r in reports] == [e[0] for e in VERIFY_SEED0_REPORTS]
+    for r, (theorem_id, trials, tolerance, details) in zip(reports, VERIFY_SEED0_REPORTS):
+        assert (r["trials"], r["tolerance"], r["passed"]) == (trials, tolerance, True), theorem_id
+        assert list(r["details"]) == list(details), theorem_id
+        counts = {k: v for k, v in details.items() if v is not None}
+        assert {k: r["details"][k] for k in counts} == counts, theorem_id

@@ -10,7 +10,6 @@ from puffer_lasso.cli import main
 from puffer_lasso.errors import DataError, DegreesOfFreedomError, RankError
 from puffer_lasso.estimators import (
     inference,
-    normal_cdf,
     ols,
     p_values,
     ridge,
@@ -152,10 +151,6 @@ class TestPValues:
         p = p_values([2.3, -2.3])
         assert p[0] == p[1]
 
-    def test_cdf_accuracy_against_series_oracle(self):
-        for z in np.linspace(-8, 8, 161):
-            assert abs(normal_cdf(float(z)) - oracles.normal_cdf_oracle(float(z))) <= 1e-12
-
     def test_tail_accuracy_against_continued_fraction(self):
         for z in [6.0, 9.0, 13.0, 21.0, 30.0]:
             mine = p_values([z])[0]
@@ -226,7 +221,7 @@ class TestInference:
     @pytest.mark.parametrize("sigma", [None, 0.7])
     def test_bit_equal_to_separately_factored_reference(self, sigma):
         designs = [problem(60 + s, 8 + 5 * s, 2 + s) for s in range(3)]
-        for gen in (heteroskedastic_problems(), spiked_problems()):
+        for gen in (heteroskedastic_problems, spiked_problems):
             designs += [gen(s)[:2] for s in range(4)]
         for x, y in designs:
             result = inference(x, y, sigma)

@@ -211,7 +211,7 @@ class TestKernelMatchesReference:
         for seed in range(3):
             x, y = tall_problem(seed=200 + seed, n=14, p=6)
             yield f"tall{seed}", x, y
-            x, y, _ = wide_problems()(seed)
+            x, y, _ = wide_problems(seed)
             yield f"wide{seed}", x, y
         x, y = tall_problem(seed=210, n=12, p=5)
         x[:, 3] = 0.0
@@ -263,7 +263,7 @@ class TestSharedGram:
         x, y = tall_problem(seed=220, n=14, p=6)
         yield "tall", x, y
         for seed in range(2):
-            x, y, _ = wide_problems()(seed)
+            x, y, _ = wide_problems(seed)
             yield f"wide{seed}", x, y
         x, y = tall_problem(seed=221, n=12, p=5)
         x[:, 1] = 0.0

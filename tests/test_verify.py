@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from puffer_lasso import solver, verify
-from puffer_lasso.penalties import elastic_net, mcp, scad
+from puffer_lasso.penalties import mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
     check_generalized_theorem1,
@@ -30,7 +30,7 @@ import oracles
 
 class TestGenerators:
     def test_orthonormal_columns(self):
-        x, y, _ = orthonormal_problems()(3)
+        x, y, _ = orthonormal_problems(3)
         p = x.shape[1]
         assert np.max(np.abs(x.T @ x - np.eye(p))) <= 1e-12
         assert y.shape == (x.shape[0],)
@@ -48,17 +48,17 @@ class TestGenerators:
         assert np.max(np.abs(m.T @ m - target)) <= 1e-12
 
     def test_heteroskedastic_column_norm_span(self):
-        x, _, _ = heteroskedastic_problems()(5)
+        x, _, _ = heteroskedastic_problems(5)
         norms = np.linalg.norm(x, axis=0)
         assert norms.max() / norms.min() >= 10.0
 
     def test_spiked_condition_number(self):
-        x, _, _ = spiked_problems()(7)
+        x, _, _ = spiked_problems(7)
         d = np.linalg.svd(x, compute_uv=False)
         assert d[0] / d[-1] <= 1.01e4
 
     def test_wide_full_row_rank(self):
-        x, _, _ = wide_problems()(11)
+        x, _, _ = wide_problems(11)
         n, p = x.shape
         assert p >= n
         d = np.linalg.svd(x, compute_uv=False)
@@ -67,14 +67,14 @@ class TestGenerators:
     def test_inference_scale_keeps_z_moderate(self):
         from puffer_lasso import estimators
 
-        gen = inference_scale_problems()
+        gen = inference_scale_problems
         for seed in range(12):
             x, y, sigma = gen(seed)
             z = estimators.z_stats(x, y, sigma)
             assert np.max(np.abs(z)) < 38.0
 
     def test_deterministic(self):
-        gen = mixed_full_rank_problems()
+        gen = mixed_full_rank_problems
         x1, y1, s1 = gen(42)
         x2, y2, s2 = gen(42)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2) and s1 == s2
@@ -88,18 +88,18 @@ class TestReports:
         assert not r.passed
 
     def test_lemma1_small_run(self):
-        report = check_lemma1(orthonormal_problems(), trials=20, seed=7)
+        report = check_lemma1(orthonormal_problems, trials=20, seed=7)
         assert report.passed
         assert report.trials == 20
         assert report.theorem_id == "lemma1"
 
     def test_theorem1_small_run_with_control(self):
-        report = check_theorem1(mixed_full_rank_problems(), trials=20, seed=7)
+        report = check_theorem1(mixed_full_rank_problems, trials=20, seed=7)
         assert report.passed
         assert report.details["negative_control_max"] > 1e-2
 
     def test_theorem2_small_run(self):
-        report = check_theorem2(inference_scale_problems(), trials=20, seed=7)
+        report = check_theorem2(inference_scale_problems, trials=20, seed=7)
         assert report.passed
         assert report.details["set_mismatches"] == 0
         assert report.details["rule_005_mismatches"] == 0
@@ -107,18 +107,18 @@ class TestReports:
 
     @pytest.mark.parametrize("tau", [0.0, 0.1, 1.0])
     def test_theorem3_small_run(self, tau):
-        active, inactive = check_theorem3(wide_problems(), trials=3, pen=mcp(), tau=tau, seed=3)
+        active, inactive = check_theorem3(wide_problems, trials=3, pen=mcp(), tau=tau, seed=3)
         assert active.passed and inactive.passed
         assert active.theorem_id == "thm3_active"
         assert inactive.theorem_id == "thm3_inactive"
 
     def test_lemma2_small_run(self):
-        report = check_lemma2(wide_problems(), trials=40, seed=5)
+        report = check_lemma2(wide_problems, trials=40, seed=5)
         assert report.passed
         assert report.tolerance == 1e-8
 
     def test_local_min_gap_finds_pairs(self):
-        report = check_local_min_gap(clustered_wide_problems(), trials=12, seed=0)
+        report = check_local_min_gap(clustered_wide_problems, trials=12, seed=0)
         assert report.passed
         assert report.details["pairs_checked"] >= 1
 
@@ -130,9 +130,23 @@ class TestReports:
             return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen, cfg=cfg)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", single_fit)
-        report = check_local_min_gap(clustered_wide_problems(), trials=3, seed=0)
+        report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
         assert report.details["pairs_checked"] == 0
         assert not report.passed
+        assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
+
+    def test_local_min_gap_counts_nonconverged_fits(self, monkeypatch):
+        # every multistart yields only a non-converged fit: eq10_gap must
+        # count each one it leaves out, and with nothing left to pair it
+        # fails with the sentinel
+        def nonconverged(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
+            return [dataclasses.replace(solver.solve(x, y, lam, pen, cfg=cfg), converged=False)]
+
+        monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
+        report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
+        # 3 trials x 2 lambdas x 2 penalties, one fit each
+        assert report.details["nonconverged_excluded"] == 12
+        assert report.details["pairs_checked"] == 0
         assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
 
     def test_theorem3_fails_without_converged_fits(self, monkeypatch):
@@ -143,7 +157,7 @@ class TestReports:
             return [dataclasses.replace(solver.solve(x, y, lam, pen, cfg=cfg), converged=False)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
-        for report in check_theorem3(wide_problems(), trials=2, pen=mcp(), tau=0.1, seed=3):
+        for report in check_theorem3(wide_problems, trials=2, pen=mcp(), tau=0.1, seed=3):
             assert report.details["nonconverged_excluded"] == 2 * 4, report.theorem_id
             assert not report.passed, report.theorem_id
             assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
@@ -170,19 +184,38 @@ class TestReports:
             ("eq10_gap", 2), ("lemma2", 2), ("thm1_general", 4), ("thm2_general", 4),
         ]
 
-    def test_local_min_gap_rejects_convex_only_penalties(self):
-        with pytest.raises(ValueError):
-            check_local_min_gap(clustered_wide_problems(), trials=2, pens=(elastic_net(0.5),))
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda t: check_lemma1(orthonormal_problems, t),
+            lambda t: check_theorem1(mixed_full_rank_problems, t),
+            lambda t: check_theorem2(inference_scale_problems, t),
+            lambda t: check_theorem3(wide_problems, t, mcp(), 0.1),
+            lambda t: check_lemma2(wide_problems, t),
+            lambda t: check_local_min_gap(clustered_wide_problems, t),
+            lambda t: check_generalized_theorem1(mixed_full_rank_problems, t, scad()),
+            lambda t: check_generalized_theorem2(inference_scale_problems, t, scad()),
+            lambda t: verify.default_suite(0, trials=t),
+        ],
+        ids=[
+            "lemma1", "thm1", "thm2", "thm3", "lemma2", "eq10_gap", "thm1_general", "thm2_general",
+            "default_suite",
+        ],
+    )
+    def test_zero_trials_rejected(self, check):
+        # a check without trials tests nothing and must not pass
+        with pytest.raises(ValueError, match="trials must be positive, got 0"):
+            check(0)
 
     @pytest.mark.parametrize("pen", [scad(), mcp()])
     def test_generalized_small_runs(self, pen):
-        r1 = check_generalized_theorem1(mixed_full_rank_problems(), trials=10, pen=pen, seed=3)
-        r2 = check_generalized_theorem2(inference_scale_problems(), trials=10, pen=pen, seed=3)
+        r1 = check_generalized_theorem1(mixed_full_rank_problems, trials=10, pen=pen, seed=3)
+        r2 = check_generalized_theorem2(inference_scale_problems, trials=10, pen=pen, seed=3)
         assert r1.passed and r2.passed
 
     def test_checks_are_deterministic(self):
-        a = check_lemma1(orthonormal_problems(), trials=10, seed=3)
-        b = check_lemma1(orthonormal_problems(), trials=10, seed=3)
+        a = check_lemma1(orthonormal_problems, trials=10, seed=3)
+        b = check_lemma1(orthonormal_problems, trials=10, seed=3)
         assert a == b
 
     def test_sentinel_fires_when_negative_control_passes(self, monkeypatch):
@@ -190,15 +223,13 @@ class TestReports:
         # transform the thm1 identity then holds anyway, and nu = 1 makes
         # the unscaled transform of the thm2 control equal the scaled one.
         # The controls fail to break, and each report must fail with the
-        # sentinel discrepancy.
-        thm2_gen = inference_scale_problems()  # built before its families are patched
-        monkeypatch.setattr(
-            verify, "equicorrelated_problems", lambda rho, **kw: orthonormal_problems()
-        )
-        monkeypatch.setattr(verify, "heteroskedastic_problems", lambda **kw: orthonormal_problems())
+        # sentinel discrepancy. inference_scale_problems keeps its families,
+        # which are bound when the module is imported.
+        monkeypatch.setattr(verify, "equicorrelated_problems", lambda rho: orthonormal_problems)
+        monkeypatch.setattr(verify, "heteroskedastic_problems", orthonormal_problems)
         for report in (
-            check_theorem1(orthonormal_problems(), trials=8, seed=2),
-            check_theorem2(thm2_gen, trials=8, seed=2),
+            check_theorem1(orthonormal_problems, trials=8, seed=2),
+            check_theorem2(inference_scale_problems, trials=8, seed=2),
         ):
             assert not report.passed, report.theorem_id
             assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
@@ -245,7 +276,7 @@ class TestIdentityEdgeCases:
         from puffer_lasso.solver import solve
 
         pen = elastic_net(0.6)
-        x, y, _ = mixed_full_rank_problems()(9)
+        x, y, _ = mixed_full_rank_problems(9)
         bols = estimators.ols(x, y)
         pair = puffer(x, y)
         lam = 0.3 * float(np.max(np.abs(bols)))
@@ -259,7 +290,7 @@ class TestIdentityEdgeCases:
         from puffer_lasso.preconditioners import project_rowspace, puffer_tau
         from puffer_lasso.solver import solve
 
-        x, y, _ = wide_problems()(4)
+        x, y, _ = wide_problems(4)
         tau = 0.1
         pair = puffer_tau(x, y, tau)
         fit = solve(pair.x_tilde, pair.y_tilde, 1e-8, lasso())
