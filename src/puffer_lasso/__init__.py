@@ -32,7 +32,6 @@ from .preconditioners import (
 )
 from .solver import (
     FitResult,
-    SolverConfig,
     lambda_max,
     multistart_local_minima,
     solve,
@@ -51,7 +50,6 @@ __all__ = [
     "PenaltySpec",
     "PreconditionedPair",
     "RankError",
-    "SolverConfig",
     "SvdFactors",
     "TheoremReport",
     "default_suite",

@@ -71,29 +71,25 @@ class RunConfig:
         if self.command == "fit":
             if self.lam is None or self.lambda_grid is not None:
                 raise DataError("fit takes exactly --lambda (not --lambda-grid)")
-            if self.lam < 0:
-                raise DataError(f"lambda must be nonnegative, got {self.lam}")
-        if self.command == "path":
-            if self.lam is not None:
-                raise DataError("path takes --lambda-grid (not --lambda)")
-            if self.lambda_grid is not None and any(t < 0 for t in self.lambda_grid):
-                raise DataError("lambda grid values must be nonnegative")
+        if self.command == "path" and self.lam is not None:
+            raise DataError("path takes --lambda-grid (not --lambda)")
         if self.transform == "puffer_tau" and self.tau is None:
             raise DataError("transform=puffer_tau requires --tau")
-        if self.tau is not None and self.tau < 0:
-            raise DataError(f"tau must be nonnegative, got {self.tau}")
-        if self.sigma is not None and not self.sigma > 0:
-            raise DataError(f"sigma must be positive, got {self.sigma}")
         if self.output_format not in ("json", "csv"):
             raise DataError(f"format must be json or csv, got {self.output_format}")
         if self.transform not in TRANSFORM_FLAGS:
             raise DataError(f"unknown transform {self.transform!r}")
-        numeric = [("--lambda", self.lam), ("--tau", self.tau), ("--sigma", self.sigma)]
-        numeric += [("--lambda-grid", t) for t in self.lambda_grid or ()]
-        numeric += [("--penalty-param", self.penalty.param)]
-        for flag, value in numeric:
-            if value is not None and not math.isfinite(value):
+        numeric = [("--lambda", self.lam, "nonnegative"), ("--tau", self.tau, "nonnegative")]
+        numeric += [("--sigma", self.sigma, "positive")]
+        numeric += [("--lambda-grid", t, "nonnegative") for t in self.lambda_grid or ()]
+        numeric += [("--penalty-param", self.penalty.param, None)]
+        for flag, value, sign in numeric:
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise DataError(f"{flag} must be finite, got {value}")
+            if sign == "nonnegative" and value < 0 or sign == "positive" and value <= 0:
+                raise DataError(f"{flag} must be {sign}, got {value}")
         if self.trials is not None and self.trials < 1:
             raise DataError(f"--trials must be positive, got {self.trials}")
         if self.tau is not None and self.transform != "puffer_tau":

@@ -63,11 +63,6 @@ class PenaltySpec:
             raise ValueError(f"mcp shape gamma must exceed 1, got {self.param}")
 
     @property
-    def concave(self) -> bool:
-        """True for penalties concave on x > 0 (which forces |pen'| <= 1)."""
-        return self.kind in ("lasso", "scad", "mcp")
-
-    @property
     def convex(self) -> bool:
         return self.kind in ("lasso", "elastic_net")
 

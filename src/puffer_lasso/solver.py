@@ -25,24 +25,14 @@ from . import linalg
 from .penalties import PenaltySpec, pen_derivative, pen_value, univariate_threshold, zero_within_level
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iter: int = 10000
-    coord_tol: float = 1e-10
-    kkt_tol: float = 1e-7
-    multistart_count: int = 8
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (self.coord_tol > 0 and self.kkt_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
+#: sweep cap; a fit that reaches it is returned with converged=False
+MAX_ITER = 10000
+#: a sweep whose largest coordinate step is below this triggers the KKT check
+COORD_TOL = 1e-10
+#: converged means the refreshed KKT residual is below this
+KKT_TOL = 1e-7
+#: two minima are distinct when their sup-distance exceeds this
+DISTINCT_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -105,13 +95,12 @@ def solve(
     lam: float,
     pen: PenaltySpec,
     init=None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     *,
     normal: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FitResult:
     """Run cyclic coordinate descent from ``init`` (zeros by default).
 
-    Always returns a FitResult; if max_iter is exhausted the result is
+    Always returns a FitResult; if MAX_ITER is exhausted the result is
     flagged converged=False rather than raising. The reported KKT
     residual is recomputed from the raw inputs at the end. ``normal`` is
     (X'X, X'Y) already computed from these x and y; ``solve_path`` and
@@ -143,7 +132,7 @@ def solve(
     grad = xty - gram @ beta  # maintained as X'(Y - X beta)
     converged = False
     sweeps = 0
-    for sweeps in range(1, cfg.max_iter + 1):
+    for sweeps in range(1, MAX_ITER + 1):
         max_change = 0.0
         for j in range(p):
             old = coef[j]
@@ -162,10 +151,10 @@ def solve(
                     max_change = step
                 elif -step > max_change:
                     max_change = -step
-        if max_change < cfg.coord_tol:
+        if max_change < COORD_TOL:
             beta = np.array(coef)
             grad = xty - gram @ beta  # exact refresh before the KKT check
-            if kkt_residual(grad, beta, lam, pen) < cfg.kkt_tol:
+            if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
                 converged = True
                 break
         elif sweeps % 64 == 0:
@@ -186,13 +175,7 @@ def solve(
     )
 
 
-def solve_path(
-    x,
-    y,
-    lambdas,
-    pen: PenaltySpec,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> list[FitResult]:
+def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:
     """Warm-started fits along a strictly descending positive lambda grid."""
     lams = [float(t) for t in lambdas]
     if not lams:
@@ -208,46 +191,36 @@ def solve_path(
     results: list[FitResult] = []
     warm = None
     for lam in lams:
-        fit = solve(m, v, lam, pen, init=warm, cfg=cfg, normal=normal)
+        fit = solve(m, v, lam, pen, init=warm, normal=normal)
         results.append(fit)
         warm = fit.beta
     return results
 
 
-def _distinct(betas: list[np.ndarray], candidate: np.ndarray, tol: float = 1e-5) -> bool:
-    return all(np.max(np.abs(candidate - b)) > tol for b in betas)
-
-
-def multistart_local_minima(
-    x,
-    y,
-    lam: float,
-    pen: PenaltySpec,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> list[FitResult]:
+def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8) -> list[FitResult]:
     """Deduplicated stationary points from random restarts.
 
     Convex penalties (and lam = 0, where the penalty vanishes) have a
     single minimum, so one cold-started solve is returned. Otherwise
-    cfg.multistart_count starts are drawn uniformly from the box
-    [-s, s]^p with s = ||X'Y||_inf, solved, and deduplicated at
-    sup-distance 1e-5. Output order is deterministic: by objective,
-    then coefficients.
+    ``starts`` (>= 1) starts are drawn uniformly from the box [-s, s]^p
+    with s = ||X'Y||_inf from a generator seeded with 0, solved, and
+    deduplicated at sup-distance DISTINCT_TOL. Output order is
+    deterministic: by objective, then coefficients.
     """
     _check_lambda(lam)
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
     if pen.convex or lam == 0.0:
-        return [solve(x, y, lam, pen, cfg=cfg)]
+        return [solve(x, y, lam, pen)]
     m, v, normal = _normal_equations(x, y)
     p = m.shape[1]
     scale = float(np.max(np.abs(normal[1])))  # lambda_max(x, y)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(0)
     fits: list[FitResult] = []
-    betas: list[np.ndarray] = []
-    for _ in range(cfg.multistart_count):
+    for _ in range(starts):
         init = rng.uniform(-scale, scale, size=p)
-        fit = solve(m, v, lam, pen, init=init, cfg=cfg, normal=normal)
-        if _distinct(betas, fit.beta):
-            betas.append(fit.beta)
+        fit = solve(m, v, lam, pen, init=init, normal=normal)
+        if all(np.max(np.abs(fit.beta - f.beta)) > DISTINCT_TOL for f in fits):
             fits.append(fit)
     fits.sort(key=lambda f: (f.objective, tuple(f.beta)))
     return fits

@@ -44,18 +44,20 @@ import numpy as np
 
 from . import estimators, linalg, preconditioners, solver
 from .penalties import PenaltySpec, lasso, mcp, pen_derivative, scad, univariate_threshold
-from .solver import SolverConfig
 
 Problem = tuple[np.ndarray, np.ndarray, float]
 Generator = Callable[[int], Problem]
 
 #: tolerance for every theorem check: 10x the solver's KKT tolerance
-THEOREM_TOL = 10.0 * SolverConfig().kkt_tol
+THEOREM_TOL = 10.0 * solver.KKT_TOL
 LEMMA2_TOL = 1e-8
 TIE_TOL = 1e-9
 NEGATIVE_CONTROL_MIN = 1e-2
 #: sentinel discrepancy reported when a negative control fails to fail
 NEGATIVE_CONTROL_SENTINEL = 1.0
+#: z with 2 * (1 - Phi(z)) == 0.05 in estimators.two_sided_p; 1.96 is the
+#: conventional rounding
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -105,18 +107,6 @@ def _lambda_grid(scale: float, count: int):
     """Log-spaced grid reaching past the all-zero threshold at the top."""
     s = max(float(scale), 1e-8)
     return np.geomspace(1e-3 * s, 1.2 * s, count)
-
-
-def _upper_quantile(p_two_sided: float) -> float:
-    """z with 2 * (1 - Phi(z)) == p_two_sided, by bisection."""
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if estimators.two_sided_p(mid) > p_two_sided:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +289,10 @@ def _negative_control(disc, gen, transform, coefs, seed: int, trials: int) -> tu
     return disc, control_worst
 
 
-def _converged_minima(x, y, lam: float, pen: PenaltySpec, cfg: SolverConfig = solver.DEFAULT_CONFIG):
+def _converged_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8):
     """The converged multistart local minima, and how many non-converged
     fits were left out of them."""
-    fits = solver.multistart_local_minima(x, y, lam, pen, cfg=cfg)
+    fits = solver.multistart_local_minima(x, y, lam, pen, starts)
     converged = [fit for fit in fits if fit.converged]
     return converged, len(fits) - len(converged)
 
@@ -336,7 +326,6 @@ def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremRepo
     selection rule. The negative control swaps in the unscaled transform
     on heteroskedastic designs and must disagree by more than 1e-2.
     """
-    z95 = _upper_quantile(0.05)  # ~1.959964; 1.96 is the conventional rounding
 
     def trial(s: int) -> tuple[float, int, int, int]:
         x, y, sigma = gen(s)
@@ -367,14 +356,14 @@ def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremRepo
                 if not (in_fit == in_z == in_p):
                     mismatches += 1
         # the 0.05 rule: lam = 1.96 sigma / sqrt(n) selects {p_j < .05};
-        # |Z_j| inside [z95, 1.96] is the rounding ambiguity band and is
+        # |Z_j| inside [Z95, 1.96] is the rounding ambiguity band and is
         # excluded like a tie
         lam05 = 1.96 * sigma / math.sqrt(n)
         fit = solver.solve(pair.x_tilde, pair.y_tilde, lam05, lasso())
         active = set(fit.active_set)
         rule_mismatches = 0
         for j in range(x.shape[1]):
-            if z95 - TIE_TOL <= abs(inf.z_stats[j]) <= 1.96 + TIE_TOL:
+            if Z95 - TIE_TOL <= abs(inf.z_stats[j]) <= 1.96 + TIE_TOL:
                 ties += 1
                 continue
             if (j in active) != (inf.p_values[j] < 0.05):
@@ -479,7 +468,6 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
     different lambdas obey the lam1 + lam2 variant. Non-converged
     multistart fits are excluded and counted."""
     pens = (scad(), mcp(1.5))
-    cfg = SolverConfig(multistart_count=12)
 
     def trial(s: int) -> tuple[float, int, int]:
         x, y, _ = gen(s)
@@ -490,7 +478,7 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
         for frac in (0.35, 0.55):
             lam = frac * lmax
             for pen in pens:
-                fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen, cfg)
+                fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen, 12)
                 skipped += excluded
                 groups += [(lam, fit.beta) for fit in fits]
         pairs = 0
@@ -499,7 +487,7 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
             for b in range(a + 1, len(groups)):
                 lam1, beta1 = groups[a]
                 lam2, beta2 = groups[b]
-                if np.max(np.abs(beta1 - beta2)) <= 1e-5:
+                if np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL:
                     continue
                 pairs += 1
                 proj = preconditioners.project_rowspace(x, beta1 - beta2, 0.0)

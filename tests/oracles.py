@@ -25,7 +25,7 @@ import numpy as np
 
 from puffer_lasso.estimators import p_values
 from puffer_lasso.penalties import PenaltySpec, pen_value, univariate_threshold
-from puffer_lasso.solver import DEFAULT_CONFIG, SolverConfig, kkt_residual
+from puffer_lasso.solver import COORD_TOL, KKT_TOL, MAX_ITER, kkt_residual
 
 
 def jacobi_eigenvalues(sym, max_sweeps: int = 200, tol: float = 1e-14) -> np.ndarray:
@@ -291,12 +291,13 @@ def threshold_by_enumeration(p: PenaltySpec, z: float, lam: float) -> float:
 
 
 def coordinate_descent_reference(
-    x, y, lam: float, pen: PenaltySpec, init=None, cfg: SolverConfig = DEFAULT_CONFIG, visits=None
+    x, y, lam: float, pen: PenaltySpec, init=None, max_iter: int = MAX_ITER, visits=None
 ):
     """Plain cyclic coordinate descent on numpy arrays, with the update
     order, incremental gradient, drift refresh and stopping rule of
-    ``solver.solve``. Returns (beta, sweeps, converged). A ``visits``
-    list receives (old, z, level, new) for every threshold call."""
+    ``solver.solve``, capped at ``max_iter`` sweeps. Returns (beta,
+    sweeps, converged). A ``visits`` list receives (old, z, level, new)
+    for every threshold call."""
     m = np.asarray(x, dtype=np.float64)
     v = np.asarray(y, dtype=np.float64)
     p = m.shape[1]
@@ -308,7 +309,7 @@ def coordinate_descent_reference(
     grad = xty - gram @ beta
     converged = False
     sweeps = 0
-    for sweeps in range(1, cfg.max_iter + 1):
+    for sweeps in range(1, max_iter + 1):
         max_change = 0.0
         for j in range(p):
             cj = diag[j]
@@ -325,9 +326,9 @@ def coordinate_descent_reference(
                 grad -= step * gram[j]
                 beta[j] = new
                 max_change = max(max_change, abs(step))
-        if max_change < cfg.coord_tol:
+        if max_change < COORD_TOL:
             grad = xty - gram @ beta
-            if kkt_residual(grad, beta, lam, pen) < cfg.kkt_tol:
+            if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
                 converged = True
                 break
         elif sweeps % 64 == 0:

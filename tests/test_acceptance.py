@@ -7,6 +7,7 @@ session-scoped fixtures and are shared across criteria.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +20,7 @@ import puffer_lasso
 from puffer_lasso.penalties import lasso, mcp, pen_derivative, scad
 from puffer_lasso.preconditioners import puffer_tau
 from puffer_lasso.solver import (
-    SolverConfig,
+    KKT_TOL,
     lambda_max,
     multistart_local_minima,
     solve,
@@ -221,7 +222,6 @@ def test_criterion_7_generalized_penalties():
 def test_criterion_8_kkt_certificates():
     # every converged fit must pass an independently recomputed
     # first-order check at the solver tolerance
-    kkt_tol = SolverConfig().kkt_tol
     rng = np.random.default_rng(SEED)
     checked = 0
     start = time.perf_counter()
@@ -238,7 +238,7 @@ def test_criterion_8_kkt_certificates():
             else:
                 worst = max(worst, abs(grad[j]) - fit.lam)
         checked += 1
-        assert worst <= kkt_tol, f"independent KKT residual {worst:.3e} above {kkt_tol}"
+        assert worst <= KKT_TOL, f"independent KKT residual {worst:.3e} above {KKT_TOL}"
 
     for pen in (lasso(), scad(), mcp()):
         for trial in range(12):
@@ -261,7 +261,7 @@ def test_criterion_8_kkt_certificates():
     announce(
         "8 (independent KKT certificates)",
         True,
-        f"100% of {checked} converged fits pass at kkt_tol {kkt_tol:g}; {elapsed:.1f}s",
+        f"100% of {checked} converged fits pass at kkt_tol {KKT_TOL:g}; {elapsed:.1f}s",
     )
     assert checked >= 300
 
@@ -316,3 +316,15 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
         assert list(r["details"]) == list(details), theorem_id
         counts = {k: v for k, v in details.items() if v is not None}
         assert {k: r["details"][k] for k in counts} == counts, theorem_id
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's python block, run against the package under test, so
+    # that an API change cannot leave the documented example broken
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=tmp_path, env=package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -574,14 +574,18 @@ class TestFlagRecords:
             (["path", "--penalty", "lasso", "--penalty-param", "nan"], PARAM_WITH_LASSO),
             (["fit", "--lambda", "0.1", "--tau", "0.5"], TAU_WITHOUT_PUFFER_TAU + "none"),
             (["precondition", "--transform", "puffer", "--tau", "0"], TAU_WITHOUT_PUFFER_TAU + "puffer"),
-            # checks that already failed keep their records
-            (["fit", "--lambda", "0.1", "--tau", "-inf"], "tau must be nonnegative, got -inf"),
+            # each numeric flag is checked for finiteness, then for its sign,
+            # and every record names it with --
+            (["fit", "--lambda", "0.1", "--tau", "-inf"], "--tau must be finite, got -inf"),
             (["fit", "--lambda", "0.1", "--tau", "inf"], "--tau must be finite, got inf"),
-            (["fit", "--lambda", "-1", "--penalty-param", "0.5"], "lambda must be nonnegative, got -1.0"),
+            (["fit", "--lambda", "-1", "--penalty-param", "0.5"], "--lambda must be nonnegative, got -1.0"),
+            (["precondition", "--transform", "puffer_tau", "--tau", "-1"], "--tau must be nonnegative, got -1.0"),
+            (["path", "--lambda-grid", "1,-1"], "--lambda-grid must be nonnegative, got -1.0"),
+            (["inspect", "--sigma", "0"], "--sigma must be positive, got 0.0"),
         ],
         ids=[
             "path_lambda", "fit_lambda_grid", "param_implicit_lasso", "param_lasso", "tau_none", "tau_puffer",
-            "tau_neg_inf", "tau_inf", "lambda",
+            "tau_neg_inf", "tau_inf", "lambda", "tau_negative", "lambda_grid_negative", "sigma_zero",
         ],
     )
     def test_exact_record(self, small_csv, capsys, argv, message):

@@ -43,9 +43,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PenaltySpec(kind, param)
 
-    def test_concavity_flags(self):
-        assert lasso().concave and scad().concave and mcp().concave
-        assert not elastic_net(0.5).concave
+    def test_convexity_flags(self):
         assert lasso().convex and elastic_net(0.5).convex
         assert not scad().convex and not mcp().convex
 

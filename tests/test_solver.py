@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import estimators
+from puffer_lasso import estimators, solver
 from puffer_lasso.errors import DataError
 from puffer_lasso.penalties import (
     elastic_net,
@@ -18,8 +18,9 @@ from puffer_lasso.penalties import (
 )
 from puffer_lasso.preconditioners import project_rowspace, puffer_tau
 from puffer_lasso.solver import (
+    KKT_TOL,
+    MAX_ITER,
     FitResult,
-    SolverConfig,
     kkt_residual,
     lambda_max,
     multistart_local_minima,
@@ -27,7 +28,7 @@ from puffer_lasso.solver import (
     solve,
     solve_path,
 )
-from puffer_lasso.verify import wide_problems
+from puffer_lasso.verify import clustered_wide_problems, wide_problems
 
 import oracles
 
@@ -105,13 +106,23 @@ class TestSolve:
         assert np.max(np.abs(fit.beta - target)) <= 1e-10
 
     def test_max_iter_exhaustion_returns_unconverged(self):
-        rng = np.random.default_rng(100)
-        base = rng.standard_normal(30)
-        x = np.column_stack([base + 0.01 * rng.standard_normal(30) for _ in range(4)])
-        y = rng.standard_normal(30)
-        fit = solve(x, y, 0.01, lasso(), cfg=SolverConfig(max_iter=1))
+        # an eq10_gap design on which start 6 of 12 runs to the sweep cap
+        x, y, _ = clustered_wide_problems(13000046)
+        pair = puffer_tau(x, y, 0.0)
+        xt, yt = pair.x_tilde, pair.y_tilde
+        scale = lambda_max(xt, yt)
+        lam = 0.35 * scale
+        fits = multistart_local_minima(xt, yt, lam, mcp(1.5), 12)
+        assert [f.converged for f in fits].count(False) == 1
+        rng = np.random.default_rng(0)  # the multistart stream
+        inits = [rng.uniform(-scale, scale, size=xt.shape[1]) for _ in range(12)]
+        fit = solve(xt, yt, lam, mcp(1.5), init=inits[6])
         assert not fit.converged
-        assert fit.iterations == 1
+        assert fit.iterations == MAX_ITER
+        assert any(f.beta.tobytes() == fit.beta.tobytes() and not f.converged for f in fits)
+        beta, sweeps, converged = oracles.coordinate_descent_reference(xt, yt, lam, mcp(1.5), init=inits[6])
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert (sweeps, converged) == (MAX_ITER, False)
 
     def test_nan_input_rejected(self):
         x, y = tall_problem()
@@ -162,7 +173,7 @@ class TestSolve:
         lam = 0.25 * lambda_max(x, y)
         fit = solve(x, y, lam, pen)
         assert fit.converged
-        assert recompute_kkt(x, y, fit) <= SolverConfig().kkt_tol
+        assert recompute_kkt(x, y, fit) <= KKT_TOL
 
     def test_active_set_matches_nonzeros(self):
         x, y = tall_problem(7)
@@ -182,11 +193,10 @@ class TestSolve:
         # solver tolerance rather than bit level
         assert np.max(np.abs(direct[perm] - permuted)) <= 1e-6
 
-    def test_deterministic_given_config(self):
+    def test_deterministic_reruns(self):
         x, y = tall_problem(13)
-        cfg = SolverConfig(rng_seed=5)
-        a = solve(x, y, 0.5, scad(), cfg=cfg)
-        b = solve(x, y, 0.5, scad(), cfg=cfg)
+        a = solve(x, y, 0.5, scad())
+        b = solve(x, y, 0.5, scad())
         assert np.array_equal(a.beta, b.beta)
         assert a.iterations == b.iterations
         assert a.kkt_residual == b.kkt_residual
@@ -223,9 +233,8 @@ class TestKernelMatchesReference:
         yield "shrunken_columns", x * rng.uniform(0.04, 0.06, size=5), y
 
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
-    def test_bit_equal_beta_sweeps_and_flag(self, pen):
+    def test_bit_equal_beta_sweeps_and_flag(self, pen, monkeypatch):
         rng = np.random.default_rng(32)
-        cfgs = [SolverConfig(), SolverConfig(max_iter=70)]
         checked_long = False
         left_zero = False
         for name, x, y in self.designs():
@@ -233,13 +242,14 @@ class TestKernelMatchesReference:
             for frac in (0.05, 0.3, 0.7):
                 lam = frac * scale
                 for init in (None, rng.uniform(-scale, scale, size=x.shape[1])):
-                    for cfg in cfgs:
-                        fit = solve(x, y, lam, pen, init=init, cfg=cfg)
+                    for max_iter in (MAX_ITER, 70):
+                        monkeypatch.setattr(solver, "MAX_ITER", max_iter)
+                        fit = solve(x, y, lam, pen, init=init)
                         visits = []
                         beta, sweeps, converged = oracles.coordinate_descent_reference(
-                            x, y, lam, pen, init=init, cfg=cfg, visits=visits
+                            x, y, lam, pen, init=init, max_iter=max_iter, visits=visits
                         )
-                        where = (name, frac, init is None, cfg.max_iter)
+                        where = (name, frac, init is None, max_iter)
                         assert fit.beta.tobytes() == beta.tobytes(), where
                         assert fit.iterations == sweeps, where
                         assert fit.converged == converged, where
@@ -291,16 +301,15 @@ class TestSharedGram:
 
     @pytest.mark.parametrize("pen", [scad(), mcp(1.5)])
     def test_multistart_equals_plain_solves(self, pen):
-        cfg = SolverConfig(multistart_count=6, rng_seed=7)
         designs = [*self.designs(), *((f"clustered{s}", *clustered_wide(s)) for s in range(3))]
         for name, x, y in designs:
             scale = lambda_max(x, y)
             lam = 0.3 * scale
-            fits = multistart_local_minima(x, y, lam, pen, cfg=cfg)
-            rng = np.random.default_rng(cfg.rng_seed)
+            fits = multistart_local_minima(x, y, lam, pen, 6)
+            rng = np.random.default_rng(0)
             refs = []
-            for _ in range(cfg.multistart_count):
-                ref = solve(x, y, lam, pen, init=rng.uniform(-scale, scale, size=x.shape[1]), cfg=cfg)
+            for _ in range(6):
+                ref = solve(x, y, lam, pen, init=rng.uniform(-scale, scale, size=x.shape[1]))
                 if all(np.max(np.abs(ref.beta - r.beta)) > 1e-5 for r in refs):
                     refs.append(ref)
             refs.sort(key=lambda f: (f.objective, tuple(f.beta)))
@@ -365,6 +374,12 @@ class TestMultistart:
         fits = multistart_local_minima(x, y, 0.4, lasso())
         assert len(fits) == 1
 
+    @pytest.mark.parametrize("pen", [lasso(), mcp()])
+    def test_zero_starts_rejected(self, pen):
+        x, y = tall_problem(30)
+        with pytest.raises(ValueError, match="starts must be >= 1, got 0"):
+            multistart_local_minima(x, y, 0.4, pen, starts=0)
+
     def test_lambda_zero_single_representative(self):
         x, y = tall_problem(31)
         fits = multistart_local_minima(x, y, 0.0, mcp())
@@ -378,9 +393,7 @@ class TestMultistart:
             x, y = clustered_wide(seed)
             pair = puffer_tau(x, y, 0.0)
             lam = 0.4 * lambda_max(pair.x_tilde, pair.y_tilde)
-            fits = multistart_local_minima(
-                pair.x_tilde, pair.y_tilde, lam, mcp(1.5), cfg=SolverConfig(multistart_count=12)
-            )
+            fits = multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, mcp(1.5), 12)
             fits = [f for f in fits if f.converged]
             if len(fits) < 2:
                 continue
@@ -398,13 +411,12 @@ class TestMultistart:
         fits = multistart_local_minima(pair.x_tilde, pair.y_tilde, lam, mcp(1.5))
         for fit in fits:
             if fit.converged:
-                assert recompute_kkt(pair.x_tilde, pair.y_tilde, fit) <= SolverConfig().kkt_tol
+                assert recompute_kkt(pair.x_tilde, pair.y_tilde, fit) <= KKT_TOL
 
     def test_deterministic_bit_identical(self):
         x, y = clustered_wide(3)
-        cfg = SolverConfig(multistart_count=10, rng_seed=99)
-        a = multistart_local_minima(x, y, 0.2, mcp(1.5), cfg=cfg)
-        b = multistart_local_minima(x, y, 0.2, mcp(1.5), cfg=cfg)
+        a = multistart_local_minima(x, y, 0.2, mcp(1.5), 10)
+        b = multistart_local_minima(x, y, 0.2, mcp(1.5), 10)
         assert len(a) == len(b)
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.beta, fb.beta)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from puffer_lasso import solver, verify
+from puffer_lasso import estimators, solver, verify
 from puffer_lasso.penalties import mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
@@ -65,8 +65,6 @@ class TestGenerators:
         assert d[-1] >= 0.4
 
     def test_inference_scale_keeps_z_moderate(self):
-        from puffer_lasso import estimators
-
         gen = inference_scale_problems
         for seed in range(12):
             x, y, sigma = gen(seed)
@@ -126,8 +124,8 @@ class TestReports:
         # every multistart yields the same single minimum, the all-zero
         # fit, so no pair is left to check: the bound was never tested and
         # the report must fail with the sentinel
-        def single_fit(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
-            return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen, cfg=cfg)]
+        def single_fit(x, y, lam, pen, starts=8):
+            return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", single_fit)
         report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
@@ -139,8 +137,8 @@ class TestReports:
         # every multistart yields only a non-converged fit: eq10_gap must
         # count each one it leaves out, and with nothing left to pair it
         # fails with the sentinel
-        def nonconverged(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
-            return [dataclasses.replace(solver.solve(x, y, lam, pen, cfg=cfg), converged=False)]
+        def nonconverged(x, y, lam, pen, starts=8):
+            return [dataclasses.replace(solver.solve(x, y, lam, pen), converged=False)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
         report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
@@ -153,8 +151,8 @@ class TestReports:
         # every multistart yields only a non-converged fit, which thm3
         # excludes: no local minimum is left to check, so the identity was
         # never tested and both reports must fail with the sentinel
-        def nonconverged(x, y, lam, pen, cfg=solver.DEFAULT_CONFIG):
-            return [dataclasses.replace(solver.solve(x, y, lam, pen, cfg=cfg), converged=False)]
+        def nonconverged(x, y, lam, pen, starts=8):
+            return [dataclasses.replace(solver.solve(x, y, lam, pen), converged=False)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
         for report in check_theorem3(wide_problems, trials=2, pen=mcp(), tau=0.1, seed=3):
@@ -238,7 +236,8 @@ class TestReports:
 
 class TestQuantileHelper:
     def test_upper_quantile_against_oracle(self):
-        z = verify._upper_quantile(0.05)
+        z = verify.Z95
+        assert abs(estimators.two_sided_p(z) - 0.05) <= 1e-16
         assert abs(oracles.two_sided_p_oracle(z) - 0.05) <= 1e-12
         assert abs(z - 1.959964) <= 1e-5
 
@@ -246,7 +245,6 @@ class TestQuantileHelper:
 class TestIdentityEdgeCases:
     def test_stacked_orthonormal_blocks(self):
         # n = 2p design made of two stacked scaled orthogonal blocks
-        from puffer_lasso import estimators
         from puffer_lasso.penalties import lasso, soft_threshold
         from puffer_lasso.solver import solve
 
