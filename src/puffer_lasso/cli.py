@@ -81,7 +81,7 @@ class RunConfig:
             raise DataError(f"unknown transform {self.transform!r}")
         numeric = [("--lambda", self.lam, "nonnegative"), ("--tau", self.tau, "nonnegative")]
         numeric += [("--sigma", self.sigma, "positive")]
-        numeric += [("--lambda-grid", t, "nonnegative") for t in self.lambda_grid or ()]
+        numeric += [("--lambda-grid", t, "positive") for t in self.lambda_grid or ()]
         numeric += [("--penalty-param", self.penalty.param, None)]
         for flag, value, sign in numeric:
             if value is None:
@@ -90,6 +90,10 @@ class RunConfig:
                 raise DataError(f"{flag} must be finite, got {value}")
             if sign == "nonnegative" and value < 0 or sign == "positive" and value <= 0:
                 raise DataError(f"{flag} must be {sign}, got {value}")
+        grid = self.lambda_grid or ()
+        for above, below in zip(grid, grid[1:]):
+            if below >= above:
+                raise DataError(f"--lambda-grid must be strictly descending, got {above} then {below}")
         if self.trials is not None and self.trials < 1:
             raise DataError(f"--trials must be positive, got {self.trials}")
         if self.tau is not None and self.transform != "puffer_tau":
@@ -107,6 +111,12 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
     All cells must be numeric ('.' decimal separator, no thousands
     separators); parse problems report the 1-based row and the column
     name. No intercept column is added implicitly.
+
+    The body is read by ``np.loadtxt`` when it yields finite values in as
+    many columns as the header has. Any other body is parsed again by the
+    per-cell loop (``_parse_cells``): it alone reports errors, and alone
+    reads the cells ``float()`` accepts and loadtxt does not, such as
+    ``1_0``, non-ASCII digits and quoted cells.
     """
     file = Path(path)
     if not file.is_file():
@@ -121,31 +131,14 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"{path}: duplicate header names {dupes}")
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataError(
-                    f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for name, cell in zip(header, raw):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {lineno}, column {name!r}: "
-                        f"non-numeric cell {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {lineno}, column {name!r}: non-finite value {cell.strip()!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
+        data = _loadtxt_body(handle, len(header))
+        if data is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)  # the header, already read and checked
+            data = _parse_cells(reader, header, path)
+    if len(data) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {len(data)}")
 
     if isinstance(response_column, str):
         try:
@@ -161,7 +154,6 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
     if not 0 <= response_idx < len(header):
         raise DataError(f"{path}: response column index {response_idx} out of range")
 
-    data = np.asarray(rows, dtype=np.float64)
     mask = np.ones(len(header), dtype=bool)
     mask[response_idx] = False
     if not mask.any():
@@ -172,6 +164,52 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
         feature_names=tuple(h for i, h in enumerate(header) if i != response_idx),
         response_name=header[response_idx],
     )
+
+
+def _loadtxt_body(handle, width: int) -> np.ndarray | None:
+    """The rest of ``handle`` as an (n, width) array of finite floats, or
+    None where np.loadtxt fails, warns (an empty body) or yields anything
+    else."""
+    import warnings
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(handle, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if data.shape[1] != width or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _parse_cells(reader, header: list[str], path: str) -> np.ndarray:
+    """The csv rows after the header, one float() per cell; blank rows are
+    skipped, and the first bad row or cell raises a DataError."""
+    rows: list[list[float]] = []
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) != len(header):
+            raise DataError(
+                f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
+            )
+        parsed = []
+        for name, cell in zip(header, raw):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: row {lineno}, column {name!r}: "
+                    f"non-numeric cell {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}: row {lineno}, column {name!r}: non-finite value {cell.strip()!r}"
+                )
+            parsed.append(value)
+        rows.append(parsed)
+    return np.asarray(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +304,15 @@ def _report_record(report: verify.TheoremReport) -> dict:
     }
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, text: str, lines=()) -> None:
+    """Write ``text``, then each string of ``lines``, to --output or stdout."""
     if config.output_path:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+        with open(config.output_path, "w", encoding="utf-8") as out:
+            out.write(text)
+            out.writelines(lines)
     else:
         sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +393,14 @@ def _run_path(config: RunConfig) -> int:
 def _run_precondition(config: RunConfig) -> int:
     data = load_dataset(config.input_path, config.response_column)
     x, y, _ = _transform_pair(config, data)
-    lines = [",".join([data.response_name, *data.feature_names])]
-    for i in range(x.shape[0]):
-        lines.append(",".join([_fmt(y[i]), *(_fmt(v) for v in x[i])]))
-    _emit(config, "\n".join(lines) + "\n")
+    table = np.column_stack([y, x])
+    finite = np.isfinite(table)
+    if not finite.all():
+        _fmt(table[~finite][0])  # raises for the first, in row-major order
+    header = ",".join([data.response_name, *data.feature_names]) + "\n"
+    # "%.17g" % v is the same text as _fmt(v) for every finite float
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    _emit(config, header, (row_format % tuple(row) for row in table))
     return EXIT_OK
 
 
@@ -513,6 +559,9 @@ def _attach_values(argv: list[str]) -> list[str]:
 def _penalty_from_args(name: str, param: float | None) -> PenaltySpec:
     if name == "lasso":
         return lasso()
+    if param is not None and not math.isfinite(param):
+        # the constructors' range checks would take NaN for out of range
+        raise DataError(f"--penalty-param must be finite, got {param}")
     if name == "enet":
         return elastic_net(param) if param is not None else elastic_net()
     if name == "scad":

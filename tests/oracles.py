@@ -15,14 +15,22 @@ arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
 ``inference_reference`` is the composition of separately factored
 estimators that preceded the single-SVD ``inference``; it calls
 ``np.linalg.svd`` itself and the library's ``p_values``.
+``load_dataset_reference`` is the CLI's CSV reader as it was before the
+``np.loadtxt`` fast path: ``csv.reader`` and one ``float()`` per cell.
+``precondition_csv_reference`` is the ``precondition`` output as it was
+before one format per row: the CLI's ``_fmt`` on every value.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
+from puffer_lasso.cli import Dataset, _fmt
+from puffer_lasso.errors import DataError
 from puffer_lasso.estimators import p_values
 from puffer_lasso.penalties import PenaltySpec, pen_value, univariate_threshold
 from puffer_lasso.solver import COORD_TOL, KKT_TOL, MAX_ITER, kkt_residual
@@ -359,3 +367,86 @@ def inference_reference(x, y, sigma: float | None = None):
     beta = ols()
     z = math.sqrt(n) * beta / (sigma * np.sqrt(gram_inverse_diagonal()))
     return ols(), z, p_values(z), sigma
+
+
+def load_dataset_reference(path: str, response_column: str | int) -> Dataset:
+    """Read a headered CSV into a design matrix and response vector.
+
+    All cells must be numeric ('.' decimal separator, no thousands
+    separators); parse problems report the 1-based row and the column
+    name. No intercept column is added implicitly.
+    """
+    file = Path(path)
+    if not file.is_file():
+        raise DataError(f"input file not found: {path}")
+    with file.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, expected a header row") from None
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            dupes = sorted({h for h in header if header.count(h) > 1})
+            raise DataError(f"{path}: duplicate header names {dupes}")
+        rows: list[list[float]] = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(header):
+                raise DataError(
+                    f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
+                )
+            parsed = []
+            for name, cell in zip(header, raw):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"non-numeric cell {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {lineno}, column {name!r}: non-finite value {cell.strip()!r}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, found {len(rows)}")
+
+    if isinstance(response_column, str):
+        try:
+            response_idx = int(response_column)
+        except ValueError:
+            if response_column not in header:
+                raise DataError(
+                    f"{path}: response column {response_column!r} not in header {header}"
+                ) from None
+            response_idx = header.index(response_column)
+    else:
+        response_idx = int(response_column)
+    if not 0 <= response_idx < len(header):
+        raise DataError(f"{path}: response column index {response_idx} out of range")
+
+    data = np.asarray(rows, dtype=np.float64)
+    mask = np.ones(len(header), dtype=bool)
+    mask[response_idx] = False
+    if not mask.any():
+        raise DataError(f"{path}: no feature columns besides the response")
+    return Dataset(
+        x=data[:, mask],
+        y=data[:, response_idx],
+        feature_names=tuple(h for i, h in enumerate(header) if i != response_idx),
+        response_name=header[response_idx],
+    )
+
+
+def precondition_csv_reference(data: Dataset, x, y) -> str:
+    """The ``precondition`` CSV of (x, y) under ``data``'s column names,
+    one ``_fmt`` call per value; raises the NumericalError of the first
+    non-finite value, the response before the features of each row."""
+    lines = [",".join([data.response_name, *data.feature_names])]
+    for i in range(x.shape[0]):
+        lines.append(",".join([_fmt(y[i]), *(_fmt(v) for v in x[i])]))
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 
+from puffer_lasso import cli as cli_module
 from puffer_lasso.cli import (
     Dataset,
     RunConfig,
@@ -15,8 +18,9 @@ from puffer_lasso.cli import (
     main,
     run,
 )
-from puffer_lasso.errors import DataError
+from puffer_lasso.errors import DataError, NumericalError
 from puffer_lasso.penalties import lasso, mcp
+from puffer_lasso.preconditioners import puffer, puffer_scaled
 from puffer_lasso.solver import lambda_max
 
 
@@ -580,12 +584,23 @@ class TestFlagRecords:
             (["fit", "--lambda", "0.1", "--tau", "inf"], "--tau must be finite, got inf"),
             (["fit", "--lambda", "-1", "--penalty-param", "0.5"], "--lambda must be nonnegative, got -1.0"),
             (["precondition", "--transform", "puffer_tau", "--tau", "-1"], "--tau must be nonnegative, got -1.0"),
-            (["path", "--lambda-grid", "1,-1"], "--lambda-grid must be nonnegative, got -1.0"),
+            (["path", "--lambda-grid", "1,-1"], "--lambda-grid must be positive, got -1.0"),
             (["inspect", "--sigma", "0"], "--sigma must be positive, got 0.0"),
+            # the grid solve_path accepts: positive and strictly descending
+            (["path", "--lambda-grid", "1,0"], "--lambda-grid must be positive, got 0.0"),
+            (["path", "--lambda-grid", "1,2"], "--lambda-grid must be strictly descending, got 1.0 then 2.0"),
+            (["path", "--lambda-grid", "2,1,1"], "--lambda-grid must be strictly descending, got 1.0 then 1.0"),
+            # NaN is reported as non-finite, like inf, not as out of the penalty's range
+            (["fit", "--lambda", "0.1", "--penalty", "mcp", "--penalty-param", "nan"], "--penalty-param must be finite, got nan"),
+            (["fit", "--lambda", "0.1", "--penalty", "mcp", "--penalty-param", "inf"], "--penalty-param must be finite, got inf"),
+            (["path", "--penalty", "scad", "--penalty-param", "nan"], "--penalty-param must be finite, got nan"),
+            (["fit", "--lambda", "0.1", "--penalty", "enet", "--penalty-param", "-inf"], "--penalty-param must be finite, got -inf"),
         ],
         ids=[
             "path_lambda", "fit_lambda_grid", "param_implicit_lasso", "param_lasso", "tau_none", "tau_puffer",
             "tau_neg_inf", "tau_inf", "lambda", "tau_negative", "lambda_grid_negative", "sigma_zero",
+            "lambda_grid_zero", "lambda_grid_ascending", "lambda_grid_repeated",
+            "param_mcp_nan", "param_mcp_inf", "param_scad_nan", "param_enet_neg_inf",
         ],
     )
     def test_exact_record(self, small_csv, capsys, argv, message):
@@ -594,3 +609,188 @@ class TestFlagRecords:
         assert code == 2
         assert captured.out == ""
         assert captured.err == record(message)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["path", "--lambda-grid", "1,2"], "--lambda-grid must be strictly descending, got 1.0 then 2.0"),
+            (["path", "--lambda-grid", "1,0"], "--lambda-grid must be positive, got 0.0"),
+            (["fit", "--lambda", "1", "--penalty", "mcp", "--penalty-param", "nan"], "--penalty-param must be finite, got nan"),
+        ],
+    )
+    def test_reported_before_the_input_is_read(self, tmp_path, capsys, argv, message):
+        code = main([argv[0], "--input", str(tmp_path / "missing.csv"), *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == record(message)
+
+
+def outcome(loader, path, response):
+    """Everything a loader returns, bytes and layout included, or the type
+    and message of what it raises."""
+    try:
+        data = loader(str(path), response)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        data.x.shape, data.x.strides, data.x.tobytes(), data.y.strides, data.y.tobytes(),
+        data.feature_names, data.response_name,
+    )
+
+
+LONG_BODY = b"1.5,-2e-3\n" * 3000  # past the first 8 KiB read of the file
+SEVENTEEN_DIGITS = np.random.default_rng(5).standard_normal((300, 2)) * [1e-3, 1e3]
+INGEST_CASES = {
+    "plain": b"y,a\n1.5,-2\n3e-5,4.25\n",
+    "seventeen_digits": ("y,a\n" + "".join(f"{_fmt(u)},{_fmt(v)}\n" for u, v in SEVENTEEN_DIGITS)).encode(),
+    "underscore": b"y,a\n1_0,2\n3,4\n",
+    "arabic_indic_digits": "y,a\n\u0663.\u0665,2\n3,4\n".encode(),
+    "quoted_cells": b'y,a\n"1",2\n3,"4.5"\n',
+    "hash_line": b"y,a\n# a comment\n1,2\n3,4\n",
+    "hash_cell": b"y,a\n1,2\n#3,4\n5,6\n",
+    "blank_lines": b"y,a\n1,2\n\n3,4\n\n",
+    "whitespace_line": b"y,a\n1,2\n   \n3,4\n",
+    "whitespace_line_one_column": b"y\n1\n\t\n3\n",
+    "crlf": b"y,a\r\n1,2\r\n3,4\r\n",
+    "crlf_blank_line": b"y,a\r\n1,2\r\n\r\n3,4\r\n",
+    "lone_cr": b"y,a\r1,2\r3,4\r",
+    "cr_inside_row": b"y,a\n1\r,2\n3,4\n",
+    "trailing_comma": b"y,a\n1,2,\n3,4,\n",
+    "trailing_comma_in_header": b"y,a,\n1,2,\n3,4,\n",
+    "short_row": b"y,a\n1\n3,4\n",
+    "long_row": b"y,a\n1,2,3\n3,4\n",
+    "every_row_long": b"y,a\n1,2,3\n4,5,6\n",
+    "every_row_short": b"y,a,b\n1,2\n4,5\n",
+    "empty_cell": b"y,a\n1,\n3,4\n",
+    "space_cell": b"y,a\n1, \n3,4\n",
+    "nan": b"y,a\nnan,2\n3,4\n",
+    "inf": b"y,a\n1,2\n3,-inf\n",
+    "overflow": b"y,a\n1e400,2\n3,4\n",
+    "negative_zero": b"y,a\n-0,2\n3,-0.0\n",
+    "padded_cells": b"y,a\n 1 ,\t2\n3,4 \n",
+    "no_break_space": "y,a\n\u00a01,2\n3,4\u00a0\n".encode(),
+    "extremes": b"y,a\n5e-324,1.7976931348623157e308\n-1e308,2.2250738585072014e-308\n",
+    "no_final_newline": b"y,a\n1,2\n3,4",
+    "empty_file": b"",
+    "header_only": b"y,a\n",
+    "header_without_newline": b"y,a",
+    "header_and_blank_lines": b"y,a\n\n\n",
+    "one_data_row": b"y,a\n1,2\n",
+    "one_column": b"y\n1\n2\n",
+    "duplicate_headers": b"y,a,a\n1,2,3\n4,5,6\n",
+    "duplicate_headers_bad_body": b"y,a,a\n1,x\n",
+    "quoted_multiline_header": b'"y\nz",a\n1,2\n3,4\n',
+    "byte_order_mark": b"\xef\xbb\xbfy,a\n1,2\n3,4\n",
+    "nul_cell": b"y,a\n1,\x002\n3,4\n",
+    "invalid_utf8_header": b"y,\xffa\n1,2\n3,4\n",
+    "invalid_utf8_body": b"y,a\n1,2\n3,\xff\n",
+    "invalid_utf8_late": b"y,a\n" + LONG_BODY + b"3,\xff4\n",
+    "bad_cell_late": b"y,a\n" + LONG_BODY + b"3,x\n",
+    "non_finite_late": b"y,a\n" + LONG_BODY + b"3,inf\n",
+}
+
+
+class TestIngestMatchesPerCellParser:
+    """load_dataset against the per-cell parser it replaced as the common
+    path: the same arrays to the byte, or the same exception and message."""
+
+    @pytest.mark.parametrize("response", ["0", "a"])
+    @pytest.mark.parametrize("body", INGEST_CASES.values(), ids=INGEST_CASES.keys())
+    def test_same_outcome(self, tmp_path, body, response):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        expected = outcome(oracles.load_dataset_reference, path, response)
+        assert outcome(load_dataset, path, response) == expected
+
+    @pytest.mark.parametrize("name", ["header_only", "header_and_blank_lines", "one_data_row"])
+    def test_no_warning_escapes(self, tmp_path, name):
+        # np.loadtxt warns on a body without rows; the CLI prints only its
+        # JSON record, whatever the warning filters
+        path = tmp_path / "data.csv"
+        path.write_bytes(INGEST_CASES[name])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="at least 2 data rows"):
+                load_dataset(str(path), "0")
+        assert caught == []
+
+    @pytest.mark.parametrize("name", ["plain", "seventeen_digits", "blank_lines", "crlf", "lone_cr", "padded_cells", "negative_zero", "extremes"])
+    def test_numeric_csv_skips_the_per_cell_parser(self, tmp_path, monkeypatch, name):
+        # a plain numeric body that fell back would still load correctly,
+        # only at the per-cell parser's speed
+        path = tmp_path / "data.csv"
+        path.write_bytes(INGEST_CASES[name])
+        expected = outcome(oracles.load_dataset_reference, path, "0")
+
+        def fallback(*args):
+            raise AssertionError("numeric CSV reached the per-cell parser")
+
+        monkeypatch.setattr(cli_module, "_parse_cells", fallback)
+        assert outcome(load_dataset, path, "0") == expected
+
+
+def mixed_extremes_csv(path):
+    values = [
+        [-0.0, 5e-324, 1e308],
+        [1e-310, -1e308, 1.7976931348623157e308],
+        [0.1, -2.5e17, -2.2250738585072014e-308],
+        [1 / 3, 0.0, -0.0],
+    ]
+    write_csv(path, ["y", "a", "b"], [[repr(v) for v in row] for row in values])
+
+
+class TestPreconditionOutput:
+    """precondition's rows against one _fmt call per value."""
+
+    @pytest.mark.parametrize("transform", ["none", "puffer", "puffer_scaled"])
+    def test_matches_per_value_format(self, small_csv, tmp_path, capsys, transform):
+        data = oracles.load_dataset_reference(str(small_csv), "y")
+        if transform == "none":
+            x, y = data.x, data.y
+        else:
+            pair = {"puffer": puffer, "puffer_scaled": puffer_scaled}[transform](data.x, data.y)
+            x, y = pair.x_tilde, pair.y_tilde
+        expected = oracles.precondition_csv_reference(data, x, y)
+        argv = ["precondition", "--input", str(small_csv), "--response", "y", "--transform", transform]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "pre.csv"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert capsys.readouterr().out == ""
+
+    def test_signed_zeros_subnormals_and_extremes(self, tmp_path, capsys):
+        path = tmp_path / "extremes.csv"
+        mixed_extremes_csv(path)
+        data = oracles.load_dataset_reference(str(path), "y")
+        expected = oracles.precondition_csv_reference(data, data.x, data.y)
+        assert "-0," in expected and "4.9406564584124654e-324" in expected
+        assert main(["precondition", "--input", str(path), "--response", "y"]) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "pre.csv"
+        assert main(["precondition", "--input", str(path), "--response", "y", "--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_transform_writes_nothing(self, small_csv, tmp_path, monkeypatch, capsys, to_file):
+        def corrupted(x, y):
+            pair = puffer(x, y)
+            pair.x_tilde[2, 1] = -np.inf
+            pair.x_tilde[5, 0] = np.nan
+            pair.y_tilde[4] = np.inf
+            return pair
+
+        monkeypatch.setattr(cli_module, "puffer", corrupted)
+        data = load_dataset(str(small_csv), "y")
+        pair = corrupted(data.x, data.y)
+        with pytest.raises(NumericalError) as expected:
+            oracles.precondition_csv_reference(data, pair.x_tilde, pair.y_tilde)
+        out = tmp_path / "pre.csv"
+        argv = ["precondition", "--input", str(small_csv), "--response", "y", "--transform", "puffer"]
+        code = main(argv + (["--output", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert not out.exists()
+        payload = {"error": "NumericalError", "message": str(expected.value), "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
+        assert str(expected.value) == "cannot serialize non-finite value -inf"
