@@ -12,7 +12,7 @@ Exit codes: 0 success (verify: all checks passed), 1 verification
 failure, 2 input error, 3 numerical failure. Errors print a single-line
 JSON record to stderr. Floats are serialized with 17 significant digits
 so identical runs produce byte-identical output that round-trips
-losslessly.
+losslessly; CSV text cells are quoted as the csv module quotes them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,8 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
@@ -185,30 +189,36 @@ def _loadtxt_body(handle, width: int) -> np.ndarray | None:
 
 def _parse_cells(reader, header: list[str], path: str) -> np.ndarray:
     """The csv rows after the header, one float() per cell; blank rows are
-    skipped, and the first bad row or cell raises a DataError."""
+    skipped, and the first bad row or cell raises a DataError. So does a
+    row the csv module rejects, such as one with a cell over its field size
+    limit."""
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw:
-            continue
-        if len(raw) != len(header):
-            raise DataError(
-                f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
-            )
-        parsed = []
-        for name, cell in zip(header, raw):
-            try:
-                value = float(cell)
-            except ValueError:
+    lineno = 1
+    try:
+        for lineno, raw in enumerate(reader, start=2):
+            if not raw:
+                continue
+            if len(raw) != len(header):
                 raise DataError(
-                    f"{path}: row {lineno}, column {name!r}: "
-                    f"non-numeric cell {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: row {lineno}, column {name!r}: non-finite value {cell.strip()!r}"
+                    f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
                 )
-            parsed.append(value)
-        rows.append(parsed)
+            parsed = []
+            for name, cell in zip(header, raw):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {lineno}, column {name!r}: "
+                        f"non-numeric cell {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {lineno}, column {name!r}: non-finite value {cell.strip()!r}"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -217,12 +227,15 @@ def _parse_cells(reader, header: list[str], path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(value: float) -> str:
     """17-significant-digit decimal form; round-trips float64 exactly."""
     v = float(value)
     if not math.isfinite(v):
         raise NumericalError(f"cannot serialize non-finite value {v!r}")
-    return format(v, ".17g")
+    return _FLOAT % v
 
 
 # JSON string escapes: the two mandatory ones, the short forms of \n, \r
@@ -272,13 +285,6 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _envelope(config: RunConfig, result) -> dict:
-    return {
-        "meta": {"version": __version__, "seed": config.seed, "config": _config_echo(config)},
-        "result": result,
-    }
-
-
 def _fit_record(fit: FitResult) -> dict:
     return {
         "beta": fit.beta,
@@ -292,27 +298,50 @@ def _fit_record(fit: FitResult) -> dict:
     }
 
 
-def _report_record(report: verify.TheoremReport) -> dict:
-    return {
-        "theorem_id": report.theorem_id,
-        "trials": report.trials,
-        "max_discrepancy": report.max_discrepancy,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "worst_case_seed": report.worst_case_seed,
-        "details": report.details,
-    }
+def _csv_cell(value) -> str:
+    """A str as itself and any other value as its compact JSON, quoted as
+    csv's minimal quoting does: only a cell holding ',', '"', CR or LF."""
+    text = value if isinstance(value, str) else _json(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _emit(config: RunConfig, text: str, lines=()) -> None:
-    """Write ``text``, then each string of ``lines``, to --output or stdout."""
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as out:
-            out.write(text)
-            out.writelines(lines)
+def _csv_table(table: dict) -> tuple[str, Iterator[str]]:
+    """The header line of ``table``, a dict of named columns, and its rows
+    as a stream of lines. A float column is an ndarray; the cells of any
+    other column are written by ``_csv_cell``. The first non-finite float,
+    in row-major order, raises here, before a line is written."""
+    columns = list(table.values())
+    floats = np.column_stack([c for c in columns if isinstance(c, np.ndarray)])
+    finite = np.isfinite(floats)
+    if not finite.all():
+        _fmt(floats[~finite][0])
+    cells = [c if isinstance(c, np.ndarray) else [_csv_cell(v) for v in c] for c in columns]
+    row_format = ",".join(_FLOAT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
+    header = ",".join(_csv_cell(name) for name in table) + "\n"
+    return header, (row_format % row for row in zip(*cells))
+
+
+def _emit(config: RunConfig, record: dict | None, table: dict) -> None:
+    """Write the result to --output or stdout: with --format json, the
+    envelope of ``record``; with --format csv, or without a record
+    (precondition), the CSV of ``table``. --output is opened only after
+    the text is built and its floats are checked."""
+    if record is not None and config.output_format == "json":
+        meta = {"version": __version__, "seed": config.seed, "config": _config_echo(config)}
+        head, lines = _json({"meta": meta, "result": record}) + "\n", ()
     else:
-        sys.stdout.write(text)
-        sys.stdout.writelines(lines)
+        head, lines = _csv_table(table)
+    target = nullcontext(sys.stdout)
+    if config.output_path:
+        try:
+            target = open(config.output_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot open --output {config.output_path}: {exc.strerror}") from None
+    with target as out:
+        out.write(head)
+        out.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -351,56 +380,31 @@ def _default_grid(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
     return tuple(float(t) for t in np.geomspace(top, 1e-4 * top, 50))
 
 
-def _coefficients_csv(fits: list[FitResult], names: tuple[str, ...]) -> str:
-    lines = ["lambda,feature,coefficient"]
-    for fit in fits:
-        for name, b in zip(names, fit.beta):
-            lines.append(f"{_fmt(fit.lam)},{name},{_fmt(b)}")
-    return "\n".join(lines) + "\n"
-
-
 def _run_fit(config: RunConfig) -> int:
+    """fit (one solve) and path (solve_path): the JSON record of the fit or
+    the path, or one CSV row per (lambda, feature) pair."""
     data = load_dataset(config.input_path, config.response_column)
     x, y, pair = _transform_pair(config, data)
-    fit = solve(x, y, config.lam, config.penalty)
-    if config.output_format == "csv":
-        _emit(config, _coefficients_csv([fit], data.feature_names))
-        return EXIT_OK
-    record = _fit_record(fit)
+    if config.command == "fit":
+        fits = [solve(x, y, config.lam, config.penalty)]
+        record = _fit_record(fits[0])
+    else:
+        fits = solve_path(x, y, config.lambda_grid or _default_grid(x, y), config.penalty)
+        record = {"path": [_fit_record(f) for f in fits]}
     record["transform"] = _transform_meta(config, pair)
     record["features"] = list(data.feature_names)
-    _emit(config, _json(_envelope(config, record)) + "\n")
-    return EXIT_OK
-
-
-def _run_path(config: RunConfig) -> int:
-    data = load_dataset(config.input_path, config.response_column)
-    x, y, pair = _transform_pair(config, data)
-    grid = config.lambda_grid or _default_grid(x, y)
-    fits = solve_path(x, y, grid, config.penalty)
-    if config.output_format == "csv":
-        _emit(config, _coefficients_csv(fits, data.feature_names))
-        return EXIT_OK
-    record = {
-        "path": [_fit_record(f) for f in fits],
-        "transform": _transform_meta(config, pair),
-        "features": list(data.feature_names),
-    }
-    _emit(config, _json(_envelope(config, record)) + "\n")
+    _emit(config, record, {
+        "lambda": np.repeat([f.lam for f in fits], len(data.feature_names)),
+        "feature": data.feature_names * len(fits),
+        "coefficient": np.concatenate([f.beta for f in fits]),
+    })
     return EXIT_OK
 
 
 def _run_precondition(config: RunConfig) -> int:
     data = load_dataset(config.input_path, config.response_column)
     x, y, _ = _transform_pair(config, data)
-    table = np.column_stack([y, x])
-    finite = np.isfinite(table)
-    if not finite.all():
-        _fmt(table[~finite][0])  # raises for the first, in row-major order
-    header = ",".join([data.response_name, *data.feature_names]) + "\n"
-    # "%.17g" % v is the same text as _fmt(v) for every finite float
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    _emit(config, header, (row_format % tuple(row) for row in table))
+    _emit(config, None, {data.response_name: y, **dict(zip(data.feature_names, x.T))})
     return EXIT_OK
 
 
@@ -412,15 +416,6 @@ def _run_inspect(config: RunConfig) -> int:
             f"inspect requires n > p for Z statistics and p-values, got n={n}, p={p}"
         )
     result = estimators.inference(data.x, data.y, config.sigma)
-    if config.output_format == "csv":
-        lines = ["feature,beta_ols,z_stat,p_value"]
-        for j, name in enumerate(data.feature_names):
-            lines.append(
-                f"{name},{_fmt(result.beta_ols[j])},"
-                f"{_fmt(result.z_stats[j])},{_fmt(result.p_values[j])}"
-            )
-        _emit(config, "\n".join(lines) + "\n")
-        return EXIT_OK
     record = {
         "features": list(data.feature_names),
         "beta_ols": result.beta_ols,
@@ -429,27 +424,28 @@ def _run_inspect(config: RunConfig) -> int:
         "sigma": result.sigma,
         "sigma_source": result.sigma_source,
     }
-    _emit(config, _json(_envelope(config, record)) + "\n")
+    _emit(config, record, {
+        "feature": data.feature_names,
+        "beta_ols": result.beta_ols,
+        "z_stat": result.z_stats,
+        "p_value": result.p_values,
+    })
     return EXIT_OK
 
 
 def _run_verify(config: RunConfig) -> int:
     reports = verify.default_suite(config.seed, trials=config.trials)
     all_passed = all(r.passed for r in reports)
-    if config.output_format == "csv":
-        lines = ["theorem_id,trials,max_discrepancy,tolerance,passed,worst_case_seed"]
-        for r in reports:
-            lines.append(
-                f"{r.theorem_id},{r.trials},{_fmt(r.max_discrepancy)},"
-                f"{_fmt(r.tolerance)},{str(r.passed).lower()},{r.worst_case_seed}"
-            )
-        _emit(config, "\n".join(lines) + "\n")
-    else:
-        record = {
-            "reports": [_report_record(r) for r in reports],
-            "all_passed": all_passed,
-        }
-        _emit(config, _json(_envelope(config, record)) + "\n")
+    record = {"reports": [asdict(r) for r in reports], "all_passed": all_passed}
+    _emit(config, record, {
+        "theorem_id": [r.theorem_id for r in reports],
+        "trials": [r.trials for r in reports],
+        "max_discrepancy": np.array([r.max_discrepancy for r in reports]),
+        "tolerance": np.array([r.tolerance for r in reports]),
+        "passed": [r.passed for r in reports],
+        "worst_case_seed": [r.worst_case_seed for r in reports],
+        "details": [r.details for r in reports],
+    })
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -457,7 +453,7 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     handlers = {
         "fit": _run_fit,
-        "path": _run_path,
+        "path": _run_fit,
         "precondition": _run_precondition,
         "inspect": _run_inspect,
         "verify": _run_verify,

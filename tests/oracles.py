@@ -16,7 +16,8 @@ arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
 estimators that preceded the single-SVD ``inference``; it calls
 ``np.linalg.svd`` itself and the library's ``p_values``.
 ``load_dataset_reference`` is the CLI's CSV reader as it was before the
-``np.loadtxt`` fast path: ``csv.reader`` and one ``float()`` per cell.
+``np.loadtxt`` fast path: ``csv.reader`` and one ``float()`` per cell, with
+a ``csv.Error`` reported as a DataError naming the row.
 ``precondition_csv_reference`` is the ``precondition`` output as it was
 before one format per row: the CLI's ``_fmt`` on every value.
 """
@@ -385,12 +386,22 @@ def load_dataset_reference(path: str, response_column: str | int) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row 1: {exc}") from None
         header = [h.strip() for h in header]
         if len(set(header)) != len(header):
             dupes = sorted({h for h in header if header.count(h) > 1})
             raise DataError(f"{path}: duplicate header names {dupes}")
         rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
+        lineno = 1
+        while True:
+            try:
+                raw = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise DataError(f"{path}: row {lineno + 1}: {exc}") from None
+            lineno += 1
             if not raw:
                 continue
             if len(raw) != len(header):

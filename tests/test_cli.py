@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 import warnings
@@ -282,6 +284,41 @@ class TestPreconditionCommand:
         assert first == "y,a,b,c"
 
 
+QUOTED_NAMES = ['say "hi"', "a,b", "line\nbreak", "plain"]
+
+
+@pytest.fixture
+def quoted_names_csv(tmp_path):
+    """A CSV whose names need quoting: the response is 'say "hi"'."""
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((12, len(QUOTED_NAMES)))
+    path = tmp_path / "quoted.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([QUOTED_NAMES, *rows.tolist()])
+    return path
+
+
+class TestNamesThatNeedQuoting:
+    def test_precondition_output_loads_back(self, quoted_names_csv, tmp_path):
+        out = tmp_path / "pre.csv"
+        assert main(["precondition", "--input", str(quoted_names_csv), "--output", str(out)]) == 0
+        data = load_dataset(str(quoted_names_csv), "0")
+        back = load_dataset(str(out), "0")
+        assert (back.response_name, *back.feature_names) == tuple(QUOTED_NAMES)
+        assert back.x.tobytes() == data.x.tobytes() and back.y.tobytes() == data.y.tobytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--lambda", "0.1"], ["path", "--lambda-grid", "1,0.1"], ["inspect"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rows_have_header_width(self, quoted_names_csv, capsys, argv):
+        assert main([*argv, "--input", str(quoted_names_csv), "--format", "csv"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert [row[header.index("feature")] for row in rows[:3]] == QUOTED_NAMES[1:]
+        assert {len(row) for row in rows} == {len(header)}
+
+
 class TestInspectCommand:
     def test_json_fields(self, small_csv, tmp_path):
         out = tmp_path / "inspect.json"
@@ -431,6 +468,36 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "body,row",
+        [
+            (b"y,a\n1,2\n3,4\n5,6\n7," + b"x" * 200_000 + b"\n", 5),
+            (b"y," + b"x" * 200_000 + b"\n1,2\n3,4\n", 1),
+        ],
+        ids=["last_cell", "header_cell"],
+    )
+    def test_cell_over_csv_field_limit(self, tmp_path, capsys, body, row):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        code = main(["inspect", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == record(f"{path}: row {row}: field larger than field limit (131072)")
+
+    @pytest.mark.parametrize(
+        "target,reason",
+        [("missing/out.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing_directory", "directory"],
+    )
+    def test_output_that_cannot_be_opened(self, small_csv, tmp_path, capsys, target, reason):
+        out = tmp_path / target
+        code = main(["fit", "--input", str(small_csv), "--response", "y", "--lambda", "0.1", "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == record(f"cannot open --output {out}: {reason}")
+
     def test_numerical_failure_exits_three(self, small_csv, monkeypatch, capsys):
         from puffer_lasso import cli as cli_module
         from puffer_lasso.errors import NumericalError
@@ -464,9 +531,14 @@ class TestVerifyCommand:
     def test_verify_csv_format(self, tmp_path, capsys):
         code = main(["verify", "--seed", "1", "--trials", "6", "--format", "csv"])
         assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].startswith("theorem_id,")
+        text = capsys.readouterr().out
+        lines = text.strip().splitlines()
+        assert lines[0] == "theorem_id,trials,max_discrepancy,tolerance,passed,worst_case_seed,details"
         assert len(lines) == 10
+        assert main(["verify", "--seed", "1", "--trials", "6"]) == 0
+        reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [json.loads(row["details"]) for row in rows] == [r["details"] for r in reports]
 
     def test_failed_verification_exits_one(self, monkeypatch, capsys):
         from puffer_lasso import cli as cli_module
@@ -686,6 +758,7 @@ INGEST_CASES = {
     "invalid_utf8_late": b"y,a\n" + LONG_BODY + b"3,\xff4\n",
     "bad_cell_late": b"y,a\n" + LONG_BODY + b"3,x\n",
     "non_finite_late": b"y,a\n" + LONG_BODY + b"3,inf\n",
+    "cell_over_field_limit": b"y,a\n1,2\n\n3," + b"x" * 200_000 + b"\n",
 }
 
 
