@@ -9,8 +9,9 @@ Subcommands:
   inspect       OLS coefficients, Z statistics and marginal p-values
 
 Exit codes: 0 success (verify: all checks passed), 1 verification
-failure, 2 input error, 3 numerical failure. Errors print a single-line
-JSON record to stderr. Floats are serialized with 17 significant digits
+failure, 2 input error, 3 numerical failure, 141 (128 + SIGPIPE) when
+the reader closes stdout early. Errors print a single-line JSON record
+to stderr. Floats are serialized with 17 significant digits
 so identical runs produce byte-identical output that round-trips
 losslessly; CSV text cells are quoted as the csv module quotes them.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -84,11 +87,12 @@ class RunConfig:
         numeric = [("--lambda", self.lam, "nonnegative"), ("--tau", self.tau, "nonnegative")]
         numeric += [("--sigma", self.sigma, "positive")]
         numeric += [("--lambda-grid", t, "positive") for t in self.lambda_grid or ()]
-        numeric += [("--penalty-param", self.penalty.param, None)]
+        numeric += [("--penalty-param", self.penalty.param, None), ("--seed", self.seed, "nonnegative")]
         for flag, value, sign in numeric:
             if value is None:
                 continue
-            if not math.isfinite(value):
+            # an int, such as --seed, is finite and may lie past the float range
+            if isinstance(value, float) and not math.isfinite(value):
                 raise DataError(f"{flag} must be finite, got {value}")
             if sign == "nonnegative" and value < 0 or sign == "positive" and value <= 0:
                 raise DataError(f"{flag} must be {sign}, got {value}")
@@ -123,7 +127,8 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
     file = Path(path)
     if not file.is_file():
         raise DataError(f"input file not found: {path}")
-    with file.open(newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops a byte-order mark, also when the fallback seeks back
+    with file.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -592,7 +597,16 @@ def main(argv=None) -> int:
     except DataError as exc:
         _error_record("DataError", exc, EXIT_INPUT_ERROR)
         return EXIT_INPUT_ERROR
-    return run(config)
+    try:
+        return run(config)
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does). Point the descriptor
+        # at devnull so the interpreter's final flush cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass  # a stdout without a descriptor, as in-process callers have
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,9 @@ without the 0.5 factor every lambda below corresponds to 2 * lambda):
   thm1_general / thm2_general   the lemma1/thm1/thm2 statements with the
                 SCAD and MC+ thresholding maps in place of t_lam
 
+Each check draws its problems from its own module-level family, looked
+up by name when it runs.
+
 Negative controls guard against trivially-passing checks: thm1 without
 the preconditioner and thm2 with the unscaled transform must both show
 discrepancies above 1e-2; if they do not, the report fails with the
@@ -85,9 +88,12 @@ def _report(theorem_id, trials, max_discrepancy, tolerance, worst_case_seed, **d
 
 def _trials(seed: int, trials: int, trial) -> list[tuple]:
     """Rows (s, *trial(s)) for s = seed, ..., seed + trials - 1. A check
-    without trials would certify nothing, so trials < 1 raises."""
+    without trials would certify nothing, so trials < 1 raises; so does a
+    negative seed, which the families' generators cannot take."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return [(s, *trial(s)) for s in range(seed, seed + trials)]
 
 
@@ -297,25 +303,27 @@ def _converged_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8):
     return converged, len(fits) - len(converged)
 
 
-def check_lemma1(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+def check_lemma1(trials: int, *, seed: int = 0) -> TheoremReport:
     """Orthonormal design: the Lasso fit equals soft-thresholded OLS."""
-    disc, worst_seed = _threshold_check(gen, seed, trials, None, _ols, lasso(), 10)
+    disc, worst_seed = _threshold_check(orthonormal_problems, seed, trials, None, _ols, lasso(), 10)
     return _report("lemma1", trials, disc, THEOREM_TOL, worst_seed)
 
 
-def check_theorem1(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+def check_theorem1(trials: int, *, seed: int = 0) -> TheoremReport:
     """Full-rank n > p design: Lasso on puffer data equals thresholded OLS.
 
     Also runs the negative control: on rho = 0.9 equicorrelated designs
     the same identity without the preconditioner must break by more than
     1e-2 at a mid-path lambda.
     """
-    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer, _ols, lasso(), 10)
+    disc, worst_seed = _threshold_check(
+        mixed_full_rank_problems, seed, trials, preconditioners.puffer, _ols, lasso(), 10
+    )
     disc, control = _negative_control(disc, equicorrelated_problems(0.9), None, _ols, seed, trials)
     return _report("thm1", trials, disc, THEOREM_TOL, worst_seed, negative_control_max=control)
 
 
-def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+def check_theorem2(trials: int, *, seed: int = 0) -> TheoremReport:
     """Scaled transform: the Lasso active set matches the Z and p-value rules.
 
     Per lambda the three sets {beta_j != 0}, {|Z_j| > lam sqrt(n)/sigma}
@@ -328,47 +336,33 @@ def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremRepo
     """
 
     def trial(s: int) -> tuple[float, int, int, int]:
-        x, y, sigma = gen(s)
+        x, y, sigma = inference_scale_problems(s)
         n = x.shape[0]
         inf = estimators.inference(x, y, sigma)
+        z = np.abs(inf.z_stats)
         scaled_ols = sigma * inf.z_stats / math.sqrt(n)  # == N^-1 beta_ols
         pair = preconditioners.puffer_scaled(x, y)
         grid = _lambda_grid(np.max(np.abs(scaled_ols)), 25)
         coef_worst, fits = _threshold_gap(pair.x_tilde, pair.y_tilde, scaled_ols, lasso(), grid)
-        mismatches = 0
-        ties = 0
+        mismatches = ties = 0
         for fit in fits:
             zthr = fit.lam * math.sqrt(n) / sigma
             pthr = estimators.two_sided_p(zthr)
-            active = set(fit.active_set)
-            for j in range(x.shape[1]):
-                if abs(abs(inf.z_stats[j]) - zthr) < TIE_TOL:
-                    ties += 1
-                    continue
-                if pthr == 0.0 and inf.p_values[j] == 0.0:
-                    # both tail probabilities underflow: the p-value rule
-                    # cannot discriminate here, another boundary tie
-                    ties += 1
-                    continue
-                in_fit = j in active
-                in_z = abs(inf.z_stats[j]) > zthr
-                in_p = inf.p_values[j] <= pthr
-                if not (in_fit == in_z == in_p):
-                    mismatches += 1
+            # boundary ties: |Z_j| within TIE_TOL of the threshold, or both tail
+            # probabilities underflow, where the p-value rule cannot discriminate
+            tie = (np.abs(z - zthr) < TIE_TOL) | ((inf.p_values == 0.0) & (pthr == 0.0))
+            in_z = z > zthr
+            agree = ((fit.beta != 0.0) == in_z) & (in_z == (inf.p_values <= pthr))
+            ties += int(np.count_nonzero(tie))
+            mismatches += int(np.count_nonzero(~tie & ~agree))
         # the 0.05 rule: lam = 1.96 sigma / sqrt(n) selects {p_j < .05};
         # |Z_j| inside [Z95, 1.96] is the rounding ambiguity band and is
         # excluded like a tie
         lam05 = 1.96 * sigma / math.sqrt(n)
         fit = solver.solve(pair.x_tilde, pair.y_tilde, lam05, lasso())
-        active = set(fit.active_set)
-        rule_mismatches = 0
-        for j in range(x.shape[1]):
-            if Z95 - TIE_TOL <= abs(inf.z_stats[j]) <= 1.96 + TIE_TOL:
-                ties += 1
-                continue
-            if (j in active) != (inf.p_values[j] < 0.05):
-                rule_mismatches += 1
-        return coef_worst, mismatches, rule_mismatches, ties
+        band = (Z95 - TIE_TOL <= z) & (z <= 1.96 + TIE_TOL)
+        rule_mismatches = int(np.count_nonzero(~band & ((fit.beta != 0.0) != (inf.p_values < 0.05))))
+        return coef_worst, mismatches, rule_mismatches, ties + int(np.count_nonzero(band))
 
     rows = _trials(seed, trials, trial)
     coef_disc, worst_seed = _reduce(rows)
@@ -380,20 +374,13 @@ def check_theorem2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremRepo
         disc, heteroskedastic_problems, preconditioners.puffer, _scaled_z, seed, trials
     )
     return _report(
-        "thm2",
-        trials,
-        disc,
-        THEOREM_TOL,
-        worst_seed,
-        set_mismatches=total_mismatches,
-        rule_005_mismatches=total_rule,
-        boundary_ties_excluded=total_ties,
-        negative_control_max=control,
+        "thm2", trials, disc, THEOREM_TOL, worst_seed, set_mismatches=total_mismatches,
+        rule_005_mismatches=total_rule, boundary_ties_excluded=total_ties, negative_control_max=control,
     )
 
 
 def check_theorem3(
-    gen: Generator, trials: int, pen: PenaltySpec, tau: float, *, seed: int = 0
+    trials: int, pen: PenaltySpec, tau: float, *, seed: int = 0
 ) -> tuple[TheoremReport, TheoremReport]:
     """p >= n: every local minimum on puffer_tau data, projected to the
     row space, sits within lam of the ridge fit, with exact gap
@@ -403,28 +390,23 @@ def check_theorem3(
     """
 
     def trial(s: int) -> tuple[float, float, int, int]:
-        x, y, _ = gen(s)
+        x, y, _ = wide_problems(s)
         pair = preconditioners.puffer_tau(x, y, tau)
         ridge_fit = estimators.ridge(x, y, tau)
         lmax = solver.lambda_max(pair.x_tilde, pair.y_tilde)
-        active_worst = 0.0
-        inactive_worst = 0.0
-        skipped = 0
-        checked = 0
-        for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, 4):
-            lam = float(lam)
+        active_worst = inactive_worst = 0.0
+        skipped = checked = 0
+        for lam in np.geomspace(0.05 * lmax, 0.6 * lmax, 4).tolist():
             fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen)
             skipped += excluded
             checked += len(fits)
             for fit in fits:
                 gap = ridge_fit - preconditioners.project_rowspace(x, fit.beta, tau)
-                for j in range(x.shape[1]):
-                    if fit.beta[j] != 0.0:
-                        expected = lam * pen_derivative(pen, float(fit.beta[j]))
-                        active_worst = max(active_worst, abs(float(gap[j]) - expected))
-                    else:
-                        inactive_worst = max(inactive_worst, abs(float(gap[j])) - lam)
-        return active_worst, max(inactive_worst, 0.0), skipped, checked
+                active = fit.beta != 0.0
+                expected = [lam * pen_derivative(pen, float(b)) for b in fit.beta[active]]
+                active_worst = max(active_worst, np.max(np.abs(gap[active] - expected), initial=0.0))
+                inactive_worst = max(inactive_worst, np.max(np.abs(gap[~active]) - lam, initial=0.0))
+        return active_worst, inactive_worst, skipped, checked
 
     rows = _trials(seed, trials, trial)
     active_disc, active_seed = _reduce(rows, 1)
@@ -440,13 +422,13 @@ def check_theorem3(
     )
 
 
-def check_lemma2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+def check_lemma2(trials: int, *, seed: int = 0) -> TheoremReport:
     """Both factorization identities behind the ridge connection, compared
     against direct linear solves over randomized (X, v, Y, tau) tuples."""
     taus = (0.0, 0.1, 1.0, 10.0)
 
     def trial(s: int) -> tuple[float]:
-        x, y, _ = gen(s)
+        x, y, _ = wide_problems(s)
         tau = taus[s % len(taus)]
         rng = np.random.default_rng(s + 0x9E3779B9)
         v = rng.standard_normal(x.shape[1])
@@ -462,7 +444,7 @@ def check_lemma2(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport
     return _report("lemma2", trials, disc, LEMMA2_TOL, worst_seed)
 
 
-def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> TheoremReport:
+def check_local_min_gap(trials: int, *, seed: int = 0) -> TheoremReport:
     """Distinct local minima under the concave SCAD and MC+ (gamma = 1.5)
     penalties stay within 2 * lam per row-space coordinate; pairs at
     different lambdas obey the lam1 + lam2 variant. Non-converged
@@ -470,7 +452,7 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
     pens = (scad(), mcp(1.5))
 
     def trial(s: int) -> tuple[float, int, int]:
-        x, y, _ = gen(s)
+        x, y, _ = clustered_wide_problems(s)
         pair = preconditioners.puffer_tau(x, y, 0.0)
         lmax = solver.lambda_max(pair.x_tilde, pair.y_tilde)
         groups: list[tuple[float, np.ndarray]] = []
@@ -481,17 +463,13 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
                 fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen, 12)
                 skipped += excluded
                 groups += [(lam, fit.beta) for fit in fits]
-        pairs = 0
-        worst = 0.0
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                lam1, beta1 = groups[a]
-                lam2, beta2 = groups[b]
-                if np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL:
-                    continue
-                pairs += 1
-                proj = preconditioners.project_rowspace(x, beta1 - beta2, 0.0)
-                worst = max(worst, float(np.max(np.abs(proj))) - (lam1 + lam2))
+        pairs, worst = 0, 0.0
+        for (lam1, beta1), (lam2, beta2) in itertools.combinations(groups, 2):
+            if np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL:
+                continue
+            pairs += 1
+            proj = preconditioners.project_rowspace(x, beta1 - beta2, 0.0)
+            worst = max(worst, float(np.max(np.abs(proj))) - (lam1 + lam2))
         return max(worst, 0.0), pairs, skipped
 
     rows = _trials(seed, trials, trial)
@@ -501,32 +479,27 @@ def check_local_min_gap(gen: Generator, trials: int, *, seed: int = 0) -> Theore
         # no pair of distinct minima means the bound was never tested
         disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
     return _report(
-        "eq10_gap",
-        trials,
-        disc,
-        THEOREM_TOL,
-        worst_seed,
-        pairs_checked=total_pairs,
+        "eq10_gap", trials, disc, THEOREM_TOL, worst_seed, pairs_checked=total_pairs,
         trials_without_pairs=sum(1 for row in rows if row[2] == 0),
         nonconverged_excluded=sum(row[3] for row in rows),
     )
 
 
-def check_generalized_theorem1(
-    gen: Generator, trials: int, pen: PenaltySpec, *, seed: int = 0
-) -> TheoremReport:
+def check_generalized_theorem1(trials: int, pen: PenaltySpec, *, seed: int = 0) -> TheoremReport:
     """Puffer data with a regular sparse penalty: the fit equals the
     penalty's own thresholding map applied to the OLS coefficients."""
-    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer, _ols, pen, 5)
+    disc, worst_seed = _threshold_check(
+        mixed_full_rank_problems, seed, trials, preconditioners.puffer, _ols, pen, 5
+    )
     return _report("thm1_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
-def check_generalized_theorem2(
-    gen: Generator, trials: int, pen: PenaltySpec, *, seed: int = 0
-) -> TheoremReport:
+def check_generalized_theorem2(trials: int, pen: PenaltySpec, *, seed: int = 0) -> TheoremReport:
     """Scaled-transform analogue: coefficients equal the thresholding map
     applied to sigma * Z_j / sqrt(n)."""
-    disc, worst_seed = _threshold_check(gen, seed, trials, preconditioners.puffer_scaled, _scaled_z, pen, 5)
+    disc, worst_seed = _threshold_check(
+        inference_scale_problems, seed, trials, preconditioners.puffer_scaled, _scaled_z, pen, 5
+    )
     return _report("thm2_general", trials, disc, THEOREM_TOL, worst_seed, penalty=pen.kind)
 
 
@@ -564,13 +537,15 @@ THM3_PENALTIES = (lasso(), scad(), mcp())
 
 
 def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremReport]:
-    """Run every check with its default generator and trial budget.
+    """Run every check with its trial budget.
 
     ``trials`` replaces every budget of DEFAULT_TRIALS, except thm3's,
     which becomes max(2, trials // 25) per (penalty, tau) combination.
-    Deterministic for a given seed; per-check seed blocks are disjoint so
-    trial streams never collide.
+    Deterministic for a given seed, which must be nonnegative; per-check
+    seed blocks are disjoint so trial streams never collide.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     t = DEFAULT_TRIALS
     if trials is not None:
         t = {**dict.fromkeys(DEFAULT_TRIALS, trials), "thm3": max(2, trials // 25)}
@@ -580,28 +555,28 @@ def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremRe
         return seed + k * block
 
     reports = [
-        check_lemma1(orthonormal_problems, t["lemma1"], seed=base(1)),
-        check_theorem1(mixed_full_rank_problems, t["thm1"], seed=base(2)),
-        check_theorem2(inference_scale_problems, t["thm2"], seed=base(3)),
+        check_lemma1(t["lemma1"], seed=base(1)),
+        check_theorem1(t["thm1"], seed=base(2)),
+        check_theorem2(t["thm2"], seed=base(3)),
     ]
 
     thm3 = [
-        check_theorem3(wide_problems, t["thm3"], pen, tau, seed=base(4 + i))
+        check_theorem3(t["thm3"], pen, tau, seed=base(4 + i))
         for i, (pen, tau) in enumerate(itertools.product(THM3_PENALTIES, THM3_TAUS))
     ]
     reports.append(_merge("thm3_active", [active for active, _ in thm3]))
     reports.append(_merge("thm3_inactive", [inactive for _, inactive in thm3]))
     k = 4 + len(thm3)
 
-    reports.append(check_local_min_gap(clustered_wide_problems, t["eq10_gap"], seed=base(k)))
-    reports.append(check_lemma2(wide_problems, t["lemma2"], seed=base(k + 1)))
+    reports.append(check_local_min_gap(t["eq10_gap"], seed=base(k)))
+    reports.append(check_lemma2(t["lemma2"], seed=base(k + 1)))
 
     gen1: list[TheoremReport] = []
     gen2: list[TheoremReport] = []
     for i, pen in enumerate((scad(), mcp())):
         g = t["generalized"]
-        gen1.append(check_generalized_theorem1(mixed_full_rank_problems, g, pen, seed=base(k + 2 + i)))
-        gen2.append(check_generalized_theorem2(inference_scale_problems, g, pen, seed=base(k + 4 + i)))
+        gen1.append(check_generalized_theorem1(g, pen, seed=base(k + 2 + i)))
+        gen2.append(check_generalized_theorem2(g, pen, seed=base(k + 4 + i)))
     reports.append(_merge("thm1_general", gen1))
     reports.append(_merge("thm2_general", gen2))
     return reports

@@ -37,10 +37,6 @@ from puffer_lasso.verify import (
     check_theorem1,
     check_theorem2,
     check_theorem3,
-    clustered_wide_problems,
-    inference_scale_problems,
-    mixed_full_rank_problems,
-    orthonormal_problems,
     wide_problems,
 )
 
@@ -70,24 +66,24 @@ def package_env() -> dict:
 
 @pytest.fixture(scope="session")
 def lemma1_run():
-    return timed(check_lemma1, orthonormal_problems, trials=200, seed=SEED)
+    return timed(check_lemma1, trials=200, seed=SEED)
 
 
 @pytest.fixture(scope="session")
 def theorem1_run():
-    return timed(check_theorem1, mixed_full_rank_problems, trials=200, seed=SEED + 1)
+    return timed(check_theorem1, trials=200, seed=SEED + 1)
 
 
 @pytest.fixture(scope="session")
 def theorem2_run():
-    return timed(check_theorem2, inference_scale_problems, trials=200, seed=SEED + 2)
+    return timed(check_theorem2, trials=200, seed=SEED + 2)
 
 
 @pytest.fixture(scope="session")
 def theorem3_run():
     start = time.perf_counter()
     reports = [
-        check_theorem3(wide_problems, trials=8, pen=pen, tau=tau, seed=SEED + 3 + 13 * i)
+        check_theorem3(trials=8, pen=pen, tau=tau, seed=SEED + 3 + 13 * i)
         for i, (pen, tau) in enumerate(
             (pen, tau) for pen in THM3_PENALTIES for tau in THM3_TAUS
         )
@@ -165,7 +161,7 @@ def test_criterion_4_theorem3(theorem3_run):
 
 
 def test_criterion_5_lemma2():
-    report, elapsed = timed(check_lemma2, wide_problems, trials=500, seed=SEED + 50)
+    report, elapsed = timed(check_lemma2, trials=500, seed=SEED + 50)
     ok = report.passed and report.trials >= 500
     announce(
         "5 (projection and ridge factorization identities)",
@@ -179,9 +175,7 @@ def test_criterion_5_lemma2():
 
 
 def test_criterion_6_local_minima_gap():
-    report, elapsed = timed(
-        check_local_min_gap, clustered_wide_problems, trials=48, seed=SEED + 60
-    )
+    report, elapsed = timed(check_local_min_gap, trials=48, seed=SEED + 60)
     ok = report.passed and report.details["pairs_checked"] >= 1
     announce(
         "6 (2-lambda gap between local minima)",
@@ -197,16 +191,8 @@ def test_criterion_7_generalized_penalties():
     start = time.perf_counter()
     reports = []
     for i, pen in enumerate((scad(), mcp())):
-        reports.append(
-            check_generalized_theorem1(
-                mixed_full_rank_problems, trials=100, pen=pen, seed=SEED + 70 + i
-            )
-        )
-        reports.append(
-            check_generalized_theorem2(
-                inference_scale_problems, trials=100, pen=pen, seed=SEED + 80 + i
-            )
-        )
+        reports.append(check_generalized_theorem1(trials=100, pen=pen, seed=SEED + 70 + i))
+        reports.append(check_generalized_theorem2(trials=100, pen=pen, seed=SEED + 80 + i))
     elapsed = time.perf_counter() - start
     worst = max(r.max_discrepancy for r in reports)
     ok = all(r.passed for r in reports) and all(r.trials >= 100 for r in reports)
@@ -249,9 +235,8 @@ def test_criterion_8_kkt_certificates():
                 recheck(x, y, solve(x, y, lam, pen))
             for fit in solve_path(x, y, np.geomspace(top, 1e-3 * top, 8), pen):
                 recheck(x, y, fit)
-    gen = wide_problems
     for trial in range(12):
-        x, y, _ = gen(SEED + trial)
+        x, y, _ = wide_problems(SEED + trial)
         pair = puffer_tau(x, y, 0.0)
         lam = 0.3 * lambda_max(pair.x_tilde, pair.y_tilde)
         for pen in (scad(), mcp()):

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ from puffer_lasso.errors import DataError, NumericalError
 from puffer_lasso.penalties import lasso, mcp
 from puffer_lasso.preconditioners import puffer, puffer_scaled
 from puffer_lasso.solver import lambda_max
+from test_acceptance import package_env
 
 
 def write_csv(path, header, rows):
@@ -152,6 +155,12 @@ class TestRunConfigValidation:
     def test_trials_must_be_positive(self):
         with pytest.raises(DataError, match="^--trials must be positive, got 0$"):
             RunConfig(command="verify", trials=0)
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(DataError, match="^--seed must be nonnegative, got -1$"):
+            RunConfig(command="verify", seed=-1)
+        # an int past the float range is finite, and numpy takes it as a seed
+        assert RunConfig(command="verify", seed=10**400).seed == 10**400
 
     @pytest.mark.parametrize(
         "flag, overrides",
@@ -667,16 +676,22 @@ class TestFlagRecords:
             (["fit", "--lambda", "0.1", "--penalty", "mcp", "--penalty-param", "inf"], "--penalty-param must be finite, got inf"),
             (["path", "--penalty", "scad", "--penalty-param", "nan"], "--penalty-param must be finite, got nan"),
             (["fit", "--lambda", "0.1", "--penalty", "enet", "--penalty-param", "-inf"], "--penalty-param must be finite, got -inf"),
+            # numpy's own "expected non-negative integer" named no flag
+            (["verify", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+            (["verify", "--seed", "-1000004", "--trials", "1"], "--seed must be nonnegative, got -1000004"),
         ],
         ids=[
             "path_lambda", "fit_lambda_grid", "param_implicit_lasso", "param_lasso", "tau_none", "tau_puffer",
             "tau_neg_inf", "tau_inf", "lambda", "tau_negative", "lambda_grid_negative", "sigma_zero",
             "lambda_grid_zero", "lambda_grid_ascending", "lambda_grid_repeated",
             "param_mcp_nan", "param_mcp_inf", "param_scad_nan", "param_enet_neg_inf",
+            "seed_negative", "seed_below_every_block",
         ],
     )
     def test_exact_record(self, small_csv, capsys, argv, message):
-        code = main([argv[0], "--input", str(small_csv), "--response", "y", *argv[1:]])
+        if argv[0] != "verify":
+            argv = [argv[0], "--input", str(small_csv), "--response", "y", *argv[1:]]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -709,6 +724,7 @@ def outcome(loader, path, response):
     )
 
 
+BOM = b"\xef\xbb\xbf"
 LONG_BODY = b"1.5,-2e-3\n" * 3000  # past the first 8 KiB read of the file
 SEVENTEEN_DIGITS = np.random.default_rng(5).standard_normal((300, 2)) * [1e-3, 1e3]
 INGEST_CASES = {
@@ -751,7 +767,8 @@ INGEST_CASES = {
     "duplicate_headers": b"y,a,a\n1,2,3\n4,5,6\n",
     "duplicate_headers_bad_body": b"y,a,a\n1,x\n",
     "quoted_multiline_header": b'"y\nz",a\n1,2\n3,4\n',
-    "byte_order_mark": b"\xef\xbb\xbfy,a\n1,2\n3,4\n",
+    "byte_order_mark": BOM + b"y,a\n1,2\n3,4\n",
+    "byte_order_mark_per_cell": BOM + b"y,a\n1_0,2\n3,4\n",
     "nul_cell": b"y,a\n1,\x002\n3,4\n",
     "invalid_utf8_header": b"y,\xffa\n1,2\n3,4\n",
     "invalid_utf8_body": b"y,a\n1,2\n3,\xff\n",
@@ -764,14 +781,17 @@ INGEST_CASES = {
 
 class TestIngestMatchesPerCellParser:
     """load_dataset against the per-cell parser it replaced as the common
-    path: the same arrays to the byte, or the same exception and message."""
+    path: the same arrays to the byte, or the same exception and message.
+    A UTF-8 byte-order mark is not part of the first name: a file with one
+    loads as the reference loads the same bytes without it."""
 
     @pytest.mark.parametrize("response", ["0", "a"])
     @pytest.mark.parametrize("body", INGEST_CASES.values(), ids=INGEST_CASES.keys())
     def test_same_outcome(self, tmp_path, body, response):
         path = tmp_path / "data.csv"
-        path.write_bytes(body)
+        path.write_bytes(body.removeprefix(BOM))
         expected = outcome(oracles.load_dataset_reference, path, response)
+        path.write_bytes(body)
         assert outcome(load_dataset, path, response) == expected
 
     @pytest.mark.parametrize("name", ["header_only", "header_and_blank_lines", "one_data_row"])
@@ -809,6 +829,53 @@ def mixed_extremes_csv(path):
         [1 / 3, 0.0, -0.0],
     ]
     write_csv(path, ["y", "a", "b"], [[repr(v) for v in row] for row in values])
+
+
+class TestByteOrderMark:
+    def test_response_by_name(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + b"y,a,b\n1,2,0\n3,4,1\n2,7,5\n6,1,2\n")
+        assert main(["inspect", "--input", str(path), "--response", "y", "--format", "csv"]) == 0
+        assert "\ufeff" not in capsys.readouterr().out
+
+    def test_precondition_output_unchanged(self, small_csv, tmp_path, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(BOM + small_csv.read_bytes())
+        outputs = []
+        for path in (small_csv, marked):
+            assert main(["precondition", "--input", str(path), "--transform", "puffer"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestClosedStdout:
+    """A reader that stops early (`| head -1`) ends the command quietly with
+    128 + SIGPIPE, not a traceback and 1, the code of a failed verify."""
+
+    @pytest.mark.parametrize("argv", [["precondition"], ["path", "--format", "csv"]])
+    def test_exit_141_without_stderr(self, tmp_path, argv):
+        # over 64 KiB of output, so the command is still writing when the
+        # pipe closes: 200 x 41 cells for precondition, 50 x 40 rows for path
+        rng = np.random.default_rng(3)
+        path = tmp_path / "deep.csv"
+        write_csv(path, ["y"] + [f"x{j}" for j in range(40)], rng.standard_normal((200, 41)).tolist())
+        with subprocess.Popen(
+            [sys.executable, "-m", "puffer_lasso", argv[0], "--input", str(path), *argv[1:]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert err == b""
+
+    def test_stdout_without_descriptor(self, small_csv, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["precondition", "--input", str(small_csv)]) == 141
 
 
 class TestPreconditionOutput:

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from puffer_lasso import estimators, solver, verify
+from puffer_lasso import estimators, preconditioners, solver, verify
 from puffer_lasso.penalties import mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
@@ -15,7 +16,6 @@ from puffer_lasso.verify import (
     check_theorem1,
     check_theorem2,
     check_theorem3,
-    clustered_wide_problems,
     equicorrelated_problems,
     heteroskedastic_problems,
     inference_scale_problems,
@@ -26,6 +26,19 @@ from puffer_lasso.verify import (
 )
 
 import oracles
+
+# every check as f(trials=, seed=)
+CHECKS = {
+    "lemma1": check_lemma1,
+    "thm1": check_theorem1,
+    "thm2": check_theorem2,
+    "thm3": lambda trials, seed: check_theorem3(trials, mcp(), 0.1, seed=seed),
+    "lemma2": check_lemma2,
+    "eq10_gap": check_local_min_gap,
+    "thm1_general": lambda trials, seed: check_generalized_theorem1(trials, scad(), seed=seed),
+    "thm2_general": lambda trials, seed: check_generalized_theorem2(trials, scad(), seed=seed),
+    "default_suite": lambda trials, seed: verify.default_suite(seed, trials=trials),
+}
 
 
 class TestGenerators:
@@ -86,18 +99,18 @@ class TestReports:
         assert not r.passed
 
     def test_lemma1_small_run(self):
-        report = check_lemma1(orthonormal_problems, trials=20, seed=7)
+        report = check_lemma1(trials=20, seed=7)
         assert report.passed
         assert report.trials == 20
         assert report.theorem_id == "lemma1"
 
     def test_theorem1_small_run_with_control(self):
-        report = check_theorem1(mixed_full_rank_problems, trials=20, seed=7)
+        report = check_theorem1(trials=20, seed=7)
         assert report.passed
         assert report.details["negative_control_max"] > 1e-2
 
     def test_theorem2_small_run(self):
-        report = check_theorem2(inference_scale_problems, trials=20, seed=7)
+        report = check_theorem2(trials=20, seed=7)
         assert report.passed
         assert report.details["set_mismatches"] == 0
         assert report.details["rule_005_mismatches"] == 0
@@ -105,18 +118,18 @@ class TestReports:
 
     @pytest.mark.parametrize("tau", [0.0, 0.1, 1.0])
     def test_theorem3_small_run(self, tau):
-        active, inactive = check_theorem3(wide_problems, trials=3, pen=mcp(), tau=tau, seed=3)
+        active, inactive = check_theorem3(trials=3, pen=mcp(), tau=tau, seed=3)
         assert active.passed and inactive.passed
         assert active.theorem_id == "thm3_active"
         assert inactive.theorem_id == "thm3_inactive"
 
     def test_lemma2_small_run(self):
-        report = check_lemma2(wide_problems, trials=40, seed=5)
+        report = check_lemma2(trials=40, seed=5)
         assert report.passed
         assert report.tolerance == 1e-8
 
     def test_local_min_gap_finds_pairs(self):
-        report = check_local_min_gap(clustered_wide_problems, trials=12, seed=0)
+        report = check_local_min_gap(trials=12, seed=0)
         assert report.passed
         assert report.details["pairs_checked"] >= 1
 
@@ -128,7 +141,7 @@ class TestReports:
             return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", single_fit)
-        report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
+        report = check_local_min_gap(trials=3, seed=0)
         assert report.details["pairs_checked"] == 0
         assert not report.passed
         assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL
@@ -141,7 +154,7 @@ class TestReports:
             return [dataclasses.replace(solver.solve(x, y, lam, pen), converged=False)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
-        report = check_local_min_gap(clustered_wide_problems, trials=3, seed=0)
+        report = check_local_min_gap(trials=3, seed=0)
         # 3 trials x 2 lambdas x 2 penalties, one fit each
         assert report.details["nonconverged_excluded"] == 12
         assert report.details["pairs_checked"] == 0
@@ -155,7 +168,7 @@ class TestReports:
             return [dataclasses.replace(solver.solve(x, y, lam, pen), converged=False)]
 
         monkeypatch.setattr(solver, "multistart_local_minima", nonconverged)
-        for report in check_theorem3(wide_problems, trials=2, pen=mcp(), tau=0.1, seed=3):
+        for report in check_theorem3(trials=2, pen=mcp(), tau=0.1, seed=3):
             assert report.details["nonconverged_excluded"] == 2 * 4, report.theorem_id
             assert not report.passed, report.theorem_id
             assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
@@ -182,38 +195,28 @@ class TestReports:
             ("eq10_gap", 2), ("lemma2", 2), ("thm1_general", 4), ("thm2_general", 4),
         ]
 
-    @pytest.mark.parametrize(
-        "check",
-        [
-            lambda t: check_lemma1(orthonormal_problems, t),
-            lambda t: check_theorem1(mixed_full_rank_problems, t),
-            lambda t: check_theorem2(inference_scale_problems, t),
-            lambda t: check_theorem3(wide_problems, t, mcp(), 0.1),
-            lambda t: check_lemma2(wide_problems, t),
-            lambda t: check_local_min_gap(clustered_wide_problems, t),
-            lambda t: check_generalized_theorem1(mixed_full_rank_problems, t, scad()),
-            lambda t: check_generalized_theorem2(inference_scale_problems, t, scad()),
-            lambda t: verify.default_suite(0, trials=t),
-        ],
-        ids=[
-            "lemma1", "thm1", "thm2", "thm3", "lemma2", "eq10_gap", "thm1_general", "thm2_general",
-            "default_suite",
-        ],
-    )
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
     def test_zero_trials_rejected(self, check):
         # a check without trials tests nothing and must not pass
         with pytest.raises(ValueError, match="trials must be positive, got 0"):
-            check(0)
+            check(trials=0, seed=0)
+
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_negative_seed_rejected(self, check):
+        # default_suite would shift -1 into its positive seed blocks; the
+        # checks would reach numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            check(trials=1, seed=-1)
 
     @pytest.mark.parametrize("pen", [scad(), mcp()])
     def test_generalized_small_runs(self, pen):
-        r1 = check_generalized_theorem1(mixed_full_rank_problems, trials=10, pen=pen, seed=3)
-        r2 = check_generalized_theorem2(inference_scale_problems, trials=10, pen=pen, seed=3)
+        r1 = check_generalized_theorem1(trials=10, pen=pen, seed=3)
+        r2 = check_generalized_theorem2(trials=10, pen=pen, seed=3)
         assert r1.passed and r2.passed
 
     def test_checks_are_deterministic(self):
-        a = check_lemma1(orthonormal_problems, trials=10, seed=3)
-        b = check_lemma1(orthonormal_problems, trials=10, seed=3)
+        a = check_lemma1(trials=10, seed=3)
+        b = check_lemma1(trials=10, seed=3)
         assert a == b
 
     def test_sentinel_fires_when_negative_control_passes(self, monkeypatch):
@@ -221,17 +224,81 @@ class TestReports:
         # transform the thm1 identity then holds anyway, and nu = 1 makes
         # the unscaled transform of the thm2 control equal the scaled one.
         # The controls fail to break, and each report must fail with the
-        # sentinel discrepancy. inference_scale_problems keeps its families,
-        # which are bound when the module is imported.
+        # sentinel discrepancy. The main identities keep their own families
+        # (mixed_full_rank_problems binds its equicorrelated families when
+        # the module is imported) and hold there.
         monkeypatch.setattr(verify, "equicorrelated_problems", lambda rho: orthonormal_problems)
         monkeypatch.setattr(verify, "heteroskedastic_problems", orthonormal_problems)
         for report in (
-            check_theorem1(orthonormal_problems, trials=8, seed=2),
-            check_theorem2(inference_scale_problems, trials=8, seed=2),
+            check_theorem1(trials=8, seed=2),
+            check_theorem2(trials=8, seed=2),
         ):
             assert not report.passed, report.theorem_id
             assert report.max_discrepancy == verify.NEGATIVE_CONTROL_SENTINEL, report.theorem_id
             assert report.details["negative_control_max"] <= 1e-2, report.theorem_id
+
+
+def tied_problems(seed):
+    """Orthonormal columns and sigma = sqrt(n), so Z_j is z_j to rounding:
+    Z_1 sits on the check's 11th threshold (its grid is
+    geomspace(1e-3, 1.2, 25) times max |Z|), Z_2 in the 0.05 rule's
+    [Z95, 1.96] band, and the p-values of Z_0 and Z_3 underflow to 0, as do
+    the thresholds of the top two lambdas (1.2 and 0.89 times 50)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 5)))
+    z = np.array([50.0, 50.0 * np.geomspace(1e-3, 1.2, 25)[10], 1.95999, 40.0, -0.5])
+    return q, q @ z, math.sqrt(20)
+
+
+class TestTheoremCounts:
+    """Nonzero counts and gaps, as the per-coordinate loops that the array
+    forms replaced gave them."""
+
+    def test_theorem2_boundary_ties(self, monkeypatch):
+        # per trial: one |Z| tie, two underflowed coordinates at each of the
+        # top two lambdas, and one 0.05-band tie; none is compared
+        monkeypatch.setattr(verify, "inference_scale_problems", tied_problems)
+        report = check_theorem2(trials=2, seed=4)
+        assert report.passed
+        assert report.details["boundary_ties_excluded"] == 2 * (1 + 2 * 2 + 1)
+        assert report.details["set_mismatches"] == report.details["rule_005_mismatches"] == 0
+        assert report.worst_case_seed == 5
+
+    def test_theorem2_mismatches(self, monkeypatch):
+        # the unscaled transform thresholds beta_ols, not sigma Z / sqrt(n):
+        # the active sets leave the Z rule, and at 1.96 sigma / sqrt(n) the
+        # 0.05 rule; the discrepancy is the mismatch count, and its seed the
+        # first seed with one
+        monkeypatch.setattr(preconditioners, "puffer_scaled", preconditioners.puffer)
+        report = check_theorem2(trials=3, seed=0)
+        assert (report.details["set_mismatches"], report.details["rule_005_mismatches"]) == (94, 7)
+        assert report.details["boundary_ties_excluded"] == 0
+        assert (report.max_discrepancy, report.worst_case_seed) == (101.0, 0)
+
+    def test_theorem2_p_rule_mismatches(self, monkeypatch):
+        # p-values of 1 - p: the fits keep the Z rule and leave the p rule
+        inference = estimators.inference
+
+        def flipped(x, y, sigma):
+            inf = inference(x, y, sigma)
+            return dataclasses.replace(inf, p_values=1.0 - inf.p_values)
+
+        monkeypatch.setattr(estimators, "inference", flipped)
+        report = check_theorem2(trials=3, seed=0)
+        assert (report.details["set_mismatches"], report.details["rule_005_mismatches"]) == (409, 17)
+        assert (report.max_discrepancy, report.worst_case_seed) == (426.0, 0)
+
+    def test_theorem3_gaps(self, monkeypatch):
+        # a ridge fit 1 below in every coordinate: the active gap misses
+        # lam * pen'(beta_j) by about -1, and inactive coordinates exceed lam
+        ridge = estimators.ridge
+        monkeypatch.setattr(estimators, "ridge", lambda x, y, tau: ridge(x, y, tau) - 1.0)
+        active, inactive = check_theorem3(trials=2, pen=mcp(), tau=0.1, seed=3)
+        assert (active.worst_case_seed, inactive.worst_case_seed) == (3, 4)
+        assert active.max_discrepancy == pytest.approx(1.00000000003534, rel=1e-9)
+        assert inactive.max_discrepancy == pytest.approx(0.9990688599899495, rel=1e-9)
+        assert not active.passed and not inactive.passed
+        assert active.details["nonconverged_excluded"] == 0
 
 
 class TestQuantileHelper:
