@@ -9,11 +9,12 @@ Subcommands:
   inspect       OLS coefficients, Z statistics and marginal p-values
 
 Exit codes: 0 success (verify: all checks passed), 1 verification
-failure, 2 input error, 3 numerical failure, 141 (128 + SIGPIPE) when
-the reader closes stdout early. Errors print a single-line JSON record
-to stderr. Floats are serialized with 17 significant digits
-so identical runs produce byte-identical output that round-trips
-losslessly; CSV text cells are quoted as the csv module quotes them.
+failure, 2 input error, 3 numerical failure or out of memory, 141
+(128 + SIGPIPE) when the reader closes stdout early. Errors print a
+single-line JSON record to stderr. Floats are serialized with 17
+significant digits so identical runs produce byte-identical output that
+round-trips losslessly; CSV text cells are quoted as the csv module
+quotes them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import __version__, estimators, verify
 from .errors import DataError, NumericalError
 from .penalties import PenaltySpec, elastic_net, lasso, mcp, scad
-from .preconditioners import PreconditionedPair, puffer, puffer_scaled, puffer_tau
+from .preconditioners import puffer, puffer_scaled, puffer_tau
 from .solver import FitResult, lambda_max, solve, solve_path
 
 PENALTY_FLAGS = ("lasso", "enet", "scad", "mcp")
@@ -111,7 +112,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(path: str, response_column: str | int) -> Dataset:
+def load_dataset(path: str, response_column: str) -> Dataset:
     """Read a headered CSV into a design matrix and response vector.
 
     All cells must be numeric ('.' decimal separator, no thousands
@@ -149,17 +150,14 @@ def load_dataset(path: str, response_column: str | int) -> Dataset:
     if len(data) < 2:
         raise DataError(f"{path}: need at least 2 data rows, found {len(data)}")
 
-    if isinstance(response_column, str):
-        try:
-            response_idx = int(response_column)
-        except ValueError:
-            if response_column not in header:
-                raise DataError(
-                    f"{path}: response column {response_column!r} not in header {header}"
-                ) from None
-            response_idx = header.index(response_column)
-    else:
+    try:
         response_idx = int(response_column)
+    except ValueError:
+        if response_column not in header:
+            raise DataError(
+                f"{path}: response column {response_column!r} not in header {header}"
+            ) from None
+        response_idx = header.index(response_column)
     if not 0 <= response_idx < len(header):
         raise DataError(f"{path}: response column index {response_idx} out of range")
 
@@ -354,27 +352,21 @@ def _emit(config: RunConfig, record: dict | None, table: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _transform_pair(
-    config: RunConfig, data: Dataset
-) -> tuple[np.ndarray, np.ndarray, PreconditionedPair | None]:
+def _transform_pair(config: RunConfig, data: Dataset) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The data under --transform, and the result's record of the
+    transform: its name, and its tau or N diagonal where it has one."""
+    meta: dict = {"name": config.transform}
     if config.transform == "none":
-        return data.x, data.y, None
+        return data.x, data.y, meta
     if config.transform == "puffer":
         pair = puffer(data.x, data.y)
     elif config.transform == "puffer_scaled":
         pair = puffer_scaled(data.x, data.y)
+        meta["n_diag"] = pair.n_diag
     else:
         pair = puffer_tau(data.x, data.y, config.tau)
-    return pair.x_tilde, pair.y_tilde, pair
-
-
-def _transform_meta(config: RunConfig, pair: PreconditionedPair | None) -> dict:
-    meta: dict = {"name": config.transform}
-    if pair is not None and pair.tau is not None:
         meta["tau"] = pair.tau
-    if pair is not None and pair.n_diag is not None:
-        meta["n_diag"] = pair.n_diag
-    return meta
+    return pair.x_tilde, pair.y_tilde, meta
 
 
 def _default_grid(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
@@ -389,14 +381,14 @@ def _run_fit(config: RunConfig) -> int:
     """fit (one solve) and path (solve_path): the JSON record of the fit or
     the path, or one CSV row per (lambda, feature) pair."""
     data = load_dataset(config.input_path, config.response_column)
-    x, y, pair = _transform_pair(config, data)
+    x, y, transform = _transform_pair(config, data)
     if config.command == "fit":
         fits = [solve(x, y, config.lam, config.penalty)]
         record = _fit_record(fits[0])
     else:
         fits = solve_path(x, y, config.lambda_grid or _default_grid(x, y), config.penalty)
         record = {"path": [_fit_record(f) for f in fits]}
-    record["transform"] = _transform_meta(config, pair)
+    record["transform"] = transform
     record["features"] = list(data.feature_names)
     _emit(config, record, {
         "lambda": np.repeat([f.lam for f in fits], len(data.feature_names)),
@@ -474,9 +466,12 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         _error_record("ValueError", exc, EXIT_INPUT_ERROR)
         return EXIT_INPUT_ERROR
+    except MemoryError as exc:
+        _error_record("MemoryError", str(exc) or "out of memory", EXIT_NUMERICAL_ERROR)
+        return EXIT_NUMERICAL_ERROR
 
 
-def _error_record(kind: str, exc: Exception, code: int) -> None:
+def _error_record(kind: str, exc: Exception | str, code: int) -> None:
     message = str(exc).replace("\n", " ")
     sys.stderr.write(_json({"error": kind, "message": message, "exit_code": code}) + "\n")
 

@@ -18,4 +18,4 @@ class DegreesOfFreedomError(DataError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed to converge or gave a non-finite result."""

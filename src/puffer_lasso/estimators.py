@@ -55,8 +55,7 @@ def ridge(x, y, tau: float) -> np.ndarray:
     """
     m = linalg.as_matrix(x)
     v = linalg.as_vector(y, m.shape[0])
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    linalg.require_tau(tau)
     if tau == 0.0:
         beta, *_ = np.linalg.lstsq(m, v, rcond=None)
         return beta
@@ -66,9 +65,18 @@ def ridge(x, y, tau: float) -> np.ndarray:
 
 def z_stats(x, y, sigma: float) -> np.ndarray:
     """Classical test statistics sqrt(n) * beta_j / sqrt(sigma^2 * nu_j)."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _checked_sigma(sigma)
     return _z(_ols_fit(x, y), sigma)
+
+
+def _checked_sigma(sigma: float) -> float:
+    """sigma as a float; it must be finite and positive."""
+    s = float(sigma)
+    if not math.isfinite(s):
+        raise ValueError(f"sigma must be finite, got {s}")
+    if not s > 0:
+        raise ValueError(f"sigma must be positive, got {s}")
+    return s
 
 
 def _z(fit, sigma: float) -> np.ndarray:
@@ -129,9 +137,7 @@ def inference(x, y, sigma: float | None = None) -> InferenceResult:
             )
         source = "residual_estimate"
     else:
-        sigma_used = float(sigma)
-        if not sigma_used > 0:
-            raise ValueError(f"sigma must be positive, got {sigma_used}")
+        sigma_used = _checked_sigma(sigma)
         fit = _ols_fit(x, y)
         source = "user_supplied"
     z = _z(fit, sigma_used)

@@ -26,6 +26,14 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
+def require_tau(tau: float) -> None:
+    """Reject a ridge weight tau that is not finite or is negative."""
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+
+
 def as_vector(y, length: int | None = None) -> np.ndarray:
     """Validate and return a 1-D float64 vector with finite entries."""
     v = np.asarray(y, dtype=np.float64).reshape(-1)

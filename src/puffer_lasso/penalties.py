@@ -31,6 +31,7 @@ compared by objective with ties going to the smaller magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 KINDS = ("lasso", "elastic_net", "scad", "mcp")
@@ -57,10 +58,12 @@ class PenaltySpec:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "elastic_net" and not 0.0 < self.param <= 1.0:
             raise ValueError(f"elastic_net alpha must be in (0, 1], got {self.param}")
-        if self.kind == "scad" and not self.param > 2.0:
-            raise ValueError(f"scad shape a must exceed 2, got {self.param}")
-        if self.kind == "mcp" and not self.param > 1.0:
-            raise ValueError(f"mcp shape gamma must exceed 1, got {self.param}")
+        if self.kind in ("scad", "mcp"):
+            name, low = ("scad shape a", 2) if self.kind == "scad" else ("mcp shape gamma", 1)
+            if not math.isfinite(self.param):
+                raise ValueError(f"{name} must be finite, got {self.param}")
+            if not self.param > low:
+                raise ValueError(f"{name} must exceed {low}, got {self.param}")
 
     @property
     def convex(self) -> bool:

@@ -28,11 +28,11 @@ from .errors import DataError, RankError
 
 @dataclass(frozen=True)
 class PreconditionedPair:
-    """Transformed design and response plus the transform that made them."""
+    """Transformed design and response, with the transform's tau or
+    N diagonal where it has one."""
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
-    transform: str  # "puffer", "puffer_scaled", or "puffer_tau"
     tau: float | None = None
     n_diag: np.ndarray | None = None
 
@@ -48,7 +48,7 @@ def puffer(x, y) -> PreconditionedPair:
     linalg.require_full_column_rank(f)
     x_tilde = f.u @ f.v.T
     y_tilde = f.u @ ((f.u.T @ v) / f.d)
-    return PreconditionedPair(x_tilde, y_tilde, "puffer")
+    return PreconditionedPair(x_tilde, y_tilde)
 
 
 def scaling_matrix(x) -> np.ndarray:
@@ -61,9 +61,7 @@ def puffer_scaled(x, y) -> PreconditionedPair:
     m = linalg.as_matrix(x)
     n_diag = scaling_matrix(m)
     pair = puffer(m * n_diag, y)
-    return PreconditionedPair(
-        pair.x_tilde, pair.y_tilde, "puffer_scaled", n_diag=n_diag
-    )
+    return PreconditionedPair(pair.x_tilde, pair.y_tilde, n_diag=n_diag)
 
 
 def puffer_tau(x, y, tau: float) -> PreconditionedPair:
@@ -77,15 +75,14 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
     v = linalg.as_vector(y, n)
     if p < n:
         raise DataError(f"puffer_tau requires p >= n, got n={n}, p={p}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    linalg.require_tau(tau)
     f = linalg.svd(m)  # U is n x n here
     if tau == 0.0:
         linalg.require_full_row_rank(f)
     w = 1.0 / np.sqrt(np.square(f.d) + tau)
     x_tilde = (f.u * (w * f.d)) @ f.v.T
     y_tilde = (f.u * w) @ (f.u.T @ v)
-    return PreconditionedPair(x_tilde, y_tilde, "puffer_tau", tau=tau)
+    return PreconditionedPair(x_tilde, y_tilde, tau=tau)
 
 
 def project_rowspace(x, v, tau: float) -> np.ndarray:
@@ -96,8 +93,7 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     vec = linalg.as_vector(v, p)
     if p < n:
         raise DataError(f"project_rowspace requires p >= n, got n={n}, p={p}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    linalg.require_tau(tau)
     if tau == 0.0:
         linalg.require_full_row_rank(linalg.svd(m))
     w = np.linalg.solve(m @ m.T + tau * np.eye(n), m @ vec)

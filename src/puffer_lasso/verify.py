@@ -33,7 +33,7 @@ discrepancies above 1e-2; if they do not, the report fails with the
 sentinel discrepancy 1.0. eq10_gap fails the same way when it finds no
 pair of distinct local minima to compare, and thm3 when it checks no
 converged local minimum; both count the non-converged multistart fits
-they exclude.
+they exclude. A gap that is not finite raises NumericalError.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import estimators, linalg, preconditioners, solver
+from .errors import NumericalError
 from .penalties import PenaltySpec, lasso, mcp, pen_derivative, scad, univariate_threshold
 
 Problem = tuple[np.ndarray, np.ndarray, float]
@@ -75,6 +76,9 @@ class TheoremReport:
 
 
 def _report(theorem_id, trials, max_discrepancy, tolerance, worst_case_seed, **details):
+    for name, value in {"max_discrepancy": max_discrepancy, **details}.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericalError(f"{theorem_id}: {name} is {value} at seed {worst_case_seed}")
     return TheoremReport(
         theorem_id=theorem_id,
         trials=trials,
@@ -99,14 +103,10 @@ def _trials(seed: int, trials: int, trial) -> list[tuple]:
 
 def _reduce(rows, col: int = 1):
     """Max of column col over the rows and its seed; ties resolve to the
-    first seed."""
-    worst = -1.0
-    worst_seed = -1
-    for row in rows:
-        if row[col] > worst:
-            worst = row[col]
-            worst_seed = row[0]
-    return worst, worst_seed
+    first seed, and the first NaN, if any, counts as the maximum."""
+    column = np.array([row[col] for row in rows], dtype=float)
+    i = int(np.argmax(column))
+    return float(column[i]), rows[i][0]
 
 
 def _lambda_grid(scale: float, count: int):
@@ -246,18 +246,13 @@ def _scaled_z(x, y, sigma):
     return sigma * estimators.z_stats(x, y, sigma) / math.sqrt(x.shape[0])
 
 
-def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, list[solver.FitResult]]:
+def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, np.ndarray]:
     """Fit (x, y) at each lambda; return the worst sup-norm gap between a
-    fit and the thresholding map applied to b, and the fits."""
-    worst = 0.0
-    fits = []
-    for lam in lambdas:
-        lam = float(lam)
-        fit = solver.solve(x, y, lam, pen)
-        target = np.array([univariate_threshold(pen, float(t), lam) for t in b])
-        worst = max(worst, float(np.max(np.abs(fit.beta - target))))
-        fits.append(fit)
-    return worst, fits
+    fit and the thresholding map applied to b, and the fitted
+    coefficients, one row per lambda."""
+    betas = np.array([solver.solve(x, y, float(lam), pen).beta for lam in lambdas])
+    targets = [[univariate_threshold(pen, t, float(lam)) for t in b.tolist()] for lam in lambdas]
+    return float(np.max(np.abs(betas - targets))), betas
 
 
 def _threshold_check(gen, seed, trials, transform, coefs, pen: PenaltySpec, n_lambdas: int | None):
@@ -289,7 +284,7 @@ def _negative_control(disc, gen, transform, coefs, seed: int, trials: int) -> tu
     """Run the Lasso identity where it must break by more than
     NEGATIVE_CONTROL_MIN; if it does not, raise disc to the sentinel.
     Returns disc and the control's worst gap."""
-    control_worst = max(_threshold_check(gen, seed, min(trials, 24), transform, coefs, lasso(), None)[0], 0.0)
+    control_worst = _threshold_check(gen, seed, min(trials, 24), transform, coefs, lasso(), None)[0]
     if control_worst <= NEGATIVE_CONTROL_MIN:
         disc = max(disc, NEGATIVE_CONTROL_SENTINEL)
     return disc, control_worst
@@ -343,18 +338,15 @@ def check_theorem2(trials: int, *, seed: int = 0) -> TheoremReport:
         scaled_ols = sigma * inf.z_stats / math.sqrt(n)  # == N^-1 beta_ols
         pair = preconditioners.puffer_scaled(x, y)
         grid = _lambda_grid(np.max(np.abs(scaled_ols)), 25)
-        coef_worst, fits = _threshold_gap(pair.x_tilde, pair.y_tilde, scaled_ols, lasso(), grid)
-        mismatches = ties = 0
-        for fit in fits:
-            zthr = fit.lam * math.sqrt(n) / sigma
-            pthr = estimators.two_sided_p(zthr)
-            # boundary ties: |Z_j| within TIE_TOL of the threshold, or both tail
-            # probabilities underflow, where the p-value rule cannot discriminate
-            tie = (np.abs(z - zthr) < TIE_TOL) | ((inf.p_values == 0.0) & (pthr == 0.0))
-            in_z = z > zthr
-            agree = ((fit.beta != 0.0) == in_z) & (in_z == (inf.p_values <= pthr))
-            ties += int(np.count_nonzero(tie))
-            mismatches += int(np.count_nonzero(~tie & ~agree))
+        coef_worst, betas = _threshold_gap(pair.x_tilde, pair.y_tilde, scaled_ols, lasso(), grid)
+        zthr = grid[:, None] * math.sqrt(n) / sigma  # one row per lambda
+        pthr = estimators.p_values(zthr[:, 0])[:, None]
+        # boundary ties: |Z_j| within TIE_TOL of the threshold, or both tail
+        # probabilities underflow, where the p-value rule cannot discriminate
+        tie = (np.abs(z - zthr) < TIE_TOL) | ((inf.p_values == 0.0) & (pthr == 0.0))
+        in_z = z > zthr
+        agree = ((betas != 0.0) == in_z) & (in_z == (inf.p_values <= pthr))
+        mismatches = int(np.count_nonzero(~tie & ~agree))
         # the 0.05 rule: lam = 1.96 sigma / sqrt(n) selects {p_j < .05};
         # |Z_j| inside [Z95, 1.96] is the rounding ambiguity band and is
         # excluded like a tie
@@ -362,7 +354,7 @@ def check_theorem2(trials: int, *, seed: int = 0) -> TheoremReport:
         fit = solver.solve(pair.x_tilde, pair.y_tilde, lam05, lasso())
         band = (Z95 - TIE_TOL <= z) & (z <= 1.96 + TIE_TOL)
         rule_mismatches = int(np.count_nonzero(~band & ((fit.beta != 0.0) != (inf.p_values < 0.05))))
-        return coef_worst, mismatches, rule_mismatches, ties + int(np.count_nonzero(band))
+        return coef_worst, mismatches, rule_mismatches, int(np.count_nonzero(tie) + np.count_nonzero(band))
 
     rows = _trials(seed, trials, trial)
     coef_disc, worst_seed = _reduce(rows)
@@ -404,8 +396,8 @@ def check_theorem3(
                 gap = ridge_fit - preconditioners.project_rowspace(x, fit.beta, tau)
                 active = fit.beta != 0.0
                 expected = [lam * pen_derivative(pen, float(b)) for b in fit.beta[active]]
-                active_worst = max(active_worst, np.max(np.abs(gap[active] - expected), initial=0.0))
-                inactive_worst = max(inactive_worst, np.max(np.abs(gap[~active]) - lam, initial=0.0))
+                active_worst = np.maximum(active_worst, np.max(np.abs(gap[active] - expected), initial=0.0))
+                inactive_worst = np.maximum(inactive_worst, np.max(np.abs(gap[~active]) - lam, initial=0.0))
         return active_worst, inactive_worst, skipped, checked
 
     rows = _trials(seed, trials, trial)
@@ -437,8 +429,8 @@ def check_lemma2(trials: int, *, seed: int = 0) -> TheoremReport:
         proj_factored = pair.x_tilde.T @ (pair.x_tilde @ v)
         ridge_direct = estimators.ridge(x, y, tau)
         ridge_factored = preconditioners.ridge_via_precond(x, y, tau)
-        proj_gap = float(np.max(np.abs(proj_direct - proj_factored)))
-        return (max(proj_gap, float(np.max(np.abs(ridge_direct - ridge_factored)))),)
+        gaps = np.concatenate([proj_direct - proj_factored, ridge_direct - ridge_factored])
+        return (float(np.max(np.abs(gaps))),)
 
     disc, worst_seed = _reduce(_trials(seed, trials, trial))
     return _report("lemma2", trials, disc, LEMMA2_TOL, worst_seed)
@@ -463,14 +455,13 @@ def check_local_min_gap(trials: int, *, seed: int = 0) -> TheoremReport:
                 fits, excluded = _converged_minima(pair.x_tilde, pair.y_tilde, lam, pen, 12)
                 skipped += excluded
                 groups += [(lam, fit.beta) for fit in fits]
-        pairs, worst = 0, 0.0
-        for (lam1, beta1), (lam2, beta2) in itertools.combinations(groups, 2):
-            if np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL:
-                continue
-            pairs += 1
-            proj = preconditioners.project_rowspace(x, beta1 - beta2, 0.0)
-            worst = max(worst, float(np.max(np.abs(proj))) - (lam1 + lam2))
-        return max(worst, 0.0), pairs, skipped
+        # a pair whose distance is NaN counts as distinct
+        excess = [
+            np.max(np.abs(preconditioners.project_rowspace(x, beta1 - beta2, 0.0))) - (lam1 + lam2)
+            for (lam1, beta1), (lam2, beta2) in itertools.combinations(groups, 2)
+            if not np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL
+        ]
+        return np.max(excess, initial=0.0), len(excess), skipped
 
     rows = _trials(seed, trials, trial)
     disc, worst_seed = _reduce(rows)
@@ -549,34 +540,21 @@ def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremRe
     t = DEFAULT_TRIALS
     if trials is not None:
         t = {**dict.fromkeys(DEFAULT_TRIALS, trials), "thm3": max(2, trials // 25)}
-    block = 1_000_003
-
-    def base(k: int) -> int:
-        return seed + k * block
-
+    blocks = itertools.count(seed + 1_000_003, 1_000_003)
     reports = [
-        check_lemma1(t["lemma1"], seed=base(1)),
-        check_theorem1(t["thm1"], seed=base(2)),
-        check_theorem2(t["thm2"], seed=base(3)),
+        check_lemma1(t["lemma1"], seed=next(blocks)),
+        check_theorem1(t["thm1"], seed=next(blocks)),
+        check_theorem2(t["thm2"], seed=next(blocks)),
     ]
-
     thm3 = [
-        check_theorem3(t["thm3"], pen, tau, seed=base(4 + i))
-        for i, (pen, tau) in enumerate(itertools.product(THM3_PENALTIES, THM3_TAUS))
+        check_theorem3(t["thm3"], pen, tau, seed=next(blocks))
+        for pen, tau in itertools.product(THM3_PENALTIES, THM3_TAUS)
     ]
     reports.append(_merge("thm3_active", [active for active, _ in thm3]))
     reports.append(_merge("thm3_inactive", [inactive for _, inactive in thm3]))
-    k = 4 + len(thm3)
-
-    reports.append(check_local_min_gap(t["eq10_gap"], seed=base(k)))
-    reports.append(check_lemma2(t["lemma2"], seed=base(k + 1)))
-
-    gen1: list[TheoremReport] = []
-    gen2: list[TheoremReport] = []
-    for i, pen in enumerate((scad(), mcp())):
-        g = t["generalized"]
-        gen1.append(check_generalized_theorem1(g, pen, seed=base(k + 2 + i)))
-        gen2.append(check_generalized_theorem2(g, pen, seed=base(k + 4 + i)))
-    reports.append(_merge("thm1_general", gen1))
-    reports.append(_merge("thm2_general", gen2))
-    return reports
+    reports.append(check_local_min_gap(t["eq10_gap"], seed=next(blocks)))
+    reports.append(check_lemma2(t["lemma2"], seed=next(blocks)))
+    g = t["generalized"]
+    gen1 = [check_generalized_theorem1(g, pen, seed=next(blocks)) for pen in (scad(), mcp())]
+    gen2 = [check_generalized_theorem2(g, pen, seed=next(blocks)) for pen in (scad(), mcp())]
+    return reports + [_merge("thm1_general", gen1), _merge("thm2_general", gen2)]

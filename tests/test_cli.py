@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from puffer_lasso.cli import (
     run,
 )
 from puffer_lasso.errors import DataError, NumericalError
-from puffer_lasso.penalties import lasso, mcp
+from puffer_lasso.penalties import PenaltySpec, lasso, mcp
 from puffer_lasso.preconditioners import puffer, puffer_scaled
 from puffer_lasso.solver import lambda_max
 from test_acceptance import package_env
@@ -170,7 +171,8 @@ class TestRunConfigValidation:
             ("--lambda-grid", {"command": "path", "lam": None, "lambda_grid": (1.0, math.nan)}),
             ("--tau", {"tau": math.inf}),
             ("--sigma", {"sigma": math.inf}),
-            ("--penalty-param", {"penalty": mcp(math.inf)}),
+            # scad and mcp reject a non-finite shape; the lasso ignores its param
+            ("--penalty-param", {"penalty": PenaltySpec("lasso", math.inf)}),
         ],
     )
     def test_rejects_nonfinite(self, flag, overrides):
@@ -520,6 +522,41 @@ class TestErrorHandling:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "NumericalError"
         assert record["exit_code"] == 3
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 298. GiB for an array"), "Unable to allocate 298. GiB for an array"),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["allocation", "no_message"],
+    )
+    def test_out_of_memory_exits_three(self, small_csv, monkeypatch, capsys, exc, message):
+        def oom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "solve", oom)
+        code = main(["fit", "--input", str(small_csv), "--response", "y", "--lambda", "0.1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        payload = {"error": "MemoryError", "message": message, "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
+
+    def test_nan_certificate_exits_three(self, monkeypatch, capsys):
+        # lemma1 runs first, on the single seed of its block
+        solve = cli_module.verify.solver.solve
+
+        def nan_solve(*args, **kwargs):
+            fit = solve(*args, **kwargs)
+            return dataclasses.replace(fit, beta=np.full_like(fit.beta, np.nan))
+
+        monkeypatch.setattr(cli_module.verify.solver, "solve", nan_solve)
+        code = main(["verify", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        message = "lemma1: max_discrepancy is nan at seed 1000003"
+        payload = {"error": "NumericalError", "message": message, "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 class TestVerifyCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import estimators, linalg
+from puffer_lasso import estimators, linalg, penalties, preconditioners
 from puffer_lasso.cli import main
 from puffer_lasso.errors import DataError, DegreesOfFreedomError, RankError
 from puffer_lasso.estimators import (
@@ -272,3 +272,27 @@ class TestOneSvdPerDesign:
         out = tmp_path / "out.json"
         assert main(["inspect", "--input", str(path), "--response", "y", "--output", str(out), *extra]) == 0
         assert svd_calls == [(15, 4)]
+
+
+WIDE = np.random.default_rng(3).standard_normal((4, 7))
+TALL = np.random.default_rng(4).standard_normal((9, 3))
+# each library call that takes a scalar parameter, as f(value), and the
+# name its error gives the parameter
+PARAMETER_CALLS = {
+    "mcp": (penalties.mcp, "mcp shape gamma"),
+    "scad": (penalties.scad, "scad shape a"),
+    "puffer_tau": (lambda v: preconditioners.puffer_tau(WIDE, np.ones(4), v), "tau"),
+    "project_rowspace": (lambda v: preconditioners.project_rowspace(WIDE, np.ones(7), v), "tau"),
+    "ridge": (lambda v: estimators.ridge(WIDE, np.ones(4), v), "tau"),
+    "inference": (lambda v: estimators.inference(TALL, np.ones(9), v), "sigma"),
+    "z_stats": (lambda v: estimators.z_stats(TALL, np.ones(9), v), "sigma"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", PARAMETER_CALLS)
+def test_nonfinite_parameter_rejected(call, value):
+    # a non-finite parameter used to give NaN, zeros or a wrong threshold
+    fn, name = PARAMETER_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        fn(value)

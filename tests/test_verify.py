@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from puffer_lasso import estimators, preconditioners, solver, verify
+from puffer_lasso.errors import NumericalError
 from puffer_lasso.penalties import mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
@@ -38,6 +40,38 @@ CHECKS = {
     "thm1_general": lambda trials, seed: check_generalized_theorem1(trials, scad(), seed=seed),
     "thm2_general": lambda trials, seed: check_generalized_theorem2(trials, scad(), seed=seed),
     "default_suite": lambda trials, seed: verify.default_suite(seed, trials=trials),
+}
+
+
+def nan_fits(monkeypatch):
+    solve = solver.solve
+
+    def nan_solve(*args, **kwargs):
+        fit = solve(*args, **kwargs)
+        return dataclasses.replace(fit, beta=np.full_like(fit.beta, np.nan))
+
+    monkeypatch.setattr(solver, "solve", nan_solve)
+
+
+def nan_result(module, name):
+    def inject(monkeypatch):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: np.full_like(original(*a, **k), np.nan))
+
+    return inject
+
+
+# per check of CHECKS: the injection that turns its gaps into NaN, the
+# report that must raise, and a trial count that reaches the NaN
+NAN_INJECTIONS = {
+    "lemma1": (nan_fits, "lemma1", 2),
+    "thm1": (nan_fits, "thm1", 2),
+    "thm2": (nan_fits, "thm2", 2),
+    "thm3": (nan_result(preconditioners, "project_rowspace"), "thm3_active", 2),
+    "lemma2": (nan_result(estimators, "ridge"), "lemma2", 2),
+    "eq10_gap": (nan_result(preconditioners, "project_rowspace"), "eq10_gap", 4),
+    "thm1_general": (nan_fits, "thm1_general", 2),
+    "thm2_general": (nan_fits, "thm2_general", 2),
 }
 
 
@@ -207,6 +241,55 @@ class TestReports:
         # checks would reach numpy's "expected non-negative integer"
         with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             check(trials=1, seed=-1)
+
+    @pytest.mark.parametrize("name", NAN_INJECTIONS)
+    def test_nan_gap_raises(self, name, monkeypatch):
+        # a NaN gap is a numerical failure; a running max() would drop it
+        # and the check would pass at 0
+        inject, theorem_id, trials = NAN_INJECTIONS[name]
+        inject(monkeypatch)
+        with pytest.raises(NumericalError, match=f"^{theorem_id}: "):
+            CHECKS[name](trials=trials, seed=0)
+
+    def test_nonfinite_detail_raises(self):
+        with pytest.raises(NumericalError, match="^thm1: negative_control_max is inf at seed 3$"):
+            verify._report("thm1", 5, 0.0, 1e-6, 3, negative_control_max=math.inf)
+
+    def test_reduce_takes_first_maximum(self):
+        rows = [(10, 0.5, 1.0), (11, 0.7, 1.0), (12, 0.7, 0.0), (13, 0.1, 1.0)]
+        assert verify._reduce(rows) == (0.7, 11)
+        assert verify._reduce(rows, 2) == (1.0, 10)
+
+    def test_reduce_takes_first_nan(self):
+        rows = [(10, 0.5), (11, math.nan), (12, 2.0), (13, math.nan)]
+        disc, worst_seed = verify._reduce(rows)
+        assert math.isnan(disc) and worst_seed == 11
+
+    def test_default_suite_seed_blocks(self, monkeypatch):
+        # each check gets its own block seed + k * 1_000_003, k = 1, 2, ...
+        calls = []
+
+        def recorder(name):
+            def check(trials, *args, seed):
+                calls.append((name, *(getattr(a, "kind", a) for a in args), seed))
+                report = verify._report(name, trials, 0.0, 1.0, seed, nonconverged_excluded=0)
+                return (report, report) if name == "thm3" else report
+
+            return check
+
+        for attr, name in [
+            ("check_lemma1", "lemma1"), ("check_theorem1", "thm1"), ("check_theorem2", "thm2"),
+            ("check_theorem3", "thm3"), ("check_local_min_gap", "eq10_gap"), ("check_lemma2", "lemma2"),
+            ("check_generalized_theorem1", "thm1_general"), ("check_generalized_theorem2", "thm2_general"),
+        ]:
+            monkeypatch.setattr(verify, attr, recorder(name))
+        verify.default_suite(5, trials=2)
+        thm3 = [("thm3", kind, tau) for kind, tau in itertools.product(("lasso", "scad", "mcp"), (0.0, 0.1, 1.0))]
+        order = [
+            ("lemma1",), ("thm1",), ("thm2",), *thm3, ("eq10_gap",), ("lemma2",),
+            ("thm1_general", "scad"), ("thm1_general", "mcp"), ("thm2_general", "scad"), ("thm2_general", "mcp"),
+        ]
+        assert calls == [(*call, 5 + k * 1_000_003) for k, call in enumerate(order, start=1)]
 
     @pytest.mark.parametrize("pen", [scad(), mcp()])
     def test_generalized_small_runs(self, pen):
