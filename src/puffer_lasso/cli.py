@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, estimators, verify
+from . import __version__, estimators, linalg, verify
 from .errors import DataError, NumericalError
 from .penalties import PenaltySpec, elastic_net, lasso, mcp, scad
 from .preconditioners import puffer, puffer_scaled, puffer_tau
@@ -88,21 +88,11 @@ class RunConfig:
         numeric = [("--lambda", self.lam, "nonnegative"), ("--tau", self.tau, "nonnegative")]
         numeric += [("--sigma", self.sigma, "positive")]
         numeric += [("--lambda-grid", t, "positive") for t in self.lambda_grid or ()]
-        numeric += [("--penalty-param", self.penalty.param, None), ("--seed", self.seed, "nonnegative")]
+        numeric += [("--seed", self.seed, "nonnegative"), ("--trials", self.trials, "positive")]
         for flag, value, sign in numeric:
-            if value is None:
-                continue
-            # an int, such as --seed, is finite and may lie past the float range
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(f"{flag} must be finite, got {value}")
-            if sign == "nonnegative" and value < 0 or sign == "positive" and value <= 0:
-                raise DataError(f"{flag} must be {sign}, got {value}")
-        grid = self.lambda_grid or ()
-        for above, below in zip(grid, grid[1:]):
-            if below >= above:
-                raise DataError(f"--lambda-grid must be strictly descending, got {above} then {below}")
-        if self.trials is not None and self.trials < 1:
-            raise DataError(f"--trials must be positive, got {self.trials}")
+            if value is not None:
+                linalg.require_scalar(flag, value, sign, DataError)
+        linalg.require_descending("--lambda-grid", self.lambda_grid or (), DataError)
         if self.tau is not None and self.transform != "puffer_tau":
             raise DataError(f"--tau applies only to --transform puffer_tau, got {self.transform}")
 
@@ -553,16 +543,11 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 
 def _penalty_from_args(name: str, param: float | None) -> PenaltySpec:
-    if name == "lasso":
-        return lasso()
-    if param is not None and not math.isfinite(param):
-        # the constructors' range checks would take NaN for out of range
-        raise DataError(f"--penalty-param must be finite, got {param}")
-    if name == "enet":
-        return elastic_net(param) if param is not None else elastic_net()
-    if name == "scad":
-        return scad(param) if param is not None else scad()
-    return mcp(param) if param is not None else mcp()
+    make = {"lasso": lasso, "enet": elastic_net, "scad": scad, "mcp": mcp}[name]
+    if param is None or name == "lasso":
+        return make()
+    # the record names the flag, before the constructor's own checks
+    return make(linalg.require_scalar("--penalty-param", param, None, DataError))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

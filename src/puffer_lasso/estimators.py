@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataError, DegreesOfFreedomError, RankError
+from .errors import DataError, DegreesOfFreedomError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,7 @@ class InferenceResult:
 def _ols_fit(x, y):
     """Validate (X, Y), factor X once and solve for beta_ols. Every
     estimator here derives from the returned (X, Y, SVD of X, beta_ols)."""
-    m = linalg.as_matrix(x)
-    n, p = m.shape
-    v = linalg.as_vector(y, n)
-    if n <= p:
-        raise RankError(f"ols requires n > p, got n={n}, p={p}")
+    m, v = linalg.as_design(x, y, "ols", "n > p")
     f = linalg.svd(m)
     linalg.require_full_column_rank(f)
     return m, v, f, f.v @ ((f.u.T @ v) / f.d)
@@ -53,9 +49,8 @@ def ridge(x, y, tau: float) -> np.ndarray:
     which interpolates Y whenever X has full row rank. Rank deficiency is
     covered by the pseudoinverse, so no error is raised.
     """
-    m = linalg.as_matrix(x)
-    v = linalg.as_vector(y, m.shape[0])
-    linalg.require_tau(tau)
+    m, v = linalg.as_design(x, y)
+    linalg.require_scalar("tau", tau)
     if tau == 0.0:
         beta, *_ = np.linalg.lstsq(m, v, rcond=None)
         return beta
@@ -65,18 +60,8 @@ def ridge(x, y, tau: float) -> np.ndarray:
 
 def z_stats(x, y, sigma: float) -> np.ndarray:
     """Classical test statistics sqrt(n) * beta_j / sqrt(sigma^2 * nu_j)."""
-    sigma = _checked_sigma(sigma)
+    sigma = linalg.require_scalar("sigma", float(sigma), "positive")
     return _z(_ols_fit(x, y), sigma)
-
-
-def _checked_sigma(sigma: float) -> float:
-    """sigma as a float; it must be finite and positive."""
-    s = float(sigma)
-    if not math.isfinite(s):
-        raise ValueError(f"sigma must be finite, got {s}")
-    if not s > 0:
-        raise ValueError(f"sigma must be positive, got {s}")
-    return s
 
 
 def _z(fit, sigma: float) -> np.ndarray:
@@ -115,8 +100,11 @@ def _sigma_hat_fit(x, y):
             f"sigma_hat requires n > p + 1, got n={n}, p={p}"
         )
     fit = m, v, _, beta = _ols_fit(m, y)
-    norm = float(np.linalg.norm(v - m @ beta))
-    if norm <= max(n, p) * linalg.EPS * float(np.linalg.norm(v)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm, scale = float(np.linalg.norm(v - m @ beta)), float(np.linalg.norm(v))
+    if not math.isfinite(norm + scale):
+        raise NumericalError("the residual norm overflows float64; rescale the data")
+    if norm <= max(n, p) * linalg.EPS * scale:
         return 0.0, fit
     return norm / math.sqrt(n - p), fit
 
@@ -137,7 +125,7 @@ def inference(x, y, sigma: float | None = None) -> InferenceResult:
             )
         source = "residual_estimate"
     else:
-        sigma_used = _checked_sigma(sigma)
+        sigma_used = linalg.require_scalar("sigma", float(sigma), "positive")
         fit = _ols_fit(x, y)
         source = "user_supplied"
     z = _z(fit, sigma_used)

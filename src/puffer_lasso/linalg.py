@@ -7,6 +7,7 @@ operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,6 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def require_tau(tau: float) -> None:
-    """Reject a ridge weight tau that is not finite or is negative."""
-    if not np.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-
-
 def as_vector(y, length: int | None = None) -> np.ndarray:
     """Validate and return a 1-D float64 vector with finite entries."""
     v = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -44,6 +37,37 @@ def as_vector(y, length: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DataError("vector contains NaN or Inf entries")
     return v
+
+
+def as_design(x, y=None, name: str = "", needs: str | None = None):
+    """Validated (X, Y), Y None when y is. A shape that fails ``needs``
+    raises, naming ``name``: RankError for "n > p", DataError for "p >= n"."""
+    m = as_matrix(x)
+    n, p = m.shape
+    v = None if y is None else as_vector(y, n)
+    if needs == "n > p" and n <= p:
+        raise RankError(f"{name} requires n > p, got n={n}, p={p}")
+    if needs == "p >= n" and p < n:
+        raise DataError(f"{name} requires p >= n, got n={n}, p={p}")
+    return m, v
+
+
+def require_scalar(name: str, value, sign: str | None = "nonnegative", error=ValueError):
+    """value, if it is finite (an int always is, as a seed may be) and of
+    ``sign`` ("nonnegative", "positive" or None); else ``error`` naming it."""
+    if not isinstance(value, int) and not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if sign == "nonnegative" and value < 0 or sign == "positive" and value <= 0:
+        raise error(f"{name} must be {sign}, got {value}")
+    return value
+
+
+def require_descending(name: str, values, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` at the first entry of ``values`` that
+    is not strictly below the one before it."""
+    for above, below in zip(values, values[1:]):
+        if below >= above:
+            raise error(f"{name} must be strictly descending, got {above} then {below}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +130,7 @@ def gram_inverse_diagonal(x) -> np.ndarray:
     Entry j is sum_k V_jk^2 / d_k^2; strictly positive whenever X has
     full column rank.
     """
-    m = as_matrix(x)
-    n, p = m.shape
-    if n <= p:
-        raise RankError(f"gram_inverse_diagonal requires n > p, got n={n}, p={p}")
+    m, _ = as_design(x, name="gram_inverse_diagonal", needs="n > p")
     f = svd(m)
     require_full_column_rank(f)
     return _gram_inverse_diagonal(f)

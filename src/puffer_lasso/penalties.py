@@ -31,10 +31,12 @@ compared by objective with ties going to the smaller magnitude.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .linalg import require_scalar
+
 KINDS = ("lasso", "elastic_net", "scad", "mcp")
+_PARAM_NAMES = dict(lasso="lasso param", elastic_net="elastic_net alpha", scad="scad shape a", mcp="mcp shape gamma")
 
 SCAD_DEFAULT_A = 3.7
 MCP_DEFAULT_GAMMA = 3.0
@@ -56,14 +58,13 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
+        require_scalar(_PARAM_NAMES[self.kind], self.param, None)
         if self.kind == "elastic_net" and not 0.0 < self.param <= 1.0:
             raise ValueError(f"elastic_net alpha must be in (0, 1], got {self.param}")
         if self.kind in ("scad", "mcp"):
-            name, low = ("scad shape a", 2) if self.kind == "scad" else ("mcp shape gamma", 1)
-            if not math.isfinite(self.param):
-                raise ValueError(f"{name} must be finite, got {self.param}")
+            low = 2 if self.kind == "scad" else 1
             if not self.param > low:
-                raise ValueError(f"{name} must exceed {low}, got {self.param}")
+                raise ValueError(f"{_PARAM_NAMES[self.kind]} must exceed {low}, got {self.param}")
 
     @property
     def convex(self) -> bool:

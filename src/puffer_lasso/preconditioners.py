@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataError, RankError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,7 @@ class PreconditionedPair:
 
 def puffer(x, y) -> PreconditionedPair:
     """Left-precondition (X, Y) -> (U V', U D^-1 U' Y) for n > p."""
-    m = linalg.as_matrix(x)
-    n, p = m.shape
-    v = linalg.as_vector(y, n)
-    if n <= p:
-        raise RankError(f"puffer requires n > p, got n={n}, p={p}")
+    m, v = linalg.as_design(x, y, "puffer", "n > p")
     f = linalg.svd(m)
     linalg.require_full_column_rank(f)
     x_tilde = f.u @ f.v.T
@@ -70,12 +66,8 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
     tau = 0 additionally requires full row rank; a numerically tiny
     singular value then raises rather than being regularized silently.
     """
-    m = linalg.as_matrix(x)
-    n, p = m.shape
-    v = linalg.as_vector(y, n)
-    if p < n:
-        raise DataError(f"puffer_tau requires p >= n, got n={n}, p={p}")
-    linalg.require_tau(tau)
+    m, v = linalg.as_design(x, y, "puffer_tau", "p >= n")
+    linalg.require_scalar("tau", tau)
     f = linalg.svd(m)  # U is n x n here
     if tau == 0.0:
         linalg.require_full_row_rank(f)
@@ -93,7 +85,7 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     vec = linalg.as_vector(v, p)
     if p < n:
         raise DataError(f"project_rowspace requires p >= n, got n={n}, p={p}")
-    linalg.require_tau(tau)
+    linalg.require_scalar("tau", tau)
     if tau == 0.0:
         linalg.require_full_row_rank(linalg.svd(m))
     w = np.linalg.solve(m @ m.T + tau * np.eye(n), m @ vec)

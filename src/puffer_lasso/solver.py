@@ -16,12 +16,12 @@ lam' = 2 * lam here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
+from .errors import NumericalError
 from .penalties import PenaltySpec, pen_derivative, pen_value, univariate_threshold, zero_within_level
 
 
@@ -70,23 +70,23 @@ def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
 
 def lambda_max(x, y) -> float:
     """||X'Y||_inf: the smallest lam at which the Lasso fit is all zero."""
-    m = linalg.as_matrix(x)
-    v = linalg.as_vector(y, m.shape[0])
-    return float(np.max(np.abs(m.T @ v)))
+    m, v = linalg.as_design(x, y)
+    return float(np.max(np.abs(_finite_product(m.T, v, "X'Y"))))
 
 
-def _check_lambda(lam: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+def _finite_product(a, b, name: str) -> np.ndarray:
+    """a @ b, or NumericalError where it overflows float64 (a fit would sweep
+    NaN until MAX_ITER); min and max see NaN and inf without a p x p temporary."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        raise NumericalError(f"{name} overflows float64; rescale the data")
+    return out
 
 
-def _normal_equations(x, y) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Validated (X, Y) and their (X'X, X'Y), for fitting one design many times."""
-    m = linalg.as_matrix(x)
-    v = linalg.as_vector(y, m.shape[0])
-    return m, v, (m.T @ m, m.T @ v)
+def _normal_equations(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X'X, X'Y) of a validated design, for fitting it once or many times."""
+    return _finite_product(m.T, m, "X'X"), _finite_product(m.T, v, "X'Y")
 
 
 def solve(
@@ -107,12 +107,10 @@ def solve(
     ``multistart_local_minima`` pass it so that a design's Gram is built
     once per call rather than once per fit.
     """
-    m = linalg.as_matrix(x)
-    n, p = m.shape
-    v = linalg.as_vector(y, n)
-    _check_lambda(lam)
-
-    gram, xty = (m.T @ m, m.T @ v) if normal is None else normal
+    m, v = linalg.as_design(x, y)
+    p = m.shape[1]
+    linalg.require_scalar("lambda", lam)
+    gram, xty = _normal_equations(m, v) if normal is None else normal
     if init is None:
         beta = np.zeros(p)
     else:
@@ -176,18 +174,15 @@ def solve(
 
 
 def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:
-    """Warm-started fits along a strictly descending positive lambda grid."""
+    """Warm-started fits along a decreasing grid of positive lambdas."""
     lams = [float(t) for t in lambdas]
     if not lams:
         raise ValueError("lambda grid is empty")
     for t in lams:
-        if not math.isfinite(t):
-            raise ValueError(f"lambda grid entries must be finite, got {t}")
-    if any(t <= 0 for t in lams):
-        raise ValueError("lambda grid entries must be positive")
-    if any(b >= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda grid must be strictly descending")
-    m, v, normal = _normal_equations(x, y)
+        linalg.require_scalar("lambda grid entries", t, "positive")
+    linalg.require_descending("lambda grid", lams)
+    m, v = linalg.as_design(x, y)
+    normal = _normal_equations(m, v)
     results: list[FitResult] = []
     warm = None
     for lam in lams:
@@ -207,18 +202,18 @@ def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8)
     deduplicated at sup-distance DISTINCT_TOL. Output order is
     deterministic: by objective, then coefficients.
     """
-    _check_lambda(lam)
+    linalg.require_scalar("lambda", lam)
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen)]
-    m, v, normal = _normal_equations(x, y)
-    p = m.shape[1]
+    m, v = linalg.as_design(x, y)
+    normal = _normal_equations(m, v)
     scale = float(np.max(np.abs(normal[1])))  # lambda_max(x, y)
     rng = np.random.default_rng(0)
     fits: list[FitResult] = []
     for _ in range(starts):
-        init = rng.uniform(-scale, scale, size=p)
+        init = rng.uniform(-scale, scale, size=m.shape[1])
         fit = solve(m, v, lam, pen, init=init, normal=normal)
         if all(np.max(np.abs(fit.beta - f.beta)) > DISTINCT_TOL for f in fits):
             fits.append(fit)

@@ -94,10 +94,8 @@ def _trials(seed: int, trials: int, trial) -> list[tuple]:
     """Rows (s, *trial(s)) for s = seed, ..., seed + trials - 1. A check
     without trials would certify nothing, so trials < 1 raises; so does a
     negative seed, which the families' generators cannot take."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    linalg.require_scalar("trials", trials, "positive")
+    linalg.require_scalar("seed", seed)
     return [(s, *trial(s)) for s in range(seed, seed + trials)]
 
 
@@ -298,6 +296,12 @@ def _converged_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8):
     return converged, len(fits) - len(converged)
 
 
+def _project(x, v, tau: float) -> np.ndarray:
+    """P_tau(v), or NaN where v is not finite: the gap is NaN, and _report raises."""
+    finite = np.isfinite(v).all()
+    return preconditioners.project_rowspace(x, v, tau) if finite else np.full_like(v, np.nan)
+
+
 def check_lemma1(trials: int, *, seed: int = 0) -> TheoremReport:
     """Orthonormal design: the Lasso fit equals soft-thresholded OLS."""
     disc, worst_seed = _threshold_check(orthonormal_problems, seed, trials, None, _ols, lasso(), 10)
@@ -393,7 +397,7 @@ def check_theorem3(
             skipped += excluded
             checked += len(fits)
             for fit in fits:
-                gap = ridge_fit - preconditioners.project_rowspace(x, fit.beta, tau)
+                gap = ridge_fit - _project(x, fit.beta, tau)
                 active = fit.beta != 0.0
                 expected = [lam * pen_derivative(pen, float(b)) for b in fit.beta[active]]
                 active_worst = np.maximum(active_worst, np.max(np.abs(gap[active] - expected), initial=0.0))
@@ -457,7 +461,7 @@ def check_local_min_gap(trials: int, *, seed: int = 0) -> TheoremReport:
                 groups += [(lam, fit.beta) for fit in fits]
         # a pair whose distance is NaN counts as distinct
         excess = [
-            np.max(np.abs(preconditioners.project_rowspace(x, beta1 - beta2, 0.0))) - (lam1 + lam2)
+            np.max(np.abs(_project(x, beta1 - beta2, 0.0))) - (lam1 + lam2)
             for (lam1, beta1), (lam2, beta2) in itertools.combinations(groups, 2)
             if not np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL
         ]
@@ -532,11 +536,10 @@ def default_suite(seed: int = 0, *, trials: int | None = None) -> list[TheoremRe
 
     ``trials`` replaces every budget of DEFAULT_TRIALS, except thm3's,
     which becomes max(2, trials // 25) per (penalty, tau) combination.
-    Deterministic for a given seed, which must be nonnegative; per-check
+    Deterministic for a given seed, which may not be negative; per-check
     seed blocks are disjoint so trial streams never collide.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    linalg.require_scalar("seed", seed)
     t = DEFAULT_TRIALS
     if trials is not None:
         t = {**dict.fromkeys(DEFAULT_TRIALS, trials), "thm3": max(2, trials // 25)}

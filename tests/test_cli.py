@@ -24,7 +24,7 @@ from puffer_lasso.cli import (
     run,
 )
 from puffer_lasso.errors import DataError, NumericalError
-from puffer_lasso.penalties import PenaltySpec, lasso, mcp
+from puffer_lasso.penalties import lasso, mcp
 from puffer_lasso.preconditioners import puffer, puffer_scaled
 from puffer_lasso.solver import lambda_max
 from test_acceptance import package_env
@@ -171,8 +171,6 @@ class TestRunConfigValidation:
             ("--lambda-grid", {"command": "path", "lam": None, "lambda_grid": (1.0, math.nan)}),
             ("--tau", {"tau": math.inf}),
             ("--sigma", {"sigma": math.inf}),
-            # scad and mcp reject a non-finite shape; the lasso ignores its param
-            ("--penalty-param", {"penalty": PenaltySpec("lasso", math.inf)}),
         ],
     )
     def test_rejects_nonfinite(self, flag, overrides):
@@ -555,6 +553,44 @@ class TestErrorHandling:
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
         message = "lemma1: max_discrepancy is nan at seed 1000003"
+        payload = {"error": "NumericalError", "message": message, "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
+
+    def test_nan_local_minimum_exits_three(self, monkeypatch, capsys):
+        # thm3 gets a converged minimum with NaN coefficients; it used to end
+        # in project_rowspace's "vector contains NaN or Inf entries", exit 2
+        minima = cli_module.verify.solver.multistart_local_minima
+
+        def nan_multistart(*args, **kwargs):
+            return [dataclasses.replace(f, beta=np.full_like(f.beta, np.nan)) for f in minima(*args, **kwargs)]
+
+        monkeypatch.setattr(cli_module.verify.solver, "multistart_local_minima", nan_multistart)
+        code = main(["verify", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        message = "thm3_active: max_discrepancy is nan at seed 4000012"
+        payload = {"error": "NumericalError", "message": message, "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--lambda", "0.1"], "X'X overflows float64; rescale the data"),
+            (["path"], "X'Y overflows float64; rescale the data"),
+            (["inspect"], "the residual norm overflows float64; rescale the data"),
+        ],
+        ids=["fit", "path", "inspect"],
+    )
+    def test_overflowing_design_exits_three(self, tmp_path, capsys, argv, message):
+        # X'X, X'Y and the residual norm overflow float64 here: fit used to
+        # sweep NaN for MAX_ITER sweeps, path to reject a grid the user never
+        # gave, and inspect to call the fit degenerate, all with numpy warnings
+        path = tmp_path / "huge.csv"
+        np.savetxt(path, np.random.default_rng(0).standard_normal((8, 4)) * 1e160, delimiter=",",
+                   header="y,a,b,c", comments="")
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
         payload = {"error": "NumericalError", "message": message, "exit_code": 3}
         assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
 

@@ -80,6 +80,52 @@ class TestVectorValidation:
             linalg.as_vector([])
 
 
+HUGE = 10**400  # an int past the float range
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: linalg.require_scalar("tau", np.nan), ValueError, "tau must be finite, got nan"),
+            (lambda: linalg.require_scalar("tau", np.inf), ValueError, "tau must be finite, got inf"),
+            (lambda: linalg.require_scalar("tau", -np.inf, None), ValueError, "tau must be finite, got -inf"),
+            (lambda: linalg.require_scalar("tau", -1.0), ValueError, "tau must be nonnegative, got -1.0"),
+            (lambda: linalg.require_scalar("sigma", 0.0, "positive"), ValueError, "sigma must be positive, got 0.0"),
+            (lambda: linalg.require_scalar("--seed", -HUGE, error=DataError), DataError,
+             f"--seed must be nonnegative, got {-HUGE}"),
+            (lambda: linalg.require_descending("lambda grid", [2.0, 1.0, 1.0]), ValueError,
+             "lambda grid must be strictly descending, got 1.0 then 1.0"),
+            (lambda: linalg.require_descending("--lambda-grid", (1.0, 2.0), DataError), DataError,
+             "--lambda-grid must be strictly descending, got 1.0 then 2.0"),
+            (lambda: linalg.as_design(np.eye(3), name="ols", needs="n > p"), RankError,
+             "ols requires n > p, got n=3, p=3"),
+            (lambda: linalg.as_design(np.ones((4, 2)), np.ones(4), "puffer_tau", "p >= n"), DataError,
+             "puffer_tau requires p >= n, got n=4, p=2"),
+            # the response is checked before the shape condition
+            (lambda: linalg.as_design(np.eye(3), np.ones(2), "ols", "n > p"), DataError,
+             "expected vector of length 3, got 2"),
+        ],
+        ids=[
+            "nan", "inf", "neg_inf_unsigned", "negative", "zero_not_positive", "huge_negative_int",
+            "repeated", "ascending", "needs_n_gt_p", "needs_p_ge_n", "response_first",
+        ],
+    )
+    def test_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    def test_accepts(self):
+        assert linalg.require_scalar("--seed", HUGE) == HUGE
+        assert linalg.require_scalar("tau", 0.0) == 0.0
+        assert linalg.require_scalar("lasso param", -2.5, None) == -2.5
+        linalg.require_descending("lambda grid", [3.0, 2.0, 1e-9])
+        m, v = linalg.as_design([[1, 2], [3, 4], [5, 7]], name="ols", needs="n > p")
+        assert m.dtype == np.float64 and v is None
+
+
 class TestRankOf:
     def test_plain(self):
         f = linalg.SvdFactors(

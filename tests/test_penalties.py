@@ -43,6 +43,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PenaltySpec(kind, param)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "kind,name", [("lasso", "lasso param"), ("elastic_net", "elastic_net alpha")], ids=["lasso", "elastic_net"]
+    )
+    def test_rejects_nonfinite_param(self, kind, name, value):
+        # the lasso ignores its param, and a NaN alpha used to fail the range
+        # check as "must be in (0, 1]"; scad and mcp are in test_estimators
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            PenaltySpec(kind, value)
+
     def test_convexity_flags(self):
         assert lasso().convex and elastic_net(0.5).convex
         assert not scad().convex and not mcp().convex

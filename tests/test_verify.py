@@ -61,8 +61,19 @@ def nan_result(module, name):
     return inject
 
 
-# per check of CHECKS: the injection that turns its gaps into NaN, the
-# report that must raise, and a trial count that reaches the NaN
+def nan_minima(monkeypatch):
+    minima = solver.multistart_local_minima
+
+    def nan_multistart(*args, **kwargs):
+        fits = minima(*args, **kwargs)
+        return [dataclasses.replace(f, beta=np.full_like(f.beta, np.nan), converged=True) for f in fits]
+
+    monkeypatch.setattr(solver, "multistart_local_minima", nan_multistart)
+
+
+# per check of CHECKS, named before any "/": the injection that turns its
+# gaps into NaN, the report that must raise, and a trial count that
+# reaches the NaN
 NAN_INJECTIONS = {
     "lemma1": (nan_fits, "lemma1", 2),
     "thm1": (nan_fits, "thm1", 2),
@@ -72,6 +83,9 @@ NAN_INJECTIONS = {
     "eq10_gap": (nan_result(preconditioners, "project_rowspace"), "eq10_gap", 4),
     "thm1_general": (nan_fits, "thm1_general", 2),
     "thm2_general": (nan_fits, "thm2_general", 2),
+    # a non-finite local minimum used to reach project_rowspace's DataError
+    "thm3/nan_minima": (nan_minima, "thm3_active", 1),
+    "eq10_gap/nan_minima": (nan_minima, "eq10_gap", 1),
 }
 
 
@@ -249,7 +263,7 @@ class TestReports:
         inject, theorem_id, trials = NAN_INJECTIONS[name]
         inject(monkeypatch)
         with pytest.raises(NumericalError, match=f"^{theorem_id}: "):
-            CHECKS[name](trials=trials, seed=0)
+            CHECKS[name.split("/")[0]](trials=trials, seed=0)
 
     def test_nonfinite_detail_raises(self):
         with pytest.raises(NumericalError, match="^thm1: negative_control_max is inf at seed 3$"):
