@@ -137,5 +137,12 @@ def gram_inverse_diagonal(x) -> np.ndarray:
 
 
 def _gram_inverse_diagonal(f: SvdFactors) -> np.ndarray:
-    """diag((X'X)^-1) = V^2 d^-2 from the factors of a full-column-rank X."""
-    return np.square(f.v) @ (1.0 / np.square(f.d))
+    """diag((X'X)^-1) = V^2 d^-2 from the factors of a full-column-rank X;
+    NumericalError where d^2 or d^-2 leaves float64 (nu would be 0 or inf)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        square = np.square(f.d)
+        inverse = 1.0 / square
+    for name, part in (("X'X", square), ("(X'X)^-1", inverse)):
+        if not np.all(np.isfinite(part)):
+            raise NumericalError(f"{name} overflows float64; rescale the data")
+    return np.square(f.v) @ inverse

@@ -89,13 +89,17 @@ def mcp(gamma: float = MCP_DEFAULT_GAMMA) -> PenaltySpec:
 
 def soft_threshold(x: float, lam: float) -> float:
     """sign(x) * (|x| - lam)+, the Lasso's univariate solution map."""
-    if lam < 0:
-        raise ValueError(f"threshold level must be nonnegative, got {lam}")
-    if x > lam:
-        return x - lam
-    if x < -lam:
-        return x + lam
-    return 0.0
+    require_scalar("threshold level", lam)
+    return _soft(require_scalar("x", x, None), lam)
+
+
+def _soft(z: float, level: float) -> float:
+    # at level 0 the map is the identity, so a -0.0 survives
+    if z > level:
+        return z - level
+    if z < -level:
+        return z + level
+    return z if level == 0.0 else 0.0
 
 
 def pen_value(p: PenaltySpec, x: float) -> float:
@@ -215,19 +219,31 @@ def zero_within_level(p: PenaltySpec, lam: float) -> bool:
     return True
 
 
+def threshold_map(p: PenaltySpec):
+    """``univariate_threshold`` for one penalty, resolved once and without
+    its argument checks: f(z, level) gives the same float for every
+    level >= 0, and takes a level of inf (a subnormal c_j can make one in
+    ``solve``) to a zero."""
+    if p.kind == "lasso":
+        return _soft
+    shape = p.param
+    if p.kind == "elastic_net":
+        return lambda z, level: _soft(z, level) / (1.0 + level * shape)
+    rule = _threshold_scad if p.kind == "scad" else _threshold_mcp
+
+    def threshold(z: float, level: float) -> float:
+        if level == 0.0:
+            return z
+        if z == 0.0:
+            return 0.0
+        if z < 0.0:
+            return -rule(shape, -z, level)
+        return rule(shape, z, level)
+
+    return threshold
+
+
 def univariate_threshold(p: PenaltySpec, z: float, lam: float) -> float:
     """Global minimizer of 0.5*(z - b)^2 + lam * pen(b) over scalar b."""
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if lam == 0.0:
-        return z
-    if p.kind == "lasso":
-        return soft_threshold(z, lam)
-    if p.kind == "elastic_net":
-        return soft_threshold(z, lam) / (1.0 + lam * p.param)
-    if z == 0.0:
-        return 0.0
-    threshold = _threshold_scad if p.kind == "scad" else _threshold_mcp
-    if z < 0.0:
-        return -threshold(p.param, -z, lam)
-    return threshold(p.param, z, lam)
+    require_scalar("lambda", lam)
+    return threshold_map(p)(require_scalar("z", z, None), lam)

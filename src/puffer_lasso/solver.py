@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalError
-from .penalties import PenaltySpec, pen_derivative, pen_value, univariate_threshold, zero_within_level
+from .penalties import PenaltySpec, pen_derivative, pen_value, threshold_map, zero_within_level
 
 
 #: sweep cap; a fit that reaches it is returned with converged=False
@@ -117,30 +117,36 @@ def solve(
         beta = linalg.as_vector(init, p).copy()
 
     # The sweep runs on Python floats and row views; the numpy beta is
-    # rebuilt only where a matrix product needs it.
+    # rebuilt only where a matrix product needs it. The penalty's map and
+    # each coordinate's level lam / c_j are resolved once per fit.
     coef = beta.tolist()
     diag = np.diag(gram).tolist()
     rows = list(gram)  # symmetric: row j == column j
+    threshold = threshold_map(pen)
+    levels = [lam / cj if cj > 0.0 else 0.0 for cj in diag]
     # A coordinate at zero with -lam <= grad_j <= lam stays at zero when
     # the threshold map is zero on [-lam/c_j, lam/c_j], since correctly
     # rounded division is monotone; it is not for SCAD and MC+ in their
     # nonconvex regime. A zero column's update is always 0.
-    settled = [cj <= 0.0 or zero_within_level(pen, lam / cj) for cj in diag]
+    settled = [cj <= 0.0 or zero_within_level(pen, level) for cj, level in zip(diag, levels)]
     lo = -lam
-    grad = xty - gram @ beta  # maintained as X'(Y - X beta)
+    # grad is maintained as X'(Y - X beta), in place only, so that g, a
+    # memoryview of its buffer, reads it as Python floats
+    grad = xty - gram @ beta
+    g = memoryview(grad)
     converged = False
     sweeps = 0
     for sweeps in range(1, MAX_ITER + 1):
         max_change = 0.0
         for j in range(p):
             old = coef[j]
-            if old == 0.0 and settled[j] and lo <= grad[j] <= lam:
+            if old == 0.0 and settled[j] and lo <= g[j] <= lam:
                 continue
             cj = diag[j]
             if cj <= 0.0:
                 new = 0.0
             else:
-                new = univariate_threshold(pen, (float(grad[j]) + cj * old) / cj, lam / cj)
+                new = threshold((g[j] + cj * old) / cj, levels[j])
             step = new - old
             if step != 0.0:
                 grad -= step * rows[j]
@@ -151,13 +157,13 @@ def solve(
                     max_change = -step
         if max_change < COORD_TOL:
             beta = np.array(coef)
-            grad = xty - gram @ beta  # exact refresh before the KKT check
+            np.subtract(xty, gram @ beta, out=grad)  # exact refresh before the KKT check
             if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
                 converged = True
                 break
         elif sweeps % 64 == 0:
             beta = np.array(coef)
-            grad = xty - gram @ beta  # cap incremental drift
+            np.subtract(xty, gram @ beta, out=grad)  # cap incremental drift
 
     beta = np.array(coef)
     final_grad = m.T @ (v - m @ beta)

@@ -6,10 +6,13 @@ elimination, integrals from composite Simpson, the normal CDF from a
 Taylor series plus a Laplace continued fraction, and the Lasso from
 subgradient descent and exact sign-pattern enumeration.
 
-Three exceptions are not independent: they keep an earlier, plainer form
+Some exceptions are not independent: they keep an earlier, plainer form
 of a fast path as a reference for tests that demand the same floats.
 ``threshold_by_enumeration`` is the SCAD/MC+ candidate enumeration that
 preceded the closed-form thresholds, on the library's ``pen_value``.
+``threshold_dispatch_reference`` is ``univariate_threshold`` as it was
+before ``threshold_map``: its level-0, zero and sign dispatch, without
+argument checks, on the library's ``_threshold_scad`` and ``_threshold_mcp``.
 ``coordinate_descent_reference`` is the plain cyclic sweep on numpy
 arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
 ``inference_reference`` is the composition of separately factored
@@ -33,7 +36,7 @@ import numpy as np
 from puffer_lasso.cli import Dataset, _fmt
 from puffer_lasso.errors import DataError
 from puffer_lasso.estimators import p_values
-from puffer_lasso.penalties import PenaltySpec, pen_value, univariate_threshold
+from puffer_lasso.penalties import PenaltySpec, _threshold_mcp, _threshold_scad, pen_value, univariate_threshold
 from puffer_lasso.solver import COORD_TOL, KKT_TOL, MAX_ITER, kkt_residual
 
 
@@ -297,6 +300,21 @@ def threshold_by_enumeration(p: PenaltySpec, z: float, lam: float) -> float:
     if z < 0.0:
         return -_threshold_nonconvex(p, -z, lam)
     return _threshold_nonconvex(p, z, lam)
+
+
+def threshold_dispatch_reference(p: PenaltySpec, z: float, lam: float) -> float:
+    """univariate_threshold(p, z, lam) for any lam >= 0, inf included."""
+    if lam == 0.0:
+        return z
+    if p.kind in ("lasso", "elastic_net"):
+        soft = z - lam if z > lam else z + lam if z < -lam else 0.0
+        return soft if p.kind == "lasso" else soft / (1.0 + lam * p.param)
+    if z == 0.0:
+        return 0.0
+    threshold = _threshold_scad if p.kind == "scad" else _threshold_mcp
+    if z < 0.0:
+        return -threshold(p.param, -z, lam)
+    return threshold(p.param, z, lam)
 
 
 def coordinate_descent_reference(

@@ -578,13 +578,18 @@ class TestErrorHandling:
             (["fit", "--lambda", "0.1"], "X'X overflows float64; rescale the data"),
             (["path"], "X'Y overflows float64; rescale the data"),
             (["inspect"], "the residual norm overflows float64; rescale the data"),
+            (["inspect", "--sigma", "1"], "X'X overflows float64; rescale the data"),
+            (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], "X'X overflows float64; rescale the data"),
         ],
-        ids=["fit", "path", "inspect"],
+        ids=["fit", "path", "inspect", "inspect_sigma", "fit_puffer_scaled"],
     )
     def test_overflowing_design_exits_three(self, tmp_path, capsys, argv, message):
         # X'X, X'Y and the residual norm overflow float64 here: fit used to
         # sweep NaN for MAX_ITER sweeps, path to reject a grid the user never
-        # gave, and inspect to call the fit degenerate, all with numpy warnings
+        # gave, and inspect to call the fit degenerate, all with numpy warnings;
+        # squaring the singular values for diag((X'X)^-1) made nu 0, so
+        # inspect --sigma 1 rejected its own Z statistics and puffer_scaled
+        # reported rank 0
         path = tmp_path / "huge.csv"
         np.savetxt(path, np.random.default_rng(0).standard_normal((8, 4)) * 1e160, delimiter=",",
                    header="y,a,b,c", comments="")

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puffer_lasso import linalg
-from puffer_lasso.errors import DataError, RankError
+from puffer_lasso.errors import DataError, NumericalError, RankError
 
 import oracles
 
@@ -176,3 +178,18 @@ class TestGramInverseDiagonal:
     def test_strictly_positive(self, seed, p):
         x = random_matrix(seed, 2 * p + 2, p)
         assert np.all(linalg.gram_inverse_diagonal(x) > 0)
+
+    @pytest.mark.parametrize(
+        "scale, name", [(1e160, "X'X"), (1e-165, "(X'X)^-1")], ids=["square_overflows", "inverse_overflows"]
+    )
+    def test_out_of_range_scale_raises(self, scale, name):
+        # d^2 overflows to inf (nu 0) or underflows to 0 (nu inf); both used
+        # to come back as a vector, with a numpy warning
+        x = random_matrix(22, 8, 3) * scale
+        with pytest.raises(NumericalError, match=rf"^{re.escape(name)} overflows float64; rescale the data$"):
+            linalg.gram_inverse_diagonal(x)
+
+    def test_ordinary_scale_is_bit_unchanged(self):
+        x = random_matrix(23, 9, 4) * 1e150
+        f = linalg.svd(x)
+        assert linalg.gram_inverse_diagonal(x).tobytes() == (np.square(f.v) @ (1.0 / np.square(f.d))).tobytes()

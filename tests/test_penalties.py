@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from puffer_lasso.penalties import (
     pen_value,
     scad,
     soft_threshold,
+    threshold_map,
     univariate_threshold,
 )
 
@@ -25,6 +27,35 @@ CONCAVE_KINDS = [lasso(), scad(), mcp()]
 
 finite_reals = st.floats(-50, 50, allow_nan=False)
 lams = st.floats(0, 20, allow_nan=False)
+
+
+# the smallest and the largest subnormal float
+SUBNORMALS = (5e-324, 2.225073858507201e-308)
+
+
+def convexity_edge(pen) -> float:
+    """The level past which the scalar objective is not convex: MC+'s gamma
+    and SCAD's a - 1; 1.0 for the convex penalties, which have none."""
+    return {"mcp": pen.param, "scad": pen.param - 1.0}.get(pen.kind, 1.0)
+
+
+def special_levels(pen):
+    edge = convexity_edge(pen)
+    return [0.0, *SUBNORMALS, math.inf, edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+
+
+def special_zs(level):
+    return [v for t in (0.0, level, 1.0, *SUBNORMALS) for v in (t, -t)]
+
+
+@st.composite
+def map_arguments(draw, pen):
+    """(z, level) that reach every branch of the map: the special values,
+    levels on both sides of the convexity edge and z across every piece."""
+    edge = convexity_edge(pen)
+    level = draw(st.one_of(st.sampled_from(special_levels(pen)), st.floats(0.0, 3.0 * edge), st.floats(0.0)))
+    z = draw(st.one_of(st.sampled_from(special_zs(level)), st.floats(-20.0, 20.0), st.floats(allow_nan=False)))
+    return z, level
 
 
 def scalar_objective(pen, z, lam, b):
@@ -69,8 +100,22 @@ class TestSoftThreshold:
         assert soft_threshold(x, 0.0) == x
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^threshold level must be nonnegative, got -0\.1$"):
             soft_threshold(1.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "x, lam, message",
+        [
+            (1.0, math.nan, "threshold level must be finite, got nan"),
+            (1.0, math.inf, "threshold level must be finite, got inf"),
+            (math.nan, 1.0, "x must be finite, got nan"),
+            (-math.inf, 1.0, "x must be finite, got -inf"),
+        ],
+    )
+    def test_nonfinite_rejected(self, x, lam, message):
+        # each used to return 0.0 silently
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            soft_threshold(x, lam)
 
     @given(st.integers(0, 10**6))
     def test_elementwise_commutes_with_permutation(self, seed):
@@ -214,8 +259,44 @@ class TestUnivariateThreshold:
             assert abs((b - z) + lam * pen_derivative(pen, b)) <= 1e-8
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lambda must be nonnegative, got -1\.0$"):
             univariate_threshold(scad(), 1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "pen, z, lam, message",
+        [
+            (lasso(), 1.0, math.nan, "lambda must be finite, got nan"),
+            (scad(), 5.0, math.inf, "lambda must be finite, got inf"),
+            (mcp(), math.nan, 1.0, "z must be finite, got nan"),
+            (elastic_net(0.5), math.inf, 0.0, "z must be finite, got inf"),
+        ],
+    )
+    def test_nonfinite_rejected(self, pen, z, lam, message):
+        # each used to return a number silently
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            univariate_threshold(pen, z, lam)
+
+    @pytest.mark.parametrize("pen", [*ALL_KINDS, scad(2.5), mcp(1.5)])
+    def test_map_bit_equal_at_special_values(self, pen):
+        # the solver's resolved map against the dispatch it replaced, and
+        # univariate_threshold against both wherever it accepts the level
+        threshold = threshold_map(pen)
+        for level in special_levels(pen):
+            for z in special_zs(level):
+                ref = oracles.threshold_dispatch_reference(pen, z, level).hex()
+                assert threshold(z, level).hex() == ref, (z, level)
+                if math.isfinite(level) and math.isfinite(z):
+                    assert univariate_threshold(pen, z, level).hex() == ref, (z, level)
+
+    @pytest.mark.parametrize("pen", [*ALL_KINDS, scad(2.5), mcp(1.5)])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_map_bit_equal(self, pen, data):
+        z, level = data.draw(map_arguments(pen))
+        ref = oracles.threshold_dispatch_reference(pen, z, level).hex()
+        assert threshold_map(pen)(z, level).hex() == ref
+        if math.isfinite(level) and math.isfinite(z):
+            assert univariate_threshold(pen, z, level).hex() == ref
 
     @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.5), mcp(3.0)])
     def test_matches_candidate_enumeration(self, pen):

@@ -239,7 +239,7 @@ class TestKernelMatchesReference:
         left_zero = False
         for name, x, y in self.designs():
             scale = lambda_max(x, y)
-            for frac in (0.05, 0.3, 0.7):
+            for frac in (0.0, 0.05, 0.3, 0.7):
                 lam = frac * scale
                 for init in (None, rng.uniform(-scale, scale, size=x.shape[1])):
                     for max_iter in (MAX_ITER, 70):
@@ -262,6 +262,25 @@ class TestKernelMatchesReference:
         # and so is, for SCAD and MC+, a coordinate that left zero with
         # |z| <= lam / c_j: the nonconvex regime, where solve must not skip
         assert left_zero == (not pen.convex)
+
+    def test_warm_started_wide_path(self):
+        # solve_path's fits share one Gram and start from the previous beta;
+        # the reference chains its own betas, on a p > n design whose fits
+        # run past the 64-sweep drift refresh
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((8, 24))
+        y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.5 * rng.standard_normal(8)
+        top = lambda_max(x, y)
+        grid = np.geomspace(top, 1e-3 * top, 20)
+        warm = None
+        sweeps_seen = []
+        for lam, fit in zip(grid, solve_path(x, y, grid, lasso())):
+            beta, sweeps, converged = oracles.coordinate_descent_reference(x, y, float(lam), lasso(), init=warm)
+            assert fit.beta.tobytes() == beta.tobytes(), lam
+            assert (fit.iterations, fit.converged) == (sweeps, converged), lam
+            sweeps_seen.append(sweeps)
+            warm = beta
+        assert max(sweeps_seen) > 64
 
 
 class TestSharedGram:
