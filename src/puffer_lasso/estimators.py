@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataError, DegreesOfFreedomError, NumericalError
+from .errors import DataError, DegreesOfFreedomError
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ def _ols_fit(x, y):
     estimator here derives from the returned (X, Y, SVD of X, beta_ols)."""
     m, v = linalg.as_design(x, y, "ols", "n > p")
     f = linalg.svd(m)
-    linalg.require_full_column_rank(f)
+    linalg.require_full_rank(f)
     return m, v, f, f.v @ ((f.u.T @ v) / f.d)
 
 
@@ -54,8 +54,8 @@ def ridge(x, y, tau: float) -> np.ndarray:
     if tau == 0.0:
         beta, *_ = np.linalg.lstsq(m, v, rcond=None)
         return beta
-    p = m.shape[1]
-    return np.linalg.solve(m.T @ m + tau * np.eye(p), m.T @ v)
+    gram, xty = linalg.normal_equations(m, v)
+    return np.linalg.solve(gram + tau * np.eye(m.shape[1]), xty)
 
 
 def z_stats(x, y, sigma: float) -> np.ndarray:
@@ -100,10 +100,11 @@ def _sigma_hat_fit(x, y):
             f"sigma_hat requires n > p + 1, got n={n}, p={p}"
         )
     fit = m, v, _, beta = _ols_fit(m, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm, scale = float(np.linalg.norm(v - m @ beta)), float(np.linalg.norm(v))
-    if not math.isfinite(norm + scale):
-        raise NumericalError("the residual norm overflows float64; rescale the data")
+    # a finite norm, sqrt(x'x), is below 1.4e154, so norm + scale is finite
+    # exactly where both are
+    norm, scale = linalg.finite(
+        "the residual norm", lambda: np.array([np.linalg.norm(v - m @ beta), np.linalg.norm(v)])
+    ).tolist()
     if norm <= max(n, p) * linalg.EPS * scale:
         return 0.0, fit
     return norm / math.sqrt(n - p), fit

@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels: SVD, numerical rank, diag((X'X)^-1).
+"""Dense linear-algebra kernels: SVD, numerical rank, diag((X'X)^-1),
+and the range guard every float64 product goes through.
 
 Everything downstream (preconditioners, estimators, the solver) consumes
 these routines. Matrices are plain 2-D float64 numpy arrays; all
@@ -104,24 +105,33 @@ def rank_of(f: SvdFactors) -> int:
     return int(np.count_nonzero(f.d > f.rank_tol))
 
 
-def require_full_column_rank(f: SvdFactors) -> None:
-    """Raise RankError naming the offending singular value if rank < p."""
-    _require_rank(f, f.v.shape[0], "column", "columns")
-
-
-def require_full_row_rank(f: SvdFactors) -> None:
-    """Raise RankError naming the offending singular value if rank < n."""
-    _require_rank(f, f.u.shape[0], "row", "rows")
-
-
-def _require_rank(f: SvdFactors, full: int, kind: str, unit: str) -> None:
+def require_full_rank(f: SvdFactors) -> None:
+    """Raise RankError naming the offending singular value if rank <
+    min(n, p): the column rank for n > p, the row rank otherwise."""
+    n, p = f.u.shape[0], f.v.shape[0]
+    kind, full = ("column", p) if n > p else ("row", n)
     r = rank_of(f)
     if r < full:
-        offender = float(f.d[r]) if r < f.d.size else 0.0
         raise RankError(
-            f"matrix is {kind}-rank deficient: rank {r} < {full} {unit} "
-            f"(singular value {offender:.3e} <= tol {f.rank_tol:.3e})"
+            f"matrix is {kind}-rank deficient: rank {r} < {full} {kind}s "
+            f"(singular value {float(f.d[r]):.3e} <= tol {f.rank_tol:.3e})"
         )
+
+
+def finite(name: str, compute):
+    """compute(), or NumericalError naming ``name`` where its result leaves
+    float64; min and max see NaN and inf without a boolean temporary."""
+    with np.errstate(all="ignore"):
+        out = compute()
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        raise NumericalError(f"{name} overflows float64; rescale the data")
+    return out
+
+
+def normal_equations(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X'X, X'Y) of a validated design, for fitting it once or many times;
+    NumericalError where either leaves float64 (a fit would sweep NaN)."""
+    return finite("X'X", lambda: m.T @ m), finite("X'Y", lambda: m.T @ v)
 
 
 def gram_inverse_diagonal(x) -> np.ndarray:
@@ -132,17 +142,12 @@ def gram_inverse_diagonal(x) -> np.ndarray:
     """
     m, _ = as_design(x, name="gram_inverse_diagonal", needs="n > p")
     f = svd(m)
-    require_full_column_rank(f)
+    require_full_rank(f)
     return _gram_inverse_diagonal(f)
 
 
 def _gram_inverse_diagonal(f: SvdFactors) -> np.ndarray:
     """diag((X'X)^-1) = V^2 d^-2 from the factors of a full-column-rank X;
     NumericalError where d^2 or d^-2 leaves float64 (nu would be 0 or inf)."""
-    with np.errstate(over="ignore", divide="ignore"):
-        square = np.square(f.d)
-        inverse = 1.0 / square
-    for name, part in (("X'X", square), ("(X'X)^-1", inverse)):
-        if not np.all(np.isfinite(part)):
-            raise NumericalError(f"{name} overflows float64; rescale the data")
-    return np.square(f.v) @ inverse
+    square = finite("X'X", lambda: np.square(f.d))
+    return np.square(f.v) @ finite("(X'X)^-1", lambda: 1.0 / square)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ def puffer(x, y) -> PreconditionedPair:
     """Left-precondition (X, Y) -> (U V', U D^-1 U' Y) for n > p."""
     m, v = linalg.as_design(x, y, "puffer", "n > p")
     f = linalg.svd(m)
-    linalg.require_full_column_rank(f)
+    linalg.require_full_rank(f)
     x_tilde = f.u @ f.v.T
     y_tilde = f.u @ ((f.u.T @ v) / f.d)
     return PreconditionedPair(x_tilde, y_tilde)
@@ -70,8 +69,9 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
     linalg.require_scalar("tau", tau)
     f = linalg.svd(m)  # U is n x n here
     if tau == 0.0:
-        linalg.require_full_row_rank(f)
-    w = 1.0 / np.sqrt(np.square(f.d) + tau)
+        linalg.require_full_rank(f)
+    shifted = linalg.finite("XX' + tau I", lambda: np.square(f.d) + tau)
+    w = linalg.finite("(XX' + tau I)^-1/2", lambda: 1.0 / np.sqrt(shifted))
     x_tilde = (f.u * (w * f.d)) @ f.v.T
     y_tilde = (f.u * w) @ (f.u.T @ v)
     return PreconditionedPair(x_tilde, y_tilde, tau=tau)
@@ -80,15 +80,13 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
 def project_rowspace(x, v, tau: float) -> np.ndarray:
     """Apply X'(XX' + tau I)^-1 X to v; at tau = 0 this projects onto the
     row space of X (and requires it to be full)."""
-    m = linalg.as_matrix(x)
-    n, p = m.shape
-    vec = linalg.as_vector(v, p)
-    if p < n:
-        raise DataError(f"project_rowspace requires p >= n, got n={n}, p={p}")
+    m, _ = linalg.as_design(x, name="project_rowspace", needs="p >= n")
+    vec = linalg.as_vector(v, m.shape[1])
     linalg.require_scalar("tau", tau)
     if tau == 0.0:
-        linalg.require_full_row_rank(linalg.svd(m))
-    w = np.linalg.solve(m @ m.T + tau * np.eye(n), m @ vec)
+        linalg.require_full_rank(linalg.svd(m))
+    gram = linalg.finite("XX'", lambda: m @ m.T)
+    w = np.linalg.solve(gram + tau * np.eye(m.shape[0]), m @ vec)
     return m.T @ w
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NumericalError
 from .penalties import PenaltySpec, pen_derivative, pen_value, threshold_map, zero_within_level
 
 
@@ -71,22 +70,7 @@ def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
 def lambda_max(x, y) -> float:
     """||X'Y||_inf: the smallest lam at which the Lasso fit is all zero."""
     m, v = linalg.as_design(x, y)
-    return float(np.max(np.abs(_finite_product(m.T, v, "X'Y"))))
-
-
-def _finite_product(a, b, name: str) -> np.ndarray:
-    """a @ b, or NumericalError where it overflows float64 (a fit would sweep
-    NaN until MAX_ITER); min and max see NaN and inf without a p x p temporary."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        raise NumericalError(f"{name} overflows float64; rescale the data")
-    return out
-
-
-def _normal_equations(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X'X, X'Y) of a validated design, for fitting it once or many times."""
-    return _finite_product(m.T, m, "X'X"), _finite_product(m.T, v, "X'Y")
+    return float(np.max(np.abs(linalg.finite("X'Y", lambda: m.T @ v))))
 
 
 def solve(
@@ -110,7 +94,7 @@ def solve(
     m, v = linalg.as_design(x, y)
     p = m.shape[1]
     linalg.require_scalar("lambda", lam)
-    gram, xty = _normal_equations(m, v) if normal is None else normal
+    gram, xty = linalg.normal_equations(m, v) if normal is None else normal
     if init is None:
         beta = np.zeros(p)
     else:
@@ -188,7 +172,7 @@ def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:
         linalg.require_scalar("lambda grid entries", t, "positive")
     linalg.require_descending("lambda grid", lams)
     m, v = linalg.as_design(x, y)
-    normal = _normal_equations(m, v)
+    normal = linalg.normal_equations(m, v)
     results: list[FitResult] = []
     warm = None
     for lam in lams:
@@ -214,7 +198,7 @@ def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8)
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen)]
     m, v = linalg.as_design(x, y)
-    normal = _normal_equations(m, v)
+    normal = linalg.normal_equations(m, v)
     scale = float(np.max(np.abs(normal[1])))  # lambda_max(x, y)
     rng = np.random.default_rng(0)
     fits: list[FitResult] = []

@@ -573,26 +573,43 @@ class TestErrorHandling:
         assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, shape, scale, message",
         [
-            (["fit", "--lambda", "0.1"], "X'X overflows float64; rescale the data"),
-            (["path"], "X'Y overflows float64; rescale the data"),
-            (["inspect"], "the residual norm overflows float64; rescale the data"),
-            (["inspect", "--sigma", "1"], "X'X overflows float64; rescale the data"),
-            (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], "X'X overflows float64; rescale the data"),
+            *[
+                pytest.param(argv, (8, 4), 1e160, f"{name} overflows float64; rescale the data", id=label)
+                for argv, name, label in (
+                    (["fit", "--lambda", "0.1"], "X'X", "fit"),
+                    (["path"], "X'Y", "path"),
+                    (["inspect"], "the residual norm", "inspect"),
+                    (["inspect", "--sigma", "1"], "X'X", "inspect_sigma"),
+                    (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], "X'X", "fit_puffer_scaled"),
+                )
+            ],
+            *[
+                pytest.param([command, *extra, "--transform", "puffer_tau", "--tau", tau], (6, 13), scale,
+                             f"{name} overflows float64; rescale the data", id=f"{command}_puffer_tau{tau}_{label}")
+                for command, extra in (("fit", ["--lambda", "0.1"]), ("path", []), ("precondition", []))
+                for tau, scale, label, name in (
+                    ("0", 1e160, "huge", "XX' + tau I"),
+                    ("1", 1e160, "huge", "XX' + tau I"),
+                    ("0", 1e-165, "tiny", "(XX' + tau I)^-1/2"),
+                )
+            ],
         ],
-        ids=["fit", "path", "inspect", "inspect_sigma", "fit_puffer_scaled"],
     )
-    def test_overflowing_design_exits_three(self, tmp_path, capsys, argv, message):
+    def test_overflowing_design_exits_three(self, tmp_path, capsys, argv, shape, scale, message):
         # X'X, X'Y and the residual norm overflow float64 here: fit used to
         # sweep NaN for MAX_ITER sweeps, path to reject a grid the user never
         # gave, and inspect to call the fit degenerate, all with numpy warnings;
         # squaring the singular values for diag((X'X)^-1) made nu 0, so
         # inspect --sigma 1 rejected its own Z statistics and puffer_scaled
-        # reported rank 0
+        # reported rank 0. On a wide design, d^2 + tau overflowing made
+        # puffer_tau's design all zeros (exit 0), and d^2 underflowing at
+        # tau = 0 made it inf, which the solver blamed on the input (exit 2)
         path = tmp_path / "huge.csv"
-        np.savetxt(path, np.random.default_rng(0).standard_normal((8, 4)) * 1e160, delimiter=",",
-                   header="y,a,b,c", comments="")
+        header = ",".join(["y", *(f"x{j}" for j in range(shape[1] - 1))])
+        np.savetxt(path, np.random.default_rng(0).standard_normal(shape) * scale, delimiter=",",
+                   header=header, comments="")
         code = main([argv[0], "--input", str(path), *argv[1:]])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")

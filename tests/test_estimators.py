@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from puffer_lasso import estimators, linalg, penalties, preconditioners
 from puffer_lasso.cli import main
-from puffer_lasso.errors import DataError, DegreesOfFreedomError, RankError
+from puffer_lasso.errors import DataError, DegreesOfFreedomError, NumericalError, RankError
 from puffer_lasso.estimators import (
     inference,
     ols,
@@ -96,6 +96,13 @@ class TestRidge:
         x, y = problem(1, 6, 2)
         with pytest.raises(ValueError):
             ridge(x, y, -0.5)
+
+    def test_overflowing_design_raises(self):
+        # X'X of this 6x12 design leaves float64; the solve used to return
+        # NaN with a numpy warning (which the test configuration makes an error)
+        x, y = problem(29, 6, 12)
+        with pytest.raises(NumericalError, match=r"^X'X overflows float64; rescale the data$"):
+            ridge(x * 1e160, y, 1.0)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 10**6), st.floats(1e-6, 100.0))

@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import linalg
+from puffer_lasso import estimators, linalg, preconditioners
 from puffer_lasso.errors import DataError, NumericalError, RankError
 
 import oracles
@@ -145,6 +146,66 @@ class TestRankOf:
         c, d = rng.standard_normal((2, 3))
         x = np.outer(a, c) + np.outer(b, d)
         assert linalg.rank_of(linalg.svd(x)) == 2
+
+
+class TestRequireFullRank:
+    # the kind comes from the shape: column rank for n > p, row rank for
+    # p >= n, a square design included; exact zeros keep the values fixed
+    COLUMN = "matrix is column-rank deficient: rank 1 < 2 columns (singular value 0.000e+00 <= tol 1.998e-15)"
+    ROW = "matrix is row-rank deficient: rank 1 < 2 rows (singular value 0.000e+00 <= tol 1.998e-15)"
+    SQUARE = "matrix is row-rank deficient: rank 1 < 2 rows (singular value 0.000e+00 <= tol 1.332e-15)"
+    TALL = np.array([[3.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    WIDE = np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: estimators.ols(x, np.ones(3)),
+            lambda x: preconditioners.puffer(x, np.ones(3)),
+            linalg.gram_inverse_diagonal,
+        ],
+        ids=["ols", "puffer", "gram_inverse_diagonal"],
+    )
+    def test_column_message(self, call):
+        with pytest.raises(RankError, match=rf"^{re.escape(self.COLUMN)}$"):
+            call(self.TALL)
+
+    @pytest.mark.parametrize("x, message", [(WIDE, ROW), (WIDE[:, :2], SQUARE)], ids=["wide", "square"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: preconditioners.puffer_tau(x, np.ones(2), 0.0),
+            lambda x: preconditioners.project_rowspace(x, np.ones(x.shape[1]), 0.0),
+        ],
+        ids=["puffer_tau", "project_rowspace"],
+    )
+    def test_row_message(self, call, x, message):
+        with pytest.raises(RankError, match=rf"^{re.escape(message)}$"):
+            call(x)
+
+
+class TestFinite:
+    def test_returns_the_result(self):
+        a = random_matrix(27, 4, 3)
+        assert linalg.finite("X'X", lambda: a.T @ a).tobytes() == (a.T @ a).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_raises_without_warning(self, bad):
+        a = np.array([1e200, 1.0, bad])
+        with pytest.raises(NumericalError, match=r"^a'a overflows float64; rescale the data$"):
+            linalg.finite("a'a", lambda: a * a)
+
+    def test_no_input_sized_temporary(self):
+        # an isfinite(...).all() check would allocate a boolean array of
+        # a.size bytes here, which is what raised wide_path's peak RSS
+        a = np.ones(1 << 20)
+        tracemalloc.start()
+        try:
+            linalg.finite("a", lambda: a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.size // 16
 
 
 class TestGramInverseDiagonal:

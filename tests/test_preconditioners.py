@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puffer_lasso import estimators, preconditioners
-from puffer_lasso.errors import DataError, RankError
+from puffer_lasso.errors import DataError, NumericalError, RankError
 from puffer_lasso.penalties import lasso, soft_threshold
 from puffer_lasso.preconditioners import (
     project_rowspace,
@@ -236,6 +237,11 @@ class TestProjectRowspace:
         with pytest.raises(RankError):
             project_rowspace(x, np.ones(5), 0.0)
 
+    @pytest.mark.parametrize("v", [np.ones(5), np.full(3, np.nan)], ids=["wrong_length", "nonfinite"])
+    def test_shape_checked_before_vector(self, v):
+        with pytest.raises(DataError, match=r"^project_rowspace requires p >= n, got n=4, p=3$"):
+            project_rowspace(np.ones((4, 3)), v, 0.0)
+
 
 class TestRidgeViaPrecond:
     def test_square_invertible_interpolates(self):
@@ -261,3 +267,40 @@ class TestRidgeViaPrecond:
         a = ridge_via_precond(x, y, tau)
         b = estimators.ridge(x, y, tau)
         assert np.max(np.abs(a - b)) <= 1e-8
+
+
+class TestOutOfRangeScale:
+    # a 6x12 design scaled by 1e160 squares past float64, and one scaled by
+    # 1e-165 squares to 0; each used to come back as NaN, inf or zeros with
+    # a numpy warning (which the test configuration makes an error)
+    def raises(self, name):
+        return pytest.raises(NumericalError, match=rf"^{re.escape(name)} overflows float64; rescale the data$")
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_project_rowspace(self, tau):
+        x, _ = wide_problem(30, 6, 12)
+        with self.raises("XX'"):
+            project_rowspace(x * 1e160, np.ones(12), tau)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_puffer_tau_and_ridge_via_precond_overflow(self, tau):
+        x, y = wide_problem(31, 6, 12)
+        for call in (puffer_tau, ridge_via_precond):
+            with self.raises("XX' + tau I"):
+                call(x * 1e160, y, tau)
+
+    def test_puffer_tau_inverse_root_at_tau_zero(self):
+        x, y = wide_problem(32, 6, 12)
+        for call in (puffer_tau, ridge_via_precond):
+            with self.raises("(XX' + tau I)^-1/2"):
+                call(x * 1e-165, y, 0.0)
+
+    def test_ordinary_scale_is_bit_unchanged(self):
+        x, y = wide_problem(33, 6, 12)
+        x = x * 1e150
+        u, d, vt = np.linalg.svd(x, full_matrices=False)
+        w = 1.0 / np.sqrt(np.square(d) + 0.5)
+        assert puffer_tau(x, y, 0.5).x_tilde.tobytes() == ((u * (w * d)) @ vt).tobytes()
+        v = np.ones(12)
+        expected = x.T @ np.linalg.solve(x @ x.T + 0.5 * np.eye(6), x @ v)
+        assert project_rowspace(x, v, 0.5).tobytes() == expected.tobytes()
