@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: SVD, numerical rank, diag((X'X)^-1),
-and the range guard every float64 product goes through.
+and the range guards every float64 product goes through.
 
 Everything downstream (preconditioners, estimators, the solver) consumes
 these routines. Matrices are plain 2-D float64 numpy arrays; all
@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataError, NumericalError, RankError
 
 EPS = float(np.finfo(np.float64).eps)
+#: the smallest normal float64; a squared norm below it has lost precision
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def as_matrix(x) -> np.ndarray:
@@ -128,10 +130,23 @@ def finite(name: str, compute):
     return out
 
 
+def require_resolved(m: np.ndarray, name: str = "X'X") -> None:
+    """NumericalError naming ``name`` where a column of m has a nonzero
+    entry but a squared norm below TINY: its products underflow, and a fit
+    would read the column as zero. All-zero columns pass."""
+    with np.errstate(all="ignore"):
+        small = np.flatnonzero(np.einsum("ij,ij->j", m, m) < TINY)
+    if small.size and np.any(m[:, small]):
+        raise NumericalError(f"{name} underflows float64; rescale the data")
+
+
 def normal_equations(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X'X, X'Y) of a validated design, for fitting it once or many times;
-    NumericalError where either leaves float64 (a fit would sweep NaN)."""
-    return finite("X'X", lambda: m.T @ m), finite("X'Y", lambda: m.T @ v)
+    NumericalError where either leaves float64 (a fit would sweep NaN) or
+    a nonzero column's squared norm underflows (it would fit as zero)."""
+    pair = finite("X'X", lambda: m.T @ m), finite("X'Y", lambda: m.T @ v)
+    require_resolved(m)
+    return pair
 
 
 def gram_inverse_diagonal(x) -> np.ndarray:

@@ -70,7 +70,10 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 # (golden file, index on its path) -> why a recorded converged=false fit
 # may now converge
-DECLARED: dict[tuple[str, int], str] = {}
+DECLARED: dict[tuple[str, int], str] = {
+    ("path-wide-enet.json", i): "plain coordinate descent used up MAX_ITER sweeps; the cell solve finishes the fit"
+    for i in range(41, 50)
+}
 
 
 def run_cli(argv: list[str]) -> str:
@@ -216,7 +219,7 @@ def test_output_matches_golden(name, same_stack):
 
 
 def test_every_golden_file_is_a_case():
-    recorded = {p.name for p in GOLDEN.iterdir()} - {"tall.csv", "wide.csv", "stack.json"}
+    recorded = {p.name for p in GOLDEN.iterdir()} - {"tall.csv", "wide.csv", "stack.json", "deep_path_reference.json"}
     assert recorded == set(CASES)
 
 

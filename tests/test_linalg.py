@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from puffer_lasso import estimators, linalg, preconditioners
 from puffer_lasso.errors import DataError, NumericalError, RankError
+from puffer_lasso.solver import lambda_max
 
 import oracles
 
@@ -206,6 +207,35 @@ class TestFinite:
         finally:
             tracemalloc.stop()
         assert peak < a.size // 16
+
+
+class TestRequireResolved:
+    MESSAGE = r"^X'X underflows float64; rescale the data$"
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-165, 5e-324])
+    def test_tiny_nonzero_column_raises(self, scale):
+        m = random_matrix(24, 6, 3)
+        m[:, 1] *= scale
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            linalg.require_resolved(m)
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            linalg.normal_equations(m, np.ones(6))
+
+    def test_lambda_max_raises(self):
+        with pytest.raises(NumericalError, match=self.MESSAGE):
+            lambda_max(random_matrix(25, 6, 3) * 1e-165, np.ones(6))
+
+    def test_zero_and_ordinary_columns_pass(self):
+        m = random_matrix(26, 6, 3) * 1e-150
+        m[:, 2] = 0.0
+        linalg.require_resolved(m)
+        gram, xty = linalg.normal_equations(m, np.ones(6))
+        assert gram.tobytes() == (m.T @ m).tobytes()
+        assert xty.tobytes() == (m.T @ np.ones(6)).tobytes()
+
+    def test_names_the_product(self):
+        with pytest.raises(NumericalError, match=r"^XX' underflows float64; rescale the data$"):
+            linalg.require_resolved(np.full((2, 3), 1e-170), "XX'")
 
 
 class TestGramInverseDiagonal:

@@ -289,6 +289,14 @@ class TestOutOfRangeScale:
             with self.raises("XX' + tau I"):
                 call(x * 1e160, y, tau)
 
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_project_rowspace_underflow(self, tau):
+        # XX' underflows to 0: numpy's own LinAlgError at tau = 0, and a
+        # zero projection at tau = 1
+        x, _ = wide_problem(34, 6, 12)
+        with pytest.raises(NumericalError, match=r"^XX' underflows float64; rescale the data$"):
+            project_rowspace(x * 1e-165, np.ones(12), tau)
+
     def test_puffer_tau_inverse_root_at_tau_zero(self):
         x, y = wide_problem(32, 6, 12)
         for call in (puffer_tau, ridge_via_precond):

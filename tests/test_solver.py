@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,10 +212,19 @@ class TestSolve:
         assert fit.objective == pytest.approx(manual, rel=1e-14)
 
 
+def within_beta_bound(beta, ref) -> bool:
+    """The golden comparator's bound: 1e-6 * max(1, max |ref|)."""
+    return float(np.max(np.abs(beta - ref))) <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
+
+
 class TestKernelMatchesReference:
-    """solve's sweep against the plain numpy loop in oracles: same update
-    order and arithmetic, so beta is bit-equal and the sweep count and
-    convergence flag agree."""
+    """solve's sweep against the plain numpy loop in oracles, which has the
+    same update order and arithmetic but no polish. A fit without an
+    accepted polish is bit-equal to it: beta, the sweep count and the
+    convergence flag. A polished fit has the same flag and active set,
+    beta within the golden comparator's bound, and no more sweeps; under a
+    sweep cap it is compared with the uncapped reference, since the polish
+    may finish a fit that plain sweeps leave unconverged at the cap."""
 
     @staticmethod
     def designs():
@@ -232,11 +243,28 @@ class TestKernelMatchesReference:
         x, y = tall_problem(seed=212, n=12, p=5)
         yield "shrunken_columns", x * rng.uniform(0.04, 0.06, size=5), y
 
+    @staticmethod
+    def assert_matches(fit, beta, sweeps, converged, where) -> bool:
+        """Assert the contract above; True where the fit was polished."""
+        if fit.polish_accepts == 0:
+            assert fit.beta.tobytes() == beta.tobytes(), where
+            assert (fit.iterations, fit.converged) == (sweeps, converged), where
+            return False
+        assert fit.converged == converged, where
+        assert fit.active_set == tuple(np.flatnonzero(beta)), where
+        assert within_beta_bound(fit.beta, beta), where
+        assert fit.iterations <= sweeps, where
+        return True
+
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
     def test_bit_equal_beta_sweeps_and_flag(self, pen, monkeypatch):
+        # convex fits also run with every polish rejected, which must leave
+        # the plain sweep bit-equal to the reference as before
         rng = np.random.default_rng(32)
+        polish = solver._polish
         checked_long = False
         left_zero = False
+        polished = 0
         for name, x, y in self.designs():
             scale = lambda_max(x, y)
             for frac in (0.0, 0.05, 0.3, 0.7):
@@ -244,43 +272,164 @@ class TestKernelMatchesReference:
                 for init in (None, rng.uniform(-scale, scale, size=x.shape[1])):
                     for max_iter in (MAX_ITER, 70):
                         monkeypatch.setattr(solver, "MAX_ITER", max_iter)
-                        fit = solve(x, y, lam, pen, init=init)
                         visits = []
                         beta, sweeps, converged = oracles.coordinate_descent_reference(
                             x, y, lam, pen, init=init, max_iter=max_iter, visits=visits
                         )
                         where = (name, frac, init is None, max_iter)
-                        assert fit.beta.tobytes() == beta.tobytes(), where
-                        assert fit.iterations == sweeps, where
-                        assert fit.converged == converged, where
+                        if pen.convex:
+                            monkeypatch.setattr(solver, "_polish", lambda *args: None)
+                            plain = solve(x, y, lam, pen, init=init)
+                            assert not self.assert_matches(plain, beta, sweeps, converged, where)
+                            monkeypatch.setattr(solver, "_polish", polish)
+                        fit = solve(x, y, lam, pen, init=init)
                         checked_long |= sweeps > 64
                         left_zero |= any(
                             old == 0.0 and abs(z) <= level and new != 0.0 for old, z, level, new in visits
                         )
-        # the 64-sweep drift refresh is on the compared path
+                        if fit.polish_accepts and max_iter < MAX_ITER:
+                            beta, sweeps, converged = oracles.coordinate_descent_reference(x, y, lam, pen, init=init)
+                        polished += self.assert_matches(fit, beta, sweeps, converged, where)
+        # the 64-sweep drift refresh is on the bit-compared path
         assert checked_long
         # and so is, for SCAD and MC+, a coordinate that left zero with
         # |z| <= lam / c_j: the nonconvex regime, where solve must not skip
         assert left_zero == (not pen.convex)
+        # the polished branch is exercised, and only for convex penalties
+        assert (polished > 0) == pen.convex
 
-    def test_warm_started_wide_path(self):
+    def test_warm_started_wide_path(self, monkeypatch):
         # solve_path's fits share one Gram and start from the previous beta;
         # the reference chains its own betas, on a p > n design whose fits
-        # run past the 64-sweep drift refresh
+        # run past the 64-sweep drift refresh. With every polish rejected
+        # the path is the reference's bit for bit.
         rng = np.random.default_rng(33)
         x = rng.standard_normal((8, 24))
         y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.5 * rng.standard_normal(8)
         top = lambda_max(x, y)
         grid = np.geomspace(top, 1e-3 * top, 20)
+        fits = solve_path(x, y, grid, lasso())
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
+        plain = solve_path(x, y, grid, lasso())
         warm = None
         sweeps_seen = []
-        for lam, fit in zip(grid, solve_path(x, y, grid, lasso())):
+        polished = 0
+        for lam, fit, unpolished in zip(grid, fits, plain):
             beta, sweeps, converged = oracles.coordinate_descent_reference(x, y, float(lam), lasso(), init=warm)
-            assert fit.beta.tobytes() == beta.tobytes(), lam
-            assert (fit.iterations, fit.converged) == (sweeps, converged), lam
+            assert not self.assert_matches(unpolished, beta, sweeps, converged, lam)
+            polished += self.assert_matches(fit, beta, sweeps, converged, lam)
             sweeps_seen.append(sweeps)
             warm = beta
         assert max(sweeps_seen) > 64
+        assert polished > 0
+
+
+class TestPolish:
+    """The exact cell solve of convex fits (solve's polish)."""
+
+    # The reference's active sets along the default grid of the 50 x 200
+    # design below, and its 87,748 sweeps; it used up MAX_ITER at index 34.
+    # Recorded from chained oracles.coordinate_descent_reference calls
+    # (about 50 s) by deep_path_reference().
+    DEEP_REFERENCE = "deep_path_reference.json"
+
+    @staticmethod
+    def deep_design():
+        rng = np.random.default_rng(50200)
+        x = rng.standard_normal((50, 200))
+        y = x[:, :5] @ np.array([2.0, -1.5, 1.0, -0.5, 0.75]) + 0.5 * rng.standard_normal(50)
+        top = lambda_max(x, y)
+        return x, y, np.geomspace(top, 1e-4 * top, 50)
+
+    @classmethod
+    def deep_path_reference(cls) -> dict:
+        x, y, grid = cls.deep_design()
+        warm, record = None, {"active_sets": [], "sweeps": [], "converged": []}
+        for lam in grid:
+            warm, sweeps, converged = oracles.coordinate_descent_reference(x, y, float(lam), lasso(), init=warm)
+            record["active_sets"].append(np.flatnonzero(warm).tolist())
+            record["sweeps"].append(sweeps)
+            record["converged"].append(converged)
+        return record
+
+    def test_deep_default_grid_path_in_a_fifth_of_the_sweeps(self):
+        x, y, grid = self.deep_design()
+        reference = json.loads((Path(__file__).parent / "golden" / self.DEEP_REFERENCE).read_text())
+        fits = solve_path(x, y, grid, lasso())
+        assert [list(f.active_set) for f in fits] == reference["active_sets"]
+        assert all(f.converged and f.kkt_residual <= KKT_TOL for f in fits)
+        assert sum(reference["sweeps"]) == 87_748
+        assert sum(f.iterations for f in fits) < 20_000
+        assert max(len(f.active_set) for f in fits) == x.shape[0]
+
+    @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5)])
+    def test_wide_fits_converge_where_the_support_reaches_n(self, pen):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((12, 40))
+        y = x[:, :4] @ np.array([1.0, -2.0, 1.5, 0.5]) + 0.3 * rng.standard_normal(12)
+        top = lambda_max(x, y)
+        fits = solve_path(x, y, np.geomspace(top, 1e-4 * top, 50), pen)
+        assert max(len(f.active_set) for f in fits) >= x.shape[0]
+        assert sum(f.polish_accepts for f in fits) > 0
+        for fit in fits:
+            assert fit.converged
+            assert recompute_kkt(x, y, fit) <= KKT_TOL
+
+    def test_accepts_only_a_sign_keeping_lower_objective(self):
+        x, y = tall_problem(seed=231, n=10, p=4)
+        lam = 0.2 * lambda_max(x, y)
+        gram, xty = x.T @ x, x.T @ y
+        exact = solve(x, y, lam, lasso()).beta
+        near = exact + 1e-3 * np.sign(exact)
+        polished = solver._polish(x, y, gram, xty, lam, lasso(), near)
+        assert polished is not None
+        assert within_beta_bound(polished, exact)
+        assert objective_value(x, y, lam, lasso(), polished) <= objective_value(x, y, lam, lasso(), near)
+        # a sign pattern whose cell optimum leaves the cell is rejected
+        flipped = near.copy()
+        flipped[np.flatnonzero(flipped)[0]] *= -1
+        assert solver._polish(x, y, gram, xty, lam, lasso(), flipped) is None
+        # so is a singular cell: |A| > n for the Lasso
+        xw, yw = tall_problem(seed=232, n=3, p=6)
+        assert solver._polish(xw, yw, xw.T @ xw, xw.T @ yw, 0.01, lasso(), np.ones(6)) is None
+
+    def test_rejects_a_point_whose_objective_rises(self, monkeypatch):
+        # sign-keeping cell optima lower the true objective up to rounding,
+        # so the rule is checked against an objective that prefers larger |b|
+        x, y = tall_problem(seed=231, n=10, p=4)
+        lam = 0.2 * lambda_max(x, y)
+        exact = solve(x, y, lam, lasso()).beta
+        near = exact + 1e-3 * np.sign(exact)
+        monkeypatch.setattr(solver, "objective_value", lambda x, y, lam, pen, b: -float(np.sum(np.abs(b))))
+        assert solver._polish(x, y, x.T @ x, x.T @ y, lam, lasso(), near) is None
+
+    def test_waits_for_sweeps_without_a_crossing(self, monkeypatch):
+        # with every polish rejected the sweep is the reference's, whose
+        # visits show after which sweep no coordinate has moved to, from or
+        # across zero for 2 sweeps in a row, then 4 more, then 8 more
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((8, 24))
+        y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.5 * rng.standard_normal(8)
+        lam = 0.01 * lambda_max(x, y)
+        attempts = []
+        monkeypatch.setattr(solver, "_polish", lambda *args: attempts.append(args[-1].tobytes()))
+        fit = solve(x, y, lam, lasso())
+        visits = []
+        oracles.coordinate_descent_reference(x, y, lam, lasso(), visits=visits)
+        beta, after, expected, stable, need = np.zeros(24), [], [], 0, 2
+        for start in range(0, len(visits), 24):
+            sweep = visits[start:start + 24]
+            beta = beta.copy()
+            beta[:] = [new for _, _, _, new in sweep]
+            after.append(beta.tobytes())
+            crossed = any(old * new <= 0.0 and old != new for old, _, _, new in sweep)
+            stable = 0 if crossed else stable + 1
+            if stable >= need:
+                expected.append(len(after))
+                stable, need = 0, 2 * need
+        assert fit.iterations > expected[2]
+        assert [after.index(b) + 1 for b in attempts[:3]] == expected[:3]
+        assert expected[0] > 2
 
 
 class TestSharedGram:
