@@ -130,13 +130,12 @@ def finite(name: str, compute):
     return out
 
 
-def require_resolved(m: np.ndarray, name: str = "X'X") -> None:
+def require_resolved(m: np.ndarray, squares: np.ndarray, name: str = "X'X") -> None:
     """NumericalError naming ``name`` where a column of m has a nonzero
-    entry but a squared norm below TINY: its products underflow, and a fit
-    would read the column as zero. All-zero columns pass."""
-    with np.errstate(all="ignore"):
-        small = np.flatnonzero(np.einsum("ij,ij->j", m, m) < TINY)
-    if small.size and np.any(m[:, small]):
+    entry but a squared norm (``squares``, the diagonal of m'm) below TINY:
+    its products underflow, and a fit would read the column as zero.
+    All-zero columns pass."""
+    if squares.min() < TINY and np.any(m[:, squares < TINY]):
         raise NumericalError(f"{name} underflows float64; rescale the data")
 
 
@@ -145,7 +144,7 @@ def normal_equations(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     NumericalError where either leaves float64 (a fit would sweep NaN) or
     a nonzero column's squared norm underflows (it would fit as zero)."""
     pair = finite("X'X", lambda: m.T @ m), finite("X'Y", lambda: m.T @ v)
-    require_resolved(m)
+    require_resolved(m, pair[0].diagonal())
     return pair
 
 

@@ -86,7 +86,7 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     if tau == 0.0:
         linalg.require_full_rank(linalg.svd(m))
     gram = linalg.finite("XX'", lambda: m @ m.T)
-    linalg.require_resolved(m.T, "XX'")
+    linalg.require_resolved(m.T, gram.diagonal(), "XX'")
     w = np.linalg.solve(gram + tau * np.eye(m.shape[0]), m @ vec)
     return m.T @ w
 

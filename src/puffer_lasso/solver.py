@@ -78,8 +78,10 @@ def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
 def lambda_max(x, y) -> float:
     """||X'Y||_inf: the smallest lam at which the Lasso fit is all zero."""
     m, v = linalg.as_design(x, y)
-    linalg.require_resolved(m)
-    return float(np.max(np.abs(linalg.finite("X'Y", lambda: m.T @ v))))
+    top = float(np.max(np.abs(linalg.finite("X'Y", lambda: m.T @ v))))
+    # einsum sets no floating-point flags, so an overflow is a silent inf
+    linalg.require_resolved(m, np.einsum("ij,ij->j", m, m))
+    return top
 
 
 def solve(

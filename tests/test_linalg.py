@@ -217,7 +217,7 @@ class TestRequireResolved:
         m = random_matrix(24, 6, 3)
         m[:, 1] *= scale
         with pytest.raises(NumericalError, match=self.MESSAGE):
-            linalg.require_resolved(m)
+            linalg.require_resolved(m, np.einsum("ij,ij->j", m, m))
         with pytest.raises(NumericalError, match=self.MESSAGE):
             linalg.normal_equations(m, np.ones(6))
 
@@ -228,14 +228,14 @@ class TestRequireResolved:
     def test_zero_and_ordinary_columns_pass(self):
         m = random_matrix(26, 6, 3) * 1e-150
         m[:, 2] = 0.0
-        linalg.require_resolved(m)
+        linalg.require_resolved(m, np.einsum("ij,ij->j", m, m))
         gram, xty = linalg.normal_equations(m, np.ones(6))
         assert gram.tobytes() == (m.T @ m).tobytes()
         assert xty.tobytes() == (m.T @ np.ones(6)).tobytes()
 
     def test_names_the_product(self):
         with pytest.raises(NumericalError, match=r"^XX' underflows float64; rescale the data$"):
-            linalg.require_resolved(np.full((2, 3), 1e-170), "XX'")
+            linalg.require_resolved(np.full((2, 3), 1e-170), np.zeros(3), "XX'")
 
 
 class TestGramInverseDiagonal:
