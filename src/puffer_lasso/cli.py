@@ -251,6 +251,8 @@ def _json(obj) -> str:
     if isinstance(obj, str):
         return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim == 1:
+            return "[" + ",".join(map(_fmt, obj.tolist())) + "]"
         return _json(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_json(v) for v in obj) + "]"

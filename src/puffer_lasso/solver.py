@@ -11,7 +11,10 @@ coordinates and stays within [-lam, lam] elsewhere.
 
 For the convex penalties, sweeps that keep the support and signs fixed
 are followed by an exact solve on that cell (``_polish``), the way LARS
-solves each segment of the Lasso path exactly (Efron et al. 2004).
+solves each segment of the Lasso path exactly (Efron et al. 2004). Where
+that solve would flip a sign, or the cell is singular, the polish steps
+to the cell's boundary and drops a coordinate, a backward-elimination
+step.
 
 Note on conventions: the 0.5 factor above is fixed. The same problem
 written without it, ||Y - X b||^2 + lam' * ||b||_1, corresponds to
@@ -38,6 +41,8 @@ KKT_TOL = 1e-7
 #: two minima are distinct when their sup-distance exceeds this
 DISTINCT_TOL = 1e-5
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -56,20 +61,20 @@ class FitResult:
 def objective_value(x, y, lam: float, pen: PenaltySpec, beta) -> float:
     """0.5 * ||Y - X b||^2 + lam * sum_j pen(b_j); the penalty terms are
     summed with math.fsum, correctly rounded on every Python version."""
+    beta = np.asarray(beta)
     r = y - x @ beta
-    return 0.5 * float(r @ r) + lam * math.fsum(pen_value(pen, float(b)) for b in beta)
+    # pen(0) = 0 for every penalty, and fsum is exact, so zeros are skipped
+    return 0.5 * float(r @ r) + lam * math.fsum(pen_value(pen, b) for b in beta[beta != 0.0].tolist())
 
 
 def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
     """Max first-order violation given the gradient g = X'(Y - X b)."""
-    worst = 0.0
-    for j in range(beta.size):
-        b = float(beta[j])
-        g = float(grad[j])
-        if b != 0.0:
-            gap = abs(g - lam * pen_derivative(pen, b))
-        else:
-            gap = abs(g) - lam
+    grad, beta = np.asarray(grad), np.asarray(beta)
+    zero = beta == 0.0
+    # np.max keeps a NaN; the comparisons below let it win too
+    worst = float(np.max(np.abs(grad[zero]) - lam)) if zero.any() else 0.0
+    for g, b in zip(grad[~zero].tolist(), beta[~zero].tolist()):
+        gap = abs(g - lam * pen_derivative(pen, b))
         if gap > worst or gap != gap:  # max() would drop a NaN
             worst = gap
     return max(worst, 0.0)
@@ -105,7 +110,8 @@ def solve(
     For the Lasso and the elastic net, once ``need`` sweeps in a row (2 at
     first) have moved no coordinate to, from or across zero, the fit is
     polished: ``_polish`` solves the quadratic of the current cell
-    exactly. An accepted polish replaces beta and refreshes the gradient;
+    exactly, dropping coordinates until the solution keeps its cell. An
+    accepted polish replaces beta and refreshes the gradient;
     a rejected one doubles ``need``. Either way sweeping goes on, so the
     COORD_TOL and KKT tests still decide convergence, and ``iterations``
     counts sweeps only. SCAD and MC+ are swept plainly.
@@ -200,35 +206,70 @@ def solve(
 
 
 def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
-    """The minimiser of a convex penalty's objective on beta's cell, or
-    None where it does not improve on beta.
+    """A point of a convex penalty's objective no higher than beta's, found
+    by exact cell solves, or None where there is none to take.
 
     On the cell with support A and signs s the objective is the quadratic
     whose stationary point solves (G_AA + lam * alpha * I) b_A = (X'Y)_A -
-    lam * s_A, with alpha = 0 for the Lasso. The point is accepted only if
-    that matrix has a Cholesky factor (and the solve succeeds), every b_j
-    keeps its sign s_j, and the objective does not rise.
+    lam * s_A, with alpha = 0 for the Lasso. Each pass solves the current
+    cell; a solution that keeps every sign ends the search. Otherwise the
+    point moves off the cell, which drops one coordinate, and the smaller
+    cell is solved on the next pass:
+
+    - where the solution flips a sign, b_A walks toward it, along which the
+      cell quadratic falls, and stops where the first coordinate reaches
+      zero;
+    - where the cell matrix has no Cholesky factor (as when |A| > n), b_A
+      walks along the eigenvector d of its smallest eigenvalue. There X_A d
+      is about 0, so the objective changes by t * lam * s'd: d is oriented
+      with s'd < 0. At lam = 0, or with s'd at rounding level, the cell has
+      a flat set of minimisers and the search gives up.
+
+    A walk's first coordinate to reach zero is set to exactly 0.0, and
+    every other coordinate must keep its sign. The final point is kept only
+    if its objective does not rise above beta's.
     """
-    active = np.flatnonzero(beta)
-    if active.size == 0:
+    if not beta.any():
         return None
-    signs = np.sign(beta[active])
-    cell = gram[np.ix_(active, active)]
-    if pen.kind == "elastic_net":
-        cell[np.diag_indices_from(cell)] += lam * pen.param
-    try:
-        np.linalg.cholesky(cell)
-        # a rounding-positive factor of a singular cell can leave LU a zero pivot
-        solved = np.linalg.solve(cell, xty[active] - lam * signs)
-    except np.linalg.LinAlgError:
+    point = beta.copy()
+    for _ in range(np.count_nonzero(beta)):
+        active = np.flatnonzero(point)
+        current = point[active]
+        signs = np.sign(current)
+        cell = gram[np.ix_(active, active)]
+        if pen.kind == "elastic_net":
+            cell[np.diag_indices_from(cell)] += lam * pen.param
+        try:
+            np.linalg.cholesky(cell)
+            # a rounding-positive factor of a singular cell can leave LU a zero pivot
+            solved = np.linalg.solve(cell, xty[active] - lam * signs)
+        except np.linalg.LinAlgError:
+            direction = np.linalg.eigh(cell)[1][:, 0]
+            slope = float(signs @ direction)
+            if lam == 0.0 or abs(slope) <= active.size * _EPS:
+                return None
+            if slope > 0.0:
+                direction = -direction
+        else:
+            if np.array_equal(np.sign(solved), signs):
+                point[active] = solved
+                break
+            direction = solved - current
+        shrinking = np.flatnonzero(current * direction < 0.0)
+        if shrinking.size == 0:  # only a NaN direction has none
+            return None
+        times = -current[shrinking] / direction[shrinking]
+        first = np.argmin(times)
+        walked = current + times[first] * direction
+        # the first coordinate to reach zero leaves the cell; a second one
+        # reaching or crossing zero with it is a tie, and rejected
+        walked[shrinking[first]] = signs[shrinking[first]] = 0.0
+        if not np.array_equal(np.sign(walked), signs):
+            return None
+        point[active] = walked
+    if objective_value(m, v, lam, pen, point) > objective_value(m, v, lam, pen, beta):
         return None
-    if not np.array_equal(np.sign(solved), signs):
-        return None
-    polished = np.zeros_like(beta)
-    polished[active] = solved
-    if objective_value(m, v, lam, pen, polished) > objective_value(m, v, lam, pen, beta):
-        return None
-    return polished
+    return point
 
 
 def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:

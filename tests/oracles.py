@@ -23,6 +23,13 @@ estimators that preceded the single-SVD ``inference``; it calls
 a ``csv.Error`` reported as a DataError naming the row.
 ``precondition_csv_reference`` is the ``precondition`` output as it was
 before one format per row: the CLI's ``_fmt`` on every value.
+``kkt_residual_reference`` and ``objective_value_reference`` are the
+solver's residual and objective as they were before zero coefficients were
+handled by one numpy reduction and skipped: one Python step per coordinate,
+on the library's ``pen_derivative`` and ``pen_value``.
+``json_array_reference`` is the CLI's JSON of a float array as it was
+before the one-join fast path: ``_json`` on the array's list, one dispatch
+per value.
 """
 
 from __future__ import annotations
@@ -33,10 +40,17 @@ from pathlib import Path
 
 import numpy as np
 
-from puffer_lasso.cli import Dataset, _fmt
+from puffer_lasso.cli import Dataset, _fmt, _json
 from puffer_lasso.errors import DataError
 from puffer_lasso.estimators import p_values
-from puffer_lasso.penalties import PenaltySpec, _threshold_mcp, _threshold_scad, pen_value, univariate_threshold
+from puffer_lasso.penalties import (
+    PenaltySpec,
+    _threshold_mcp,
+    _threshold_scad,
+    pen_derivative,
+    pen_value,
+    univariate_threshold,
+)
 from puffer_lasso.solver import COORD_TOL, KKT_TOL, MAX_ITER, kkt_residual
 
 
@@ -479,3 +493,29 @@ def precondition_csv_reference(data: Dataset, x, y) -> str:
     for i in range(x.shape[0]):
         lines.append(",".join([_fmt(y[i]), *(_fmt(v) for v in x[i])]))
     return "\n".join(lines) + "\n"
+
+
+def kkt_residual_reference(grad, beta, lam: float, pen: PenaltySpec) -> float:
+    """Max first-order violation, one coordinate at a time; a NaN gap wins."""
+    worst = 0.0
+    for j in range(beta.size):
+        b = float(beta[j])
+        g = float(grad[j])
+        if b != 0.0:
+            gap = abs(g - lam * pen_derivative(pen, b))
+        else:
+            gap = abs(g) - lam
+        if gap > worst or gap != gap:
+            worst = gap
+    return max(worst, 0.0)
+
+
+def objective_value_reference(x, y, lam: float, pen: PenaltySpec, beta) -> float:
+    """0.5 * ||Y - X b||^2 + lam * fsum of pen(b_j) over every coordinate."""
+    r = y - x @ beta
+    return 0.5 * float(r @ r) + lam * math.fsum(pen_value(pen, float(b)) for b in beta)
+
+
+def json_array_reference(values) -> str:
+    """The JSON of a float array through the general list path."""
+    return _json(values.tolist())

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puffer_lasso import cli as cli_module
 from puffer_lasso.cli import (
@@ -124,6 +126,25 @@ class TestJsonSerializer:
 
         with pytest.raises(NumericalError):
             _json(float("nan"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.floats(width=64), max_size=12))
+    def test_float_array_matches_the_list_path(self, values):
+        # one join over the array's floats: the same text, and the same
+        # error for the first non-finite cell
+        array = np.array(values, dtype=np.float64)
+        try:
+            expected = oracles.json_array_reference(array)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as raised:
+                _json(array)
+            assert str(raised.value) == str(exc)
+        else:
+            assert _json(array) == expected
+
+    @pytest.mark.parametrize("array", [np.arange(3), np.array([[0.5, -0.0], [1e-310, 2.0]]), np.zeros(0)], ids=str)
+    def test_other_arrays_take_the_list_path(self, array):
+        assert _json(array) == oracles.json_array_reference(array)
 
 
 class TestRunConfigValidation:

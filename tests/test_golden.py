@@ -17,6 +17,9 @@ machine it was recorded on. Rules:
   are byte-equal (except ``objective``) on the recorded stack; on any
   other stack their floats are held to the beta bound instead.
 
+Every case run a second time in the same process must print the same
+bytes as its first run.
+
 A golden ``converged: false`` may become true only where DECLARED names
 the fit and why; such a fit must then meet the KKT bound and end at an
 objective no higher than the recorded one.
@@ -25,6 +28,7 @@ Regenerate (only when a change declares new outputs) with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
+import functools
 import json
 import math
 import os
@@ -213,9 +217,21 @@ def same_stack() -> bool:
     return json.loads((GOLDEN / "stack.json").read_text()) == recorded_stack()
 
 
+@functools.cache
+def first_run(name: str) -> str:
+    return run_cli(CASES[name])
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, same_stack):
-    compare(name, run_cli(CASES[name]), (GOLDEN / name).read_text(encoding="utf-8"), same_stack)
+    compare(name, first_run(name), (GOLDEN / name).read_text(encoding="utf-8"), same_stack)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_same_bytes_when_run_twice(name):
+    # the byte-level rule: a later run of the case in the same process
+    # (in a full run, after every case's first run) prints the same bytes
+    assert run_cli(CASES[name]) == first_run(name)
 
 
 def test_every_golden_file_is_a_case():

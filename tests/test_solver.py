@@ -212,6 +212,43 @@ class TestSolve:
         assert fit.objective == pytest.approx(manual, rel=1e-14)
 
 
+PENALTIES = st.sampled_from([lasso(), elastic_net(0.5), scad(), mcp(1.5)])
+# coefficients that are often zero, of either sign
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bit-equal, with every NaN equal to every NaN."""
+    return float(a).hex() == float(b).hex()
+
+
+class TestSupportProportionalReductions:
+    """kkt_residual handles zero coefficients in one numpy reduction and
+    objective_value skips them; both must equal the one-coordinate-at-a-time
+    loops in oracles bit for bit."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), pen=PENALTIES, lam=st.floats(0.0, 10.0))
+    def test_kkt_residual_matches_the_loop(self, data, pen, lam):
+        p = data.draw(st.integers(1, 10))
+        grad = np.array(data.draw(st.lists(st.floats(width=64), min_size=p, max_size=p)))
+        beta = np.array(data.draw(st.lists(COEFFICIENTS | st.just(math.nan), min_size=p, max_size=p)))
+        assert same_float(kkt_residual(grad, beta, lam, pen), oracles.kkt_residual_reference(grad, beta, lam, pen))
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), pen=PENALTIES, lam=st.floats(0.0, 10.0), seed=st.integers(0, 2**16))
+    def test_objective_value_matches_the_loop(self, data, pen, lam, seed):
+        p = data.draw(st.integers(1, 10))
+        x, y = tall_problem(seed=seed, n=6, p=p)
+        beta = np.array(data.draw(st.lists(COEFFICIENTS, min_size=p, max_size=p)))
+        assert same_float(objective_value(x, y, lam, pen, beta), oracles.objective_value_reference(x, y, lam, pen, beta))
+
+    def test_nan_still_wins(self):
+        grad = np.array([math.nan, 5.0, 0.0])
+        for beta in (np.zeros(3), np.array([0.0, 1.0, -0.0]), np.array([1.0, 0.0, 0.0])):
+            assert math.isnan(kkt_residual(grad, beta, 1.0, lasso()))
+
+
 def within_beta_bound(beta, ref) -> bool:
     """The golden comparator's bound: 1e-6 * max(1, max |ref|)."""
     return float(np.max(np.abs(beta - ref))) <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
@@ -352,14 +389,16 @@ class TestPolish:
             record["converged"].append(converged)
         return record
 
-    def test_deep_default_grid_path_in_a_fifth_of_the_sweeps(self):
+    def test_deep_default_grid_path_in_a_few_sweeps_per_lambda(self):
         x, y, grid = self.deep_design()
         reference = json.loads((Path(__file__).parent / "golden" / self.DEEP_REFERENCE).read_text())
         fits = solve_path(x, y, grid, lasso())
         assert [list(f.active_set) for f in fits] == reference["active_sets"]
         assert all(f.converged and f.kkt_residual <= KKT_TOL for f in fits)
         assert sum(reference["sweeps"]) == 87_748
-        assert sum(f.iterations for f in fits) < 20_000
+        # 293 sweeps, at most 12 at one lambda
+        assert sum(f.iterations for f in fits) < 1_000
+        assert max(f.iterations for f in fits) <= 50
         assert max(len(f.active_set) for f in fits) == x.shape[0]
 
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5)])
@@ -375,23 +414,74 @@ class TestPolish:
             assert fit.converged
             assert recompute_kkt(x, y, fit) <= KKT_TOL
 
-    def test_accepts_only_a_sign_keeping_lower_objective(self):
+    def test_accepts_a_sign_keeping_lower_objective(self):
         x, y = tall_problem(seed=231, n=10, p=4)
         lam = 0.2 * lambda_max(x, y)
-        gram, xty = x.T @ x, x.T @ y
         exact = solve(x, y, lam, lasso()).beta
         near = exact + 1e-3 * np.sign(exact)
-        polished = solver._polish(x, y, gram, xty, lam, lasso(), near)
+        polished = solver._polish(x, y, x.T @ x, x.T @ y, lam, lasso(), near)
         assert polished is not None
         assert within_beta_bound(polished, exact)
         assert objective_value(x, y, lam, lasso(), polished) <= objective_value(x, y, lam, lasso(), near)
-        # a sign pattern whose cell optimum leaves the cell is rejected
-        flipped = near.copy()
-        flipped[np.flatnonzero(flipped)[0]] *= -1
-        assert solver._polish(x, y, gram, xty, lam, lasso(), flipped) is None
-        # so is a singular cell: |A| > n for the Lasso
-        xw, yw = tall_problem(seed=232, n=3, p=6)
-        assert solver._polish(xw, yw, xw.T @ xw, xw.T @ yw, 0.01, lasso(), np.ones(6)) is None
+
+    def test_walks_to_the_first_zero_where_the_cell_optimum_flips_a_sign(self):
+        x, y = tall_problem(seed=231, n=10, p=4)
+        lam = 0.2 * lambda_max(x, y)
+        gram, xty = x.T @ x, x.T @ y
+        flipped = solve(x, y, lam, lasso()).beta
+        flipped += 1e-3 * np.sign(flipped)
+        j = np.flatnonzero(flipped)[1]
+        flipped[j] *= -1
+        # the cell optimum takes b_j back across zero, before any other
+        # coordinate, at a point where plain arithmetic leaves it at -1e-17
+        active = np.flatnonzero(flipped)
+        optimum = np.linalg.solve(gram[np.ix_(active, active)], xty[active] - lam * np.sign(flipped[active]))
+        times = flipped[active] / (flipped[active] - optimum)
+        first = np.argmin(np.where(np.sign(optimum) != np.sign(flipped[active]), times, np.inf))
+        assert active[first] == j
+        assert flipped[j] + times[first] * (optimum[first] - flipped[j]) != 0.0
+        polished = solver._polish(x, y, gram, xty, lam, lasso(), flipped)
+        assert polished is not None
+        assert float(polished[j]).hex() == "0x0.0p+0"
+        others = np.flatnonzero(polished)
+        assert others.size > 0
+        assert np.array_equal(np.sign(polished[others]), np.sign(flipped[others]))
+        assert objective_value(x, y, lam, lasso(), polished) <= objective_value(x, y, lam, lasso(), flipped)
+
+    def test_rejects_a_tie_at_the_boundary(self):
+        # unit columns, so G = I and the cell optimum is y_A - lam * s_A:
+        # (-1, -2, 0.5) from (1, 2, 1), where the first two coordinates
+        # reach zero together, at t = 0.5 exactly
+        x, y = np.eye(4)[:, :3], np.array([-0.5, -1.5, 1.0, 0.0])
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.5, lasso(), np.array([1.0, 2.0, 1.0])) is None
+
+    def test_gives_up_where_the_cell_solution_is_nan(self):
+        # no coordinate walks toward zero along a NaN direction
+        x, y = tall_problem(seed=231, n=10, p=4)
+        xty = x.T @ y
+        xty[0] = math.nan
+        assert solver._polish(x, y, x.T @ x, xty, 0.1, lasso(), np.ones(4)) is None
+
+    def test_steps_off_a_singular_cell(self):
+        # |A| = 6 > n = 3: the cell matrix has no Cholesky factor, and the
+        # objective falls along its null space in the direction with s'd < 0
+        x, y = tall_problem(seed=232, n=3, p=6)
+        start = np.ones(6)
+        polished = solver._polish(x, y, x.T @ x, x.T @ y, 0.01, lasso(), start)
+        assert polished is not None
+        assert 0 < np.count_nonzero(polished) <= 3
+        assert np.all(polished >= 0.0)
+        assert objective_value(x, y, 0.01, lasso(), polished) < objective_value(x, y, 0.01, lasso(), start)
+
+    def test_leaves_a_flat_cell_to_coordinate_descent(self):
+        # at lam = 0 a singular cell's minimisers form a flat set, and so
+        # they do where s is orthogonal to the null space: two equal
+        # columns with coefficients of one sign
+        x, y = tall_problem(seed=232, n=3, p=6)
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.0, lasso(), np.ones(6)) is None
+        x, y = tall_problem(seed=236, n=8, p=3)
+        x = np.column_stack([x, x[:, 0]])
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
 
     def test_rejects_a_point_whose_objective_rises(self, monkeypatch):
         # sign-keeping cell optima lower the true objective up to rounding,
