@@ -41,8 +41,6 @@ KKT_TOL = 1e-7
 #: two minima are distinct when their sup-distance exceeds this
 DISTINCT_TOL = 1e-5
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -61,7 +59,6 @@ class FitResult:
 def objective_value(x, y, lam: float, pen: PenaltySpec, beta) -> float:
     """0.5 * ||Y - X b||^2 + lam * sum_j pen(b_j); the penalty terms are
     summed with math.fsum, correctly rounded on every Python version."""
-    beta = np.asarray(beta)
     r = y - x @ beta
     # pen(0) = 0 for every penalty, and fsum is exact, so zeros are skipped
     return 0.5 * float(r @ r) + lam * math.fsum(pen_value(pen, b) for b in beta[beta != 0.0].tolist())
@@ -69,7 +66,6 @@ def objective_value(x, y, lam: float, pen: PenaltySpec, beta) -> float:
 
 def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
     """Max first-order violation given the gradient g = X'(Y - X b)."""
-    grad, beta = np.asarray(grad), np.asarray(beta)
     zero = beta == 0.0
     # np.max keeps a NaN; the comparisons below let it win too
     worst = float(np.max(np.abs(grad[zero]) - lam)) if zero.any() else 0.0
@@ -246,7 +242,7 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
         except np.linalg.LinAlgError:
             direction = np.linalg.eigh(cell)[1][:, 0]
             slope = float(signs @ direction)
-            if lam == 0.0 or abs(slope) <= active.size * _EPS:
+            if lam == 0.0 or abs(slope) <= active.size * np.finfo(float).eps:
                 return None
             if slope > 0.0:
                 direction = -direction
