@@ -68,12 +68,13 @@ def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
     """Max first-order violation given the gradient g = X'(Y - X b)."""
     zero = beta == 0.0
     # np.max keeps a NaN; the comparisons below let it win too
-    worst = float(np.max(np.abs(grad[zero]) - lam)) if zero.any() else 0.0
-    for g, b in zip(grad[~zero].tolist(), beta[~zero].tolist()):
+    worst = float(np.max(np.abs(grad[zero]) - lam, initial=0.0))
+    active = ~zero
+    for g, b in zip(grad[active].tolist(), beta[active].tolist()):
         gap = abs(g - lam * pen_derivative(pen, b))
         if gap > worst or gap != gap:  # max() would drop a NaN
             worst = gap
-    return max(worst, 0.0)
+    return worst
 
 
 def lambda_max(x, y) -> float:
