@@ -66,10 +66,9 @@ def objective_value(x, y, lam: float, pen: PenaltySpec, beta) -> float:
 
 def kkt_residual(grad, beta, lam: float, pen: PenaltySpec) -> float:
     """Max first-order violation given the gradient g = X'(Y - X b)."""
-    zero = beta == 0.0
-    # np.max keeps a NaN; the comparisons below let it win too
-    worst = float(np.max(np.abs(grad[zero]) - lam, initial=0.0))
-    active = ~zero
+    active = beta != 0.0
+    # max keeps a NaN; the comparisons below let it win too
+    worst = float((np.abs(grad[~active]) - lam).max(initial=0.0))
     for g, b in zip(grad[active].tolist(), beta[active].tolist()):
         gap = abs(g - lam * pen_derivative(pen, b))
         if gap > worst or gap != gap:  # max() would drop a NaN
