@@ -81,10 +81,6 @@ class RunConfig:
             raise DataError("path takes --lambda-grid (not --lambda)")
         if self.transform == "puffer_tau" and self.tau is None:
             raise DataError("transform=puffer_tau requires --tau")
-        if self.output_format not in ("json", "csv"):
-            raise DataError(f"format must be json or csv, got {self.output_format}")
-        if self.transform not in TRANSFORM_FLAGS:
-            raise DataError(f"unknown transform {self.transform!r}")
         numeric = [("--lambda", self.lam, "nonnegative"), ("--tau", self.tau, "nonnegative")]
         numeric += [("--sigma", self.sigma, "positive")]
         numeric += [("--lambda-grid", t, "positive") for t in self.lambda_grid or ()]

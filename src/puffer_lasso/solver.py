@@ -103,14 +103,15 @@ def solve(
     ``multistart_local_minima`` pass it so that a design's Gram is built
     once per call rather than once per fit.
 
-    For the Lasso and the elastic net, once ``need`` sweeps in a row (2 at
-    first) have moved no coordinate to, from or across zero, the fit is
-    polished: ``_polish`` solves the quadratic of the current cell
-    exactly, dropping coordinates until the solution keeps its cell. An
-    accepted polish replaces beta and refreshes the gradient;
-    a rejected one doubles ``need``. Either way sweeping goes on, so the
-    COORD_TOL and KKT tests still decide convergence, and ``iterations``
-    counts sweeps only. SCAD and MC+ are swept plainly.
+    For the Lasso and the elastic net, once 2 sweeps in a row have moved
+    no coordinate to, from or across zero, the fit is polished once:
+    ``_polish`` solves the quadratic of the current cell exactly,
+    dropping coordinates until the solution keeps its cell. An accepted
+    polish replaces beta and refreshes the gradient. Accepted or not, the
+    next polish waits for a sweep that moves a coordinate to, from or
+    across zero, and sweeping goes on, so the COORD_TOL and KKT tests
+    still decide convergence, and ``iterations`` counts sweeps only. SCAD
+    and MC+ are swept plainly.
     """
     m, v = linalg.as_design(x, y)
     p = m.shape[1]
@@ -141,9 +142,8 @@ def solve(
     g = memoryview(grad)
     converged = False
     sweeps = 0
-    # the cell: sweeps since a coordinate last moved to, from or across
-    # zero, and how many of them the next polish waits for
-    stable, need, accepts = 0, 2 if pen.convex else math.inf, 0
+    # sweeps since a coordinate last moved to, from or across zero
+    stable, accepts = 0, 0
     for sweeps in range(1, MAX_ITER + 1):
         max_change = 0.0
         moved = False
@@ -176,12 +176,9 @@ def solve(
             beta = np.array(coef)
             np.subtract(xty, gram @ beta, out=grad)  # cap incremental drift
         stable = 0 if moved else stable + 1
-        if stable >= need:
-            stable = 0
+        if stable == 2 and pen.convex:
             polished = _polish(m, v, gram, xty, lam, pen, np.array(coef))
-            if polished is None:
-                need *= 2
-            else:
+            if polished is not None:
                 accepts += 1
                 coef = polished.tolist()
                 np.subtract(xty, gram @ polished, out=grad)
@@ -225,8 +222,6 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
     every other coordinate must keep its sign. The final point is kept only
     if its objective does not rise above beta's.
     """
-    if not beta.any():
-        return None
     point = beta.copy()
     for _ in range(np.count_nonzero(beta)):
         active = np.flatnonzero(point)
@@ -240,9 +235,11 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
             # a rounding-positive factor of a singular cell can leave LU a zero pivot
             solved = np.linalg.solve(cell, xty[active] - lam * signs)
         except np.linalg.LinAlgError:
+            if lam == 0.0:
+                return None
             direction = np.linalg.eigh(cell)[1][:, 0]
             slope = float(signs @ direction)
-            if lam == 0.0 or abs(slope) <= active.size * np.finfo(float).eps:
+            if abs(slope) <= active.size * np.finfo(float).eps:
                 return None
             if slope > 0.0:
                 direction = -direction

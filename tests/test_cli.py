@@ -384,6 +384,7 @@ class TestInspectCommand:
 # exactly zero, and the duplicated column's singular value exactly 0.0
 IN_SPAN = [[2, 1, 0], [-1, 0, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
 DUPLICATE_COLUMN = [[1, 1, 0, 1], [2, 0, 1, 0], [3, 0, 0, 0], [4, 0, 0, 0], [5, 0, 0, 0]]
+ORTHOGONAL_RESPONSE = [[1, 1, 0], [-1, 1, 0], [1, 0, 1], [-1, 0, 1]]
 RANK_RECORD = (
     "matrix is column-rank deficient: rank 2 < 3 columns "
     "(singular value 0.000e+00 <= tol 1.570e-15)"
@@ -413,8 +414,13 @@ class TestEstimatorErrorRecords:
                 "gram_inverse_diagonal requires n > p, got n=4, p=6",
             ),
             (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], DUPLICATE_COLUMN, RANK_RECORD),
+            # X'Y = 0, so the default grid's lambda_max is 0
+            (["path"], ORTHOGONAL_RESPONSE, "response is orthogonal to every feature; lambda grid is undefined"),
         ],
-        ids=["degenerate_sigma", "n_is_p_plus_1", "inspect_rank", "puffer_wide", "scaled_wide", "scaled_rank"],
+        ids=[
+            "degenerate_sigma", "n_is_p_plus_1", "inspect_rank", "puffer_wide", "scaled_wide", "scaled_rank",
+            "orthogonal_response",
+        ],
     )
     def test_exact_record(self, tmp_path, capsys, argv, rows, message):
         rows = np.asarray(rows, dtype=float)
@@ -803,6 +809,7 @@ class TestFlagRecords:
             (["path", "--lambda-grid", "1,0"], "--lambda-grid must be positive, got 0.0"),
             (["path", "--lambda-grid", "1,2"], "--lambda-grid must be strictly descending, got 1.0 then 2.0"),
             (["path", "--lambda-grid", "2,1,1"], "--lambda-grid must be strictly descending, got 1.0 then 1.0"),
+            (["path", "--lambda-grid", "1,x"], "could not parse --lambda-grid '1,x'"),
             # NaN is reported as non-finite, like inf, not as out of the penalty's range
             (["fit", "--lambda", "0.1", "--penalty", "mcp", "--penalty-param", "nan"], "--penalty-param must be finite, got nan"),
             (["fit", "--lambda", "0.1", "--penalty", "mcp", "--penalty-param", "inf"], "--penalty-param must be finite, got inf"),
@@ -815,7 +822,7 @@ class TestFlagRecords:
         ids=[
             "path_lambda", "fit_lambda_grid", "param_implicit_lasso", "param_lasso", "tau_none", "tau_puffer",
             "tau_neg_inf", "tau_inf", "lambda", "tau_negative", "lambda_grid_negative", "sigma_zero",
-            "lambda_grid_zero", "lambda_grid_ascending", "lambda_grid_repeated",
+            "lambda_grid_zero", "lambda_grid_ascending", "lambda_grid_repeated", "lambda_grid_unparsed",
             "param_mcp_nan", "param_mcp_inf", "param_scad_nan", "param_enet_neg_inf",
             "seed_negative", "seed_below_every_block",
         ],

@@ -473,12 +473,18 @@ class TestPolish:
         assert np.all(polished >= 0.0)
         assert objective_value(x, y, 0.01, lasso(), polished) < objective_value(x, y, 0.01, lasso(), start)
 
-    def test_leaves_a_flat_cell_to_coordinate_descent(self):
-        # at lam = 0 a singular cell's minimisers form a flat set, and so
-        # they do where s is orthogonal to the null space: two equal
-        # columns with coefficients of one sign
+    def test_leaves_a_flat_cell_to_coordinate_descent(self, monkeypatch):
+        # at lam = 0 a singular cell's minimisers form a flat set, which is
+        # rejected before any eigendecomposition, and so they do where s is
+        # orthogonal to the null space: two equal columns with coefficients
+        # of one sign
+        def eigh(cell):
+            raise AssertionError("eigh called on a flat cell")
+
         x, y = tall_problem(seed=232, n=3, p=6)
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.0, lasso(), np.ones(6)) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", eigh)
+            assert solver._polish(x, y, x.T @ x, x.T @ y, 0.0, lasso(), np.ones(6)) is None
         x, y = tall_problem(seed=236, n=8, p=3)
         x = np.column_stack([x, x[:, 0]])
         assert solver._polish(x, y, x.T @ x, x.T @ y, 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
@@ -495,8 +501,9 @@ class TestPolish:
 
     def test_waits_for_sweeps_without_a_crossing(self, monkeypatch):
         # with every polish rejected the sweep is the reference's, whose
-        # visits show after which sweep no coordinate has moved to, from or
-        # across zero for 2 sweeps in a row, then 4 more, then 8 more
+        # visits show the sweep at which no coordinate has moved to, from
+        # or across zero for 2 sweeps in a row; the next attempt waits for
+        # a crossing, however long the quiet run lasts
         rng = np.random.default_rng(35)
         x = rng.standard_normal((8, 24))
         y = x[:, :3] @ np.array([1.5, -2.0, 1.0]) + 0.5 * rng.standard_normal(8)
@@ -505,21 +512,32 @@ class TestPolish:
         monkeypatch.setattr(solver, "_polish", lambda *args: attempts.append(args[-1].tobytes()))
         fit = solve(x, y, lam, lasso())
         visits = []
-        oracles.coordinate_descent_reference(x, y, lam, lasso(), visits=visits)
-        beta, after, expected, stable, need = np.zeros(24), [], [], 0, 2
+        beta, sweeps, converged = oracles.coordinate_descent_reference(x, y, lam, lasso(), visits=visits)
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert (fit.iterations, fit.converged, fit.polish_accepts) == (sweeps, converged, 0)
+        after, expected, stable, longest = [], [], 0, 0
         for start in range(0, len(visits), 24):
             sweep = visits[start:start + 24]
-            beta = beta.copy()
-            beta[:] = [new for _, _, _, new in sweep]
-            after.append(beta.tobytes())
+            after.append(np.array([new for _, _, _, new in sweep]).tobytes())
             crossed = any(old * new <= 0.0 and old != new for old, _, _, new in sweep)
             stable = 0 if crossed else stable + 1
-            if stable >= need:
+            longest = max(longest, stable)
+            if stable == 2:
                 expected.append(len(after))
-                stable, need = 0, 2 * need
-        assert fit.iterations > expected[2]
-        assert [after.index(b) + 1 for b in attempts[:3]] == expected[:3]
-        assert expected[0] > 2
+        # every sweep leaves a distinct beta, so each attempt names its sweep
+        assert len(set(after)) == len(after) == sweeps
+        assert [after.index(b) + 1 for b in attempts] == expected
+        assert len(expected) > 3 and expected[0] > 2
+        # a quiet run long enough that a retry schedule would show
+        assert longest > 1_000
+
+    def test_polishes_a_scaled_fit_once(self):
+        # on data scaled by 1e9 the absolute KKT_TOL is out of reach, and
+        # the accepted polish is not repeated for the rest of the sweeps
+        x, y = tall_problem(seed=0, n=100, p=10)
+        lam = 0.1 * lambda_max(x, y)
+        fit = solve(x, y * 1e9, lam * 1e9, lasso())
+        assert (fit.iterations, fit.converged, fit.polish_accepts) == (MAX_ITER, False, 1)
 
 
 class TestSharedGram:
