@@ -9,12 +9,15 @@ converges in a sweep and every fixed point satisfies the first-order
 condition: the gradient g = X'(Y - X b) equals lam * pen'(b_j) on active
 coordinates and stays within [-lam, lam] elsewhere.
 
-For the convex penalties, sweeps that keep the support and signs fixed
-are followed by an exact solve on that cell (``_polish``), the way LARS
-solves each segment of the Lasso path exactly (Efron et al. 2004). Where
-that solve would flip a sign, or the cell is singular, the polish steps
-to the cell's boundary and drops a coordinate, a backward-elimination
-step.
+Sweeps that keep the support and signs fixed are followed by an exact
+solve on the cell (``_polish``), the way LARS solves each segment of the
+Lasso path exactly (Efron et al. 2004). A cell fixes the support, the
+signs and the piece of each |b_j| on which pen' is affine, so SCAD and
+MC+ cells are quadratics too (Breheny & Huang 2011; Mazumder, Friedman &
+Hastie 2011). Where the cell's solution lies outside it, the polish
+walks to the cell's boundary: a coordinate reaching zero drops out, a
+backward-elimination step, and one reaching a breakpoint moves to the
+next piece.
 
 Note on conventions: the 0.5 factor above is fixed. The same problem
 written without it, ||Y - X b||^2 + lam' * ||b||_1, corresponds to
@@ -41,6 +44,17 @@ KKT_TOL = 1e-7
 #: two minima are distinct when their sup-distance exceeds this
 DISTINCT_TOL = 1e-5
 
+# pen' on |b| in pieces, from the shape parameter: (breakpoints,
+# curvatures c, linear terms l). Piece k runs from breakpoint k - 1 (0 for
+# the first) to breakpoint k (inf for the last), and on it pen'(b) =
+# c_k * b + s * l_k, with s the sign of b.
+_PIECES = {
+    "lasso": lambda shape: ((), (0.0,), (1.0,)),
+    "elastic_net": lambda shape: ((), (shape,), (1.0,)),
+    "mcp": lambda shape: ((shape,), (-1.0 / shape, 0.0), (1.0, 0.0)),
+    "scad": lambda shape: ((1.0, shape), (0.0, -1.0 / (shape - 1.0), 0.0), (1.0, shape / (shape - 1.0), 0.0)),
+}
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -52,7 +66,7 @@ class FitResult:
     kkt_residual: float
     objective: float
     active_set: tuple[int, ...] = field(default=())
-    #: exact cell solves that the sweep accepted (convex penalties only)
+    #: exact cell solves that the sweep accepted
     polish_accepts: int = 0
 
 
@@ -103,15 +117,15 @@ def solve(
     ``multistart_local_minima`` pass it so that a design's Gram is built
     once per call rather than once per fit.
 
-    For the Lasso and the elastic net, once 2 sweeps in a row have moved
-    no coordinate to, from or across zero, the fit is polished once:
-    ``_polish`` solves the quadratic of the current cell exactly,
-    dropping coordinates until the solution keeps its cell. An accepted
-    polish replaces beta and refreshes the gradient. Accepted or not, the
-    next polish waits for a sweep that moves a coordinate to, from or
-    across zero, and sweeping goes on, so the COORD_TOL and KKT tests
-    still decide convergence, and ``iterations`` counts sweeps only. SCAD
-    and MC+ are swept plainly.
+    Once 2 sweeps in a row have moved no coordinate to, from or across
+    zero, the fit is polished once: ``_polish`` solves the quadratic of
+    the current cell exactly, walking across cells until the solution
+    keeps its own. An accepted polish replaces beta and refreshes the
+    gradient. Accepted or not, the next polish waits for a sweep that
+    moves a coordinate to, from or across zero, and sweeping goes on, so
+    the COORD_TOL and KKT tests still decide convergence, and
+    ``iterations`` counts sweeps only. Every X'X beta the sweep refreshes
+    its gradient with is taken over beta's support only.
     """
     m, v = linalg.as_design(x, y)
     p = m.shape[1]
@@ -138,7 +152,7 @@ def solve(
     lo = -lam
     # grad is maintained as X'(Y - X beta), in place only, so that g, a
     # memoryview of its buffer, reads it as Python floats
-    grad = xty - gram @ beta
+    grad = xty - _gram_times(gram, beta)
     g = memoryview(grad)
     converged = False
     sweeps = 0
@@ -168,20 +182,20 @@ def solve(
                     max_change = -step
         if max_change < COORD_TOL:
             beta = np.array(coef)
-            np.subtract(xty, gram @ beta, out=grad)  # exact refresh before the KKT check
+            np.subtract(xty, _gram_times(gram, beta), out=grad)  # exact refresh before the KKT check
             if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
                 converged = True
                 break
         elif sweeps % 64 == 0:
             beta = np.array(coef)
-            np.subtract(xty, gram @ beta, out=grad)  # cap incremental drift
+            np.subtract(xty, _gram_times(gram, beta), out=grad)  # cap incremental drift
         stable = 0 if moved else stable + 1
-        if stable == 2 and pen.convex:
+        if stable == 2:
             polished = _polish(m, v, gram, xty, lam, pen, np.array(coef))
             if polished is not None:
                 accepts += 1
                 coef = polished.tolist()
-                np.subtract(xty, gram @ polished, out=grad)
+                np.subtract(xty, _gram_times(gram, polished), out=grad)
 
     beta = np.array(coef)
     final_grad = m.T @ (v - m @ beta)
@@ -198,44 +212,62 @@ def solve(
     )
 
 
+def _gram_times(gram, beta):
+    """gram @ beta from the rows of the symmetric gram at beta's nonzeros:
+    exact zeros for a zero beta, and a NaN coefficient is nonzero, so it
+    passes on."""
+    support = np.flatnonzero(beta)
+    return beta[support] @ gram[support]
+
+
 def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
-    """A point of a convex penalty's objective no higher than beta's, found
-    by exact cell solves, or None where there is none to take.
+    """A point of the objective no higher than beta's, found by exact cell
+    solves, or None where there is none to take.
 
-    On the cell with support A and signs s the objective is the quadratic
-    whose stationary point solves (G_AA + lam * alpha * I) b_A = (X'Y)_A -
-    lam * s_A, with alpha = 0 for the Lasso. Each pass solves the current
-    cell; a solution that keeps every sign ends the search. Otherwise the
-    point moves off the cell, which drops one coordinate, and the smaller
-    cell is solved on the next pass:
+    On the cell with support A, signs s and pieces with curvatures c and
+    linear terms l (``_PIECES``) the objective is the quadratic whose
+    stationary point solves (G_AA + lam * diag(c_A)) b_A = (X'Y)_A - lam *
+    s_A * l_A. A point of |b_j| on a breakpoint starts in the lower piece,
+    as in ``pen_derivative``. Each pass solves the current cell; a
+    solution inside it ends the search. Otherwise the point moves to
+    another cell, and that cell is solved on the next pass:
 
-    - where the solution flips a sign, b_A walks toward it, along which the
-      cell quadratic falls, and stops where the first coordinate reaches
-      zero;
-    - where the cell matrix has no Cholesky factor (as when |A| > n), b_A
-      walks along the eigenvector d of its smallest eigenvalue. There X_A d
-      is about 0, so the objective changes by t * lam * s'd: d is oriented
-      with s'd < 0. At lam = 0, or with s'd at rounding level, the cell has
-      a flat set of minimisers and the search gives up.
+    - where the cell matrix has a Cholesky factor, b_A walks toward the
+      solution, along which the cell quadratic falls, and stops at the
+      first coordinate to reach zero, which drops out, or a breakpoint,
+      where it is set exactly and moves to the next piece;
+    - where it has none (as when |A| > n) and the penalty is convex, b_A
+      walks along the eigenvector d of its smallest eigenvalue. There X_A
+      d is about 0, so the objective changes by t * lam * s'd: d is
+      oriented with s'd < 0. At lam = 0, or with s'd at rounding level,
+      the cell has a flat set of minimisers and the search gives up, as it
+      does on every such cell of SCAD and MC+, where c < 0 can make it
+      concave.
 
-    A walk's first coordinate to reach zero is set to exactly 0.0, and
-    every other coordinate must keep its sign. The final point is kept only
-    if its objective does not rise above beta's.
+    Every coordinate but the walk's first must keep its sign and piece.
+    The final point is kept only if its objective does not rise above
+    beta's.
     """
+    breaks, curvature, linear = (np.array(t) for t in _PIECES[pen.kind](pen.param))
+    bounds = np.concatenate([[0.0], breaks, [np.inf]])  # piece k spans bounds[k : k + 2]
     point = beta.copy()
-    for _ in range(np.count_nonzero(beta)):
+    pieces = np.searchsorted(breaks, np.abs(point))
+
+    def inside(size, k):
+        return (size > 0.0) & (size >= bounds[k]) & (size <= bounds[k + 1])
+
+    for _ in range(np.count_nonzero(beta) * curvature.size):
         active = np.flatnonzero(point)
-        current = point[active]
+        current, k = point[active], pieces[active]
         signs = np.sign(current)
         cell = gram[np.ix_(active, active)]
-        if pen.kind == "elastic_net":
-            cell[np.diag_indices_from(cell)] += lam * pen.param
+        cell[np.diag_indices_from(cell)] += lam * curvature[k]
         try:
             np.linalg.cholesky(cell)
             # a rounding-positive factor of a singular cell can leave LU a zero pivot
-            solved = np.linalg.solve(cell, xty[active] - lam * signs)
+            solved = np.linalg.solve(cell, xty[active] - lam * (signs * linear[k]))
         except np.linalg.LinAlgError:
-            if lam == 0.0:
+            if lam == 0.0 or not pen.convex:
                 return None
             direction = np.linalg.eigh(cell)[1][:, 0]
             slope = float(signs @ direction)
@@ -244,22 +276,29 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
             if slope > 0.0:
                 direction = -direction
         else:
-            if np.array_equal(np.sign(solved), signs):
+            if inside(signs * solved, k).all():
                 point[active] = solved
                 break
             direction = solved - current
-        shrinking = np.flatnonzero(current * direction < 0.0)
-        if shrinking.size == 0:  # only a NaN direction has none
+        size, rate = signs * current, signs * direction
+        ends = np.where(rate < 0.0, bounds[k], bounds[k + 1])
+        events = np.flatnonzero((rate < 0.0) | (rate > 0.0) & (ends < np.inf))
+        if events.size == 0:  # only a NaN direction has none
             return None
-        times = -current[shrinking] / direction[shrinking]
-        first = np.argmin(times)
-        walked = current + times[first] * direction
-        # the first coordinate to reach zero leaves the cell; a second one
-        # reaching or crossing zero with it is a tie, and rejected
-        walked[shrinking[first]] = signs[shrinking[first]] = 0.0
-        if not np.array_equal(np.sign(walked), signs):
+        times = (ends[events] - size[events]) / rate[events]
+        step = np.argmin(times)
+        first = events[step]
+        walked = current + times[step] * direction
+        if ends[first] == 0.0:  # reaching zero, it leaves the cell
+            walked[first] = signs[first] = 0.0
+        else:
+            walked[first] = signs[first] * ends[first]
+            k[first] += 1 if rate[first] > 0.0 else -1
+        # a second coordinate reaching zero, or crossing a breakpoint, with
+        # the first is a tie, and rejected
+        if not (inside(signs * walked, k) | (signs == 0.0)).all():
             return None
-        point[active] = walked
+        point[active], pieces[active] = walked, k
     if objective_value(m, v, lam, pen, point) > objective_value(m, v, lam, pen, beta):
         return None
     return point

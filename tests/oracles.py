@@ -14,7 +14,8 @@ preceded the closed-form thresholds, on the library's ``pen_value``.
 before ``threshold_map``: its level-0, zero and sign dispatch, without
 argument checks, on the library's ``_threshold_scad`` and ``_threshold_mcp``.
 ``coordinate_descent_reference`` is the plain cyclic sweep on numpy
-arrays, on the library's ``univariate_threshold`` and ``kkt_residual``.
+arrays, on the library's ``univariate_threshold`` and ``kkt_residual``; its
+gradient refreshes take X'X beta over beta's support, as the sweep does.
 ``inference_reference`` is the composition of separately factored
 estimators that preceded the single-SVD ``inference``; it calls
 ``np.linalg.svd`` itself and the library's ``p_values``.
@@ -347,7 +348,12 @@ def coordinate_descent_reference(
     diag = np.diag(gram).copy()
     beta = np.zeros(p) if init is None else np.array(init, dtype=np.float64)
 
-    grad = xty - gram @ beta
+    def refreshed():
+        # X'Y - X'X beta from the rows of X'X at beta's nonzeros, as in solve
+        support = np.flatnonzero(beta)
+        return xty - beta[support] @ gram[support]
+
+    grad = refreshed()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_iter + 1):
@@ -368,12 +374,12 @@ def coordinate_descent_reference(
                 beta[j] = new
                 max_change = max(max_change, abs(step))
         if max_change < COORD_TOL:
-            grad = xty - gram @ beta
+            grad = refreshed()
             if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
                 converged = True
                 break
         elif sweeps % 64 == 0:
-            grad = xty - gram @ beta
+            grad = refreshed()
     return beta, sweeps, converged
 
 

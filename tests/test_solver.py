@@ -107,24 +107,28 @@ class TestSolve:
         target = np.array([soft_threshold(float(t), lam / 2.0) for t in q.T @ y])
         assert np.max(np.abs(fit.beta - target)) <= 1e-10
 
-    def test_max_iter_exhaustion_returns_unconverged(self):
-        # an eq10_gap design on which start 6 of 12 runs to the sweep cap
+    def test_max_iter_exhaustion_returns_unconverged(self, monkeypatch):
+        # an eq10_gap design on which start 6 of 12 used up MAX_ITER when
+        # SCAD and MC+ fits were swept plainly; the cell polish finishes it
         x, y, _ = clustered_wide_problems(13000046)
         pair = puffer_tau(x, y, 0.0)
         xt, yt = pair.x_tilde, pair.y_tilde
         scale = lambda_max(xt, yt)
         lam = 0.35 * scale
-        fits = multistart_local_minima(xt, yt, lam, mcp(1.5), 12)
-        assert [f.converged for f in fits].count(False) == 1
+        assert all(f.converged for f in multistart_local_minima(xt, yt, lam, mcp(1.5), 12))
         rng = np.random.default_rng(0)  # the multistart stream
         inits = [rng.uniform(-scale, scale, size=xt.shape[1]) for _ in range(12)]
         fit = solve(xt, yt, lam, mcp(1.5), init=inits[6])
-        assert not fit.converged
-        assert fit.iterations == MAX_ITER
-        assert any(f.beta.tobytes() == fit.beta.tobytes() and not f.converged for f in fits)
-        beta, sweeps, converged = oracles.coordinate_descent_reference(xt, yt, lam, mcp(1.5), init=inits[6])
+        assert fit.converged and fit.polish_accepts > 0
+        assert recompute_kkt(xt, yt, fit) < KKT_TOL
+        # start 0's only polish is rejected, so under a lower cap it runs
+        # out as the plain sweep does, bit for bit
+        monkeypatch.setattr(solver, "MAX_ITER", 20)
+        fit = solve(xt, yt, lam, mcp(1.5), init=inits[0])
+        assert (fit.iterations, fit.converged, fit.polish_accepts) == (20, False, 0)
+        beta, sweeps, converged = oracles.coordinate_descent_reference(xt, yt, lam, mcp(1.5), init=inits[0], max_iter=20)
         assert fit.beta.tobytes() == beta.tobytes()
-        assert (sweeps, converged) == (MAX_ITER, False)
+        assert (sweeps, converged) == (20, False)
 
     def test_nan_input_rejected(self):
         x, y = tall_problem()
@@ -295,8 +299,8 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.5), scad(), mcp(1.5)])
     def test_bit_equal_beta_sweeps_and_flag(self, pen, monkeypatch):
-        # convex fits also run with every polish rejected, which must leave
-        # the plain sweep bit-equal to the reference as before
+        # every fit also runs with every polish rejected, which must leave
+        # the plain sweep bit-equal to the reference
         rng = np.random.default_rng(32)
         polish = solver._polish
         checked_long = False
@@ -314,11 +318,10 @@ class TestKernelMatchesReference:
                             x, y, lam, pen, init=init, max_iter=max_iter, visits=visits
                         )
                         where = (name, frac, init is None, max_iter)
-                        if pen.convex:
-                            monkeypatch.setattr(solver, "_polish", lambda *args: None)
-                            plain = solve(x, y, lam, pen, init=init)
-                            assert not self.assert_matches(plain, beta, sweeps, converged, where)
-                            monkeypatch.setattr(solver, "_polish", polish)
+                        monkeypatch.setattr(solver, "_polish", lambda *args: None)
+                        plain = solve(x, y, lam, pen, init=init)
+                        assert not self.assert_matches(plain, beta, sweeps, converged, where)
+                        monkeypatch.setattr(solver, "_polish", polish)
                         fit = solve(x, y, lam, pen, init=init)
                         checked_long |= sweeps > 64
                         left_zero |= any(
@@ -332,8 +335,8 @@ class TestKernelMatchesReference:
         # and so is, for SCAD and MC+, a coordinate that left zero with
         # |z| <= lam / c_j: the nonconvex regime, where solve must not skip
         assert left_zero == (not pen.convex)
-        # the polished branch is exercised, and only for convex penalties
-        assert (polished > 0) == pen.convex
+        # the polished branch is exercised for every penalty
+        assert polished > 0
 
     def test_warm_started_wide_path(self, monkeypatch):
         # solve_path's fits share one Gram and start from the previous beta;
@@ -362,7 +365,7 @@ class TestKernelMatchesReference:
 
 
 class TestPolish:
-    """The exact cell solve of convex fits (solve's polish)."""
+    """The exact cell solve (solve's polish)."""
 
     # The reference's active sets along the default grid of the 50 x 200
     # design below, and its 87,748 sweeps; it used up MAX_ITER at index 34.
@@ -488,6 +491,67 @@ class TestPolish:
         x, y = tall_problem(seed=236, n=8, p=3)
         x = np.column_stack([x, x[:, 0]])
         assert solver._polish(x, y, x.T @ x, x.T @ y, 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
+
+    @given(
+        st.sampled_from(["lasso", "elastic_net", "scad", "mcp"]),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_pieces_give_the_penalty_derivative(self, kind, shape, k, where, sign):
+        # lam * pen'(b) = lam * (c * b + s * l) on every piece of |b|,
+        # breakpoints included, where pen' is continuous
+        pen = {"lasso": lasso(), "elastic_net": elastic_net(0.05 + 0.95 * shape),
+               "scad": scad(2.01 + 5 * shape), "mcp": mcp(1.01 + 5 * shape)}[kind]
+        breaks, curvature, linear = solver._PIECES[kind](pen.param)
+        k = min(k, len(breaks))
+        bounds = (0.0, *breaks, breaks[-1] + 10.0 if breaks else 10.0)
+        b = sign * max(bounds[k] + where * (bounds[k + 1] - bounds[k]), 1e-3)
+        assert math.isclose(pen_derivative(pen, b), curvature[k] * b + sign * linear[k], rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scad_walk_lands_on_each_breakpoint(self, sign, monkeypatch):
+        # one unit column, so the cell solution of piece (c, l) is (z - lam *
+        # l) / (1 + lam * c): 1.5 on the first piece and 5.295 on the
+        # second, both beyond it, so the walk from 0.5 stops on 1 and then
+        # on a, each time in the next piece, and ends at z on the third
+        a, lam = 3.7, 0.5
+        x, y = np.eye(3)[:, :1], sign * np.array([5.0, 1.0, 1.0])
+        starts, cells = [], []
+        np_sign, np_solve = np.sign, np.linalg.solve
+        monkeypatch.setattr(np, "sign", lambda t: starts.append(t.copy()) or np_sign(t))
+        monkeypatch.setattr(np.linalg, "solve", lambda cell, rhs: cells.append(float(cell[0, 0])) or np_solve(cell, rhs))
+        polished = solver._polish(x, y, x.T @ x, x.T @ y, lam, scad(a), np.array([sign * 0.5]))
+        assert [float(t[0]) for t in starts] == [sign * 0.5, sign * 1.0, sign * a]
+        assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
+        assert polished.tolist() == [sign * 5.0]
+
+    @pytest.mark.parametrize("pen", [scad(), mcp()])
+    def test_leaves_a_cell_without_a_cholesky_factor_to_coordinate_descent(self, pen, monkeypatch):
+        # a unit column at lam above gamma and a - 1: the middle piece's
+        # cell 1 - lam / 2.7 (SCAD) or 1 - lam / 3 (MC+) is negative
+        x, y = np.eye(3)[:, :1], np.array([2.0, 0.0, 0.0])
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 4.0, pen, np.array([2.0])) is None
+        # a singular cell (|A| > n) beyond every breakpoint, where c = 0 as
+        # for the Lasso, is not walked along its null space either, though
+        # the Lasso's is
+        x, y = tall_problem(seed=232, n=3, p=6)
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.01, lasso(), np.full(6, 5.0)) is not None
+        monkeypatch.setattr(np.linalg, "eigh", lambda cell: pytest.fail("eigh called"))
+        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.01, pen, np.full(6, 5.0)) is None
+
+    def test_support_product(self):
+        rng = np.random.default_rng(37)
+        x = rng.standard_normal((6, 9))
+        gram = x.T @ x
+        zero = solver._gram_times(gram, np.zeros(9))
+        assert zero.tobytes() == np.zeros(9).tobytes()
+        beta = np.zeros(9)
+        beta[[1, 4, 7]] = rng.standard_normal(3)
+        assert np.allclose(solver._gram_times(gram, beta), gram @ beta, rtol=1e-14, atol=1e-14)
+        beta[4] = math.nan
+        assert np.isnan(solver._gram_times(gram, beta)).all()
 
     def test_rejects_a_point_whose_objective_rises(self, monkeypatch):
         # sign-keeping cell optima lower the true objective up to rounding,

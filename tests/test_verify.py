@@ -391,11 +391,22 @@ class TestTheoremCounts:
         ridge = estimators.ridge
         monkeypatch.setattr(estimators, "ridge", lambda x, y, tau: ridge(x, y, tau) - 1.0)
         active, inactive = check_theorem3(trials=2, pen=mcp(), tau=0.1, seed=3)
-        assert (active.worst_case_seed, inactive.worst_case_seed) == (3, 4)
-        assert active.max_discrepancy == pytest.approx(1.00000000003534, rel=1e-9)
-        assert inactive.max_discrepancy == pytest.approx(0.9990688599899495, rel=1e-9)
+        assert (active.worst_case_seed, inactive.worst_case_seed) == (4, 4)
+        assert active.max_discrepancy == pytest.approx(1.0000000000164166, rel=1e-9)
+        assert inactive.max_discrepancy == pytest.approx(0.9990688599304607, rel=1e-9)
         assert not active.passed and not inactive.passed
         assert active.details["nonconverged_excluded"] == 0
+
+    def test_seed0_excludes_no_fit(self):
+        # thm3's nine components and eq10_gap on the seeds and budgets that
+        # default_suite(0) gives them: every SCAD and MC+ fit converges
+        blocks = itertools.count(4 * 1_000_003, 1_000_003)
+        for pen, tau in itertools.product(verify.THM3_PENALTIES, verify.THM3_TAUS):
+            for report in check_theorem3(verify.DEFAULT_TRIALS["thm3"], pen, tau, seed=next(blocks)):
+                assert report.details["nonconverged_excluded"] == 0, (pen.kind, tau)
+        report = check_local_min_gap(verify.DEFAULT_TRIALS["eq10_gap"], seed=next(blocks))
+        assert report.details["nonconverged_excluded"] == 0
+        assert report.details["pairs_checked"] == 3054
 
 
 class TestQuantileHelper:
