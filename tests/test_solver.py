@@ -500,8 +500,9 @@ class TestPolish:
         st.sampled_from([-1.0, 1.0]),
     )
     def test_pieces_give_the_penalty_derivative(self, kind, shape, k, where, sign):
-        # lam * pen'(b) = lam * (c * b + s * l) on every piece of |b|,
-        # breakpoints included, where pen' is continuous
+        # pen'(b) = c * b + s * l on every piece of |b|, so the cell's lam *
+        # pen' is the penalty's; breakpoints included, where pen' is
+        # continuous
         pen = {"lasso": lasso(), "elastic_net": elastic_net(0.05 + 0.95 * shape),
                "scad": scad(2.01 + 5 * shape), "mcp": mcp(1.01 + 5 * shape)}[kind]
         breaks, curvature, linear = solver._PIECES[kind](pen.param)
@@ -529,8 +530,9 @@ class TestPolish:
 
     @pytest.mark.parametrize("pen", [scad(), mcp()])
     def test_leaves_a_cell_without_a_cholesky_factor_to_coordinate_descent(self, pen, monkeypatch):
-        # a unit column at lam above gamma and a - 1: the middle piece's
-        # cell 1 - lam / 2.7 (SCAD) or 1 - lam / 3 (MC+) is negative
+        # a unit column at lam above gamma and a - 1: the cell of b = 2,
+        # 1 - lam / 2.7 on SCAD's middle piece or 1 - lam / 3 on MC+'s
+        # first, is negative
         x, y = np.eye(3)[:, :1], np.array([2.0, 0.0, 0.0])
         assert solver._polish(x, y, x.T @ x, x.T @ y, 4.0, pen, np.array([2.0])) is None
         # a singular cell (|A| > n) beyond every breakpoint, where c = 0 as
