@@ -19,6 +19,9 @@ walks to the cell's boundary: a coordinate reaching zero drops out, a
 backward-elimination step, and one reaching a breakpoint moves to the
 next piece.
 
+Where p > n, X'X is built a column at a time on first use (``_Gram``),
+as in glmnet's covariance updates (Friedman, Hastie & Tibshirani 2010).
+
 Note on conventions: the 0.5 factor above is fixed. The same problem
 written without it, ||Y - X b||^2 + lam' * ||b||_1, corresponds to
 lam' = 2 * lam here.
@@ -99,23 +102,16 @@ def lambda_max(x, y) -> float:
     return top
 
 
-def solve(
-    x,
-    y,
-    lam: float,
-    pen: PenaltySpec,
-    init=None,
-    *,
-    normal: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FitResult:
+def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None = None) -> FitResult:
     """Run cyclic coordinate descent from ``init`` (zeros by default).
 
     Always returns a FitResult; if MAX_ITER is exhausted the result is
-    flagged converged=False rather than raising. The reported KKT
-    residual is recomputed from the raw inputs at the end. ``normal`` is
-    (X'X, X'Y) already computed from these x and y; ``solve_path`` and
-    ``multistart_local_minima`` pass it so that a design's Gram is built
-    once per call rather than once per fit.
+    flagged converged=False rather than raising. Converged means a KKT
+    residual below max(KKT_TOL, p * eps * ||X'Y||_inf), the second term
+    rounding at the data's own scale; the reported residual is recomputed
+    from the raw inputs at the end. ``normal`` is the ``_Gram`` of these
+    x and y, which ``solve_path`` and ``multistart_local_minima`` share
+    among their fits.
 
     Once 2 sweeps in a row have moved no coordinate to, from or across
     zero, the fit is polished once: ``_polish`` solves the quadratic of
@@ -130,18 +126,15 @@ def solve(
     m, v = linalg.as_design(x, y)
     p = m.shape[1]
     linalg.require_scalar("lambda", lam)
-    gram, xty = linalg.normal_equations(m, v) if normal is None else normal
-    if init is None:
-        beta = np.zeros(p)
-    else:
-        beta = linalg.as_vector(init, p).copy()
+    gram = _Gram(m, v) if normal is None else normal
+    xty = gram.xty
+    beta = np.zeros(p) if init is None else linalg.as_vector(init, p).copy()
 
     # The sweep runs on Python floats and row views; the numpy beta is
     # rebuilt only where a matrix product needs it. The penalty's map and
     # each coordinate's level lam / c_j are resolved once per fit.
     coef = beta.tolist()
-    diag = np.diag(gram).tolist()
-    rows = list(gram)  # symmetric: row j == column j
+    diag = gram.diag.tolist()
     threshold = threshold_map(pen)
     levels = [lam / cj if cj > 0.0 else 0.0 for cj in diag]
     # A coordinate at zero with -lam <= grad_j <= lam stays at zero when
@@ -150,6 +143,7 @@ def solve(
     # nonconvex regime. A zero column's update is always 0.
     settled = [cj <= 0.0 or zero_within_level(pen, level) for cj, level in zip(diag, levels)]
     lo = -lam
+    tol = max(KKT_TOL, p * linalg.EPS * float(np.max(np.abs(xty))))
     # grad is maintained as X'(Y - X beta), in place only, so that g, a
     # memoryview of its buffer, reads it as Python floats
     grad = xty - _gram_times(gram, beta)
@@ -172,7 +166,7 @@ def solve(
                 new = threshold((g[j] + cj * old) / cj, levels[j])
             step = new - old
             if step != 0.0:
-                grad -= step * rows[j]
+                grad -= step * gram[j]
                 coef[j] = new
                 if old * new <= 0.0:
                     moved = True
@@ -183,7 +177,7 @@ def solve(
         if max_change < COORD_TOL:
             beta = np.array(coef)
             np.subtract(xty, _gram_times(gram, beta), out=grad)  # exact refresh before the KKT check
-            if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
+            if kkt_residual(grad, beta, lam, pen) < tol:
                 converged = True
                 break
         elif sweeps % 64 == 0:
@@ -191,7 +185,7 @@ def solve(
             np.subtract(xty, _gram_times(gram, beta), out=grad)  # cap incremental drift
         stable = 0 if moved else stable + 1
         if stable == 2:
-            polished = _polish(m, v, gram, xty, lam, pen, np.array(coef))
+            polished = _polish(m, v, gram, lam, pen, np.array(coef))
             if polished is not None:
                 accepts += 1
                 coef = polished.tolist()
@@ -212,15 +206,57 @@ def solve(
     )
 
 
+class _Gram(dict):
+    """X'X and X'Y of a validated design; gram[j] is row j of X'X, which is
+    column j. Where n >= p, one m.T @ m holds every row. Where p > n, row
+    j is built on its first read as X'x_j by itself, so its bits depend on
+    (X, j) only, and kept in blocks of 64 rows; the diagonal is one einsum.
+    NumericalError as ``linalg.normal_equations`` raises it, per row."""
+
+    def __init__(self, m, v):
+        n, p = m.shape
+        self.m = m
+        if n >= p:
+            block = linalg.finite("X'X", lambda: m.T @ m)
+            self.diag, self.rows = block.diagonal(), block.__getitem__  # rows(idx) is block[idx]
+            self.update(enumerate(block))
+        else:
+            self.diag = linalg.finite("X'X", lambda: np.einsum("ij,ij->j", m, m))
+            # row j is blocks[k // 64][k % 64], k = slot[j], once built
+            self.blocks, self.slot = [], np.full(p, -1)
+        self.xty = linalg.finite("X'Y", lambda: m.T @ v)
+        linalg.require_resolved(m, self.diag)
+
+    def __missing__(self, j):
+        column = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])
+        k = self.slot[j] = len(self)
+        if k % 64 == 0:
+            self.blocks.append(np.empty((64, self.slot.size)))
+        row = self[j] = self.blocks[-1][k % 64]
+        row[:] = column
+        return row
+
+    def rows(self, idx):
+        """Rows ``idx`` (distinct indices) of X'X, stacked in a new array."""
+        for j in idx[self.slot[idx] < 0].tolist():
+            self[j]
+        k = self.slot[idx]
+        if len(self.blocks) == 1:
+            return self.blocks[0][k]
+        out = np.empty((k.size, self.slot.size))
+        for b, block in enumerate(self.blocks):
+            out[k // 64 == b] = block[k[k // 64 == b] % 64]
+        return out
+
+
 def _gram_times(gram, beta):
-    """gram @ beta from the rows of the symmetric gram at beta's nonzeros:
-    exact zeros for a zero beta, and a NaN coefficient is nonzero, so it
-    passes on."""
+    """X'X @ beta from the ``_Gram`` rows at beta's nonzeros: exact zeros
+    for a zero beta, and a NaN coefficient is nonzero, so it passes on."""
     support = np.flatnonzero(beta)
-    return beta[support] @ gram[support]
+    return beta[support] @ gram.rows(support)
 
 
-def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
+def _polish(m, v, gram, lam: float, pen: PenaltySpec, beta):
     """A point of the objective no higher than beta's, found by exact cell
     solves, or None where there is none to take.
 
@@ -236,13 +272,14 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
       solution, along which the cell quadratic falls, and stops at the
       first coordinate to reach zero, which drops out, or a breakpoint,
       where it is set exactly and moves to the next piece;
-    - where it has none (as when |A| > n) and the penalty is convex, b_A
-      walks along the eigenvector d of its smallest eigenvalue. There X_A
-      d is about 0, so the objective changes by t * lam * s'd: d is
-      oriented with s'd < 0. At lam = 0, or with s'd at rounding level,
-      the cell has a flat set of minimisers and the search gives up, as it
-      does on every such cell of SCAD and MC+, where c < 0 can make it
-      concave.
+    - where it has none and every c_A >= 0, so that the cell is convex,
+      b_A walks along the eigenvector d of its smallest eigenvalue. There
+      X_A d and c_A * d are about 0, so the objective changes by t * lam *
+      (s * l)'d: d is oriented with (s * l)'d < 0. At lam = 0, or with (s
+      * l)'d at rounding level, the cell has a flat set of minimisers and
+      the search gives up, as it does where some c < 0 (it can be concave).
+      With |A| > n and no lam * c > 0, the cell is G_AA, of rank <= n, plus
+      a diagonal <= 0: it has no factor, whatever rounding would say.
 
     Every coordinate but the walk's first must keep its sign and piece.
     The final point is kept only if its objective does not rise above
@@ -260,17 +297,20 @@ def _polish(m, v, gram, xty, lam: float, pen: PenaltySpec, beta):
         active = np.flatnonzero(point)
         current, k = point[active], pieces[active]
         signs = np.sign(current)
-        cell = gram[np.ix_(active, active)]
-        cell[np.diag_indices_from(cell)] += lam * curvature[k]
+        shift, pull = lam * curvature[k], signs * linear[k]
+        cell = gram.rows(active)[:, active]
+        cell[np.diag_indices_from(cell)] += shift
         try:
+            if active.size > m.shape[0] and (shift <= 0.0).all():
+                raise np.linalg.LinAlgError("rank X_A <= n < |A|")
             np.linalg.cholesky(cell)
             # a rounding-positive factor of a singular cell can leave LU a zero pivot
-            solved = np.linalg.solve(cell, xty[active] - lam * (signs * linear[k]))
+            solved = np.linalg.solve(cell, gram.xty[active] - lam * pull)
         except np.linalg.LinAlgError:
-            if lam == 0.0 or not pen.convex:
+            if lam == 0.0 or (curvature[k] < 0.0).any():
                 return None
             direction = np.linalg.eigh(cell)[1][:, 0]
-            slope = float(signs @ direction)
+            slope = float(pull @ direction)
             if abs(slope) <= active.size * np.finfo(float).eps:
                 return None
             if slope > 0.0:
@@ -313,7 +353,7 @@ def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:
         linalg.require_scalar("lambda grid entries", t, "positive")
     linalg.require_descending("lambda grid", lams)
     m, v = linalg.as_design(x, y)
-    normal = linalg.normal_equations(m, v)
+    normal = _Gram(m, v)
     results: list[FitResult] = []
     warm = None
     for lam in lams:
@@ -339,8 +379,8 @@ def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8)
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen)]
     m, v = linalg.as_design(x, y)
-    normal = linalg.normal_equations(m, v)
-    scale = float(np.max(np.abs(normal[1])))  # lambda_max(x, y)
+    normal = _Gram(m, v)
+    scale = float(np.max(np.abs(normal.xty)))  # lambda_max(x, y)
     rng = np.random.default_rng(0)
     fits: list[FitResult] = []
     for _ in range(starts):

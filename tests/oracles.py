@@ -339,13 +339,20 @@ def coordinate_descent_reference(
     order, incremental gradient, drift refresh and stopping rule of
     ``solver.solve``, capped at ``max_iter`` sweeps. Returns (beta,
     sweeps, converged). A ``visits`` list receives (old, z, level, new)
-    for every threshold call."""
+    for every threshold call. Where p > n, X'X is built the way the
+    solver's store builds it: row j as X'x_j on its own, and the diagonal
+    as the columns' squared norms in one einsum."""
     m = np.asarray(x, dtype=np.float64)
     v = np.asarray(y, dtype=np.float64)
-    p = m.shape[1]
-    gram = m.T @ m
+    n, p = m.shape
+    if n >= p:
+        gram = m.T @ m
+        diag = np.diag(gram).copy()
+    else:
+        gram = np.array([m.T @ m[:, j] for j in range(p)])
+        diag = np.einsum("ij,ij->j", m, m)
     xty = m.T @ v
-    diag = np.diag(gram).copy()
+    tol = max(KKT_TOL, p * np.finfo(float).eps * float(np.max(np.abs(xty))))
     beta = np.zeros(p) if init is None else np.array(init, dtype=np.float64)
 
     def refreshed():
@@ -375,7 +382,7 @@ def coordinate_descent_reference(
                 max_change = max(max_change, abs(step))
         if max_change < COORD_TOL:
             grad = refreshed()
-            if kkt_residual(grad, beta, lam, pen) < KKT_TOL:
+            if kkt_residual(grad, beta, lam, pen) < tol:
                 converged = True
                 break
         elif sweeps % 64 == 0:

@@ -263,7 +263,7 @@ VERIFY_SEED0_REPORTS = [
     }),
     ("thm3_active", 72, 1e-6, {"penalty": None, "tau": None, "nonconverged_excluded": 0, "components": 9}),
     ("thm3_inactive", 72, 1e-6, {"penalty": None, "tau": None, "nonconverged_excluded": 0, "components": 9}),
-    ("eq10_gap", 48, 1e-6, {"pairs_checked": 3054, "trials_without_pairs": 0, "nonconverged_excluded": 0}),
+    ("eq10_gap", 48, 1e-6, {"pairs_checked": 3081, "trials_without_pairs": 0, "nonconverged_excluded": 0}),
     ("lemma2", 500, 1e-8, {}),
     ("thm1_general", 120, 1e-6, {"penalty": None, "components": 2}),
     ("thm2_general", 120, 1e-6, {"penalty": None, "components": 2}),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -422,7 +423,7 @@ class TestPolish:
         lam = 0.2 * lambda_max(x, y)
         exact = solve(x, y, lam, lasso()).beta
         near = exact + 1e-3 * np.sign(exact)
-        polished = solver._polish(x, y, x.T @ x, x.T @ y, lam, lasso(), near)
+        polished = solver._polish(x, y, solver._Gram(x, y), lam, lasso(), near)
         assert polished is not None
         assert within_beta_bound(polished, exact)
         assert objective_value(x, y, lam, lasso(), polished) <= objective_value(x, y, lam, lasso(), near)
@@ -443,7 +444,7 @@ class TestPolish:
         first = np.argmin(np.where(np.sign(optimum) != np.sign(flipped[active]), times, np.inf))
         assert active[first] == j
         assert flipped[j] + times[first] * (optimum[first] - flipped[j]) != 0.0
-        polished = solver._polish(x, y, gram, xty, lam, lasso(), flipped)
+        polished = solver._polish(x, y, solver._Gram(x, y), lam, lasso(), flipped)
         assert polished is not None
         assert float(polished[j]).hex() == "0x0.0p+0"
         others = np.flatnonzero(polished)
@@ -456,21 +457,21 @@ class TestPolish:
         # (-1, -2, 0.5) from (1, 2, 1), where the first two coordinates
         # reach zero together, at t = 0.5 exactly
         x, y = np.eye(4)[:, :3], np.array([-0.5, -1.5, 1.0, 0.0])
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.5, lasso(), np.array([1.0, 2.0, 1.0])) is None
+        assert solver._polish(x, y, solver._Gram(x, y), 0.5, lasso(), np.array([1.0, 2.0, 1.0])) is None
 
     def test_gives_up_where_the_cell_solution_is_nan(self):
         # no coordinate walks toward zero along a NaN direction
         x, y = tall_problem(seed=231, n=10, p=4)
-        xty = x.T @ y
-        xty[0] = math.nan
-        assert solver._polish(x, y, x.T @ x, xty, 0.1, lasso(), np.ones(4)) is None
+        gram = solver._Gram(x, y)
+        gram.xty[0] = math.nan
+        assert solver._polish(x, y, gram, 0.1, lasso(), np.ones(4)) is None
 
     def test_steps_off_a_singular_cell(self):
         # |A| = 6 > n = 3: the cell matrix has no Cholesky factor, and the
         # objective falls along its null space in the direction with s'd < 0
         x, y = tall_problem(seed=232, n=3, p=6)
         start = np.ones(6)
-        polished = solver._polish(x, y, x.T @ x, x.T @ y, 0.01, lasso(), start)
+        polished = solver._polish(x, y, solver._Gram(x, y), 0.01, lasso(), start)
         assert polished is not None
         assert 0 < np.count_nonzero(polished) <= 3
         assert np.all(polished >= 0.0)
@@ -487,10 +488,10 @@ class TestPolish:
         x, y = tall_problem(seed=232, n=3, p=6)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
-            assert solver._polish(x, y, x.T @ x, x.T @ y, 0.0, lasso(), np.ones(6)) is None
+            assert solver._polish(x, y, solver._Gram(x, y), 0.0, lasso(), np.ones(6)) is None
         x, y = tall_problem(seed=236, n=8, p=3)
         x = np.column_stack([x, x[:, 0]])
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
+        assert solver._polish(x, y, solver._Gram(x, y), 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
 
     @given(
         st.sampled_from(["lasso", "elastic_net", "scad", "mcp"]),
@@ -523,7 +524,7 @@ class TestPolish:
         np_sign, np_solve = np.sign, np.linalg.solve
         monkeypatch.setattr(np, "sign", lambda t: starts.append(t.copy()) or np_sign(t))
         monkeypatch.setattr(np.linalg, "solve", lambda cell, rhs: cells.append(float(cell[0, 0])) or np_solve(cell, rhs))
-        polished = solver._polish(x, y, x.T @ x, x.T @ y, lam, scad(a), np.array([sign * 0.5]))
+        polished = solver._polish(x, y, solver._Gram(x, y), lam, scad(a), np.array([sign * 0.5]))
         assert [float(t[0]) for t in starts] == [sign * 0.5, sign * 1.0, sign * a]
         assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
         assert polished.tolist() == [sign * 5.0]
@@ -534,24 +535,69 @@ class TestPolish:
         # 1 - lam / 2.7 on SCAD's middle piece or 1 - lam / 3 on MC+'s
         # first, is negative
         x, y = np.eye(3)[:, :1], np.array([2.0, 0.0, 0.0])
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 4.0, pen, np.array([2.0])) is None
-        # a singular cell (|A| > n) beyond every breakpoint, where c = 0 as
-        # for the Lasso, is not walked along its null space either, though
-        # the Lasso's is
+        assert solver._polish(x, y, solver._Gram(x, y), 4.0, pen, np.array([2.0])) is None
+        # a singular cell (|A| > n) beyond every breakpoint has c = 0, as the
+        # Lasso's has, so it is convex and eigendecomposed like the Lasso's;
+        # l = 0 there too, so the objective is flat along the null space,
+        # and the cell is left to coordinate descent
         x, y = tall_problem(seed=232, n=3, p=6)
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.01, lasso(), np.full(6, 5.0)) is not None
+        gram = solver._Gram(x, y)
+        assert solver._polish(x, y, gram, 0.01, lasso(), np.full(6, 5.0)) is not None
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda cell: shapes.append(cell.shape) or eigh(cell))
+        assert solver._polish(x, y, gram, 0.01, pen, np.full(6, 5.0)) is None
+        assert shapes == [(6, 6)]
+        # where some c < 0, on SCAD's middle piece or MC+'s first, the cell
+        # can be concave, and it is not walked at all
         monkeypatch.setattr(np.linalg, "eigh", lambda cell: pytest.fail("eigh called"))
-        assert solver._polish(x, y, x.T @ x, x.T @ y, 0.01, pen, np.full(6, 5.0)) is None
+        assert solver._polish(x, y, gram, 0.01, pen, np.full(6, 2.0)) is None
+
+    def test_walks_a_convex_scad_cell_past_its_first_breakpoint(self, monkeypatch):
+        # |A| = 6 > n = 3, three coefficients beyond a (c = 0, l = 0) and
+        # three on the first piece (c = 0, l = 1): the cell is convex and
+        # singular, the objective falls along its null space where (s * l)'d
+        # < 0, and the walk ends at a lower point that the polish keeps
+        x, y = tall_problem(seed=232, n=3, p=6)
+        start = np.array([50.0, 0.05, 50.0, 0.05, 50.0, 0.05])
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda cell: shapes.append(cell.shape) or eigh(cell))
+        polished = solver._polish(x, y, solver._Gram(x, y), 0.1, scad(), start)
+        assert polished is not None
+        assert shapes[0] == (6, 6)
+        assert objective_value(x, y, 0.1, scad(), polished) < objective_value(x, y, 0.1, scad(), start)
+
+    @pytest.mark.parametrize(
+        "pen, start",
+        [(lasso(), np.full(6, 5.0)), (scad(), np.full(6, 2.0)), (scad(), np.full(6, 5.0)), (mcp(), np.full(6, 2.0)),
+         (mcp(), np.full(6, 5.0)), (scad(), np.array([50.0, 0.05, 50.0, 0.05, 50.0, 0.05]))],
+        ids=["lasso", "scad-middle", "scad-beyond", "mcp-first", "mcp-beyond", "scad-mixed"],
+    )
+    def test_no_cholesky_on_a_cell_wider_than_n_without_positive_curvature(self, pen, start, monkeypatch):
+        # with |A| > n and every lam * c <= 0 the cell has no factor, however
+        # rounding would come out; cells of at most n coordinates still try
+        x, y = tall_problem(seed=232, n=3, p=6)
+        cholesky = np.linalg.cholesky
+
+        def narrow_only(cell):
+            assert cell.shape[0] <= 3, "cholesky called on a cell wider than n"
+            return cholesky(cell)
+
+        monkeypatch.setattr(np.linalg, "cholesky", narrow_only)
+        solver._polish(x, y, solver._Gram(x, y), 0.1, pen, start)
+        fits = solve_path(x, y, np.geomspace(lambda_max(x, y), 1e-3, 20), pen)
+        assert all(f.converged for f in fits)
 
     def test_support_product(self):
         rng = np.random.default_rng(37)
         x = rng.standard_normal((6, 9))
-        gram = x.T @ x
+        gram = solver._Gram(x, np.zeros(6))
         zero = solver._gram_times(gram, np.zeros(9))
         assert zero.tobytes() == np.zeros(9).tobytes()
         beta = np.zeros(9)
         beta[[1, 4, 7]] = rng.standard_normal(3)
-        assert np.allclose(solver._gram_times(gram, beta), gram @ beta, rtol=1e-14, atol=1e-14)
+        assert np.allclose(solver._gram_times(gram, beta), x.T @ x @ beta, rtol=1e-14, atol=1e-14)
+        # only the rows of beta's support were built
+        assert len(gram) == 3
         beta[4] = math.nan
         assert np.isnan(solver._gram_times(gram, beta)).all()
 
@@ -563,7 +609,7 @@ class TestPolish:
         exact = solve(x, y, lam, lasso()).beta
         near = exact + 1e-3 * np.sign(exact)
         monkeypatch.setattr(solver, "objective_value", lambda x, y, lam, pen, b: -float(np.sum(np.abs(b))))
-        assert solver._polish(x, y, x.T @ x, x.T @ y, lam, lasso(), near) is None
+        assert solver._polish(x, y, solver._Gram(x, y), lam, lasso(), near) is None
 
     def test_waits_for_sweeps_without_a_crossing(self, monkeypatch):
         # with every polish rejected the sweep is the reference's, whose
@@ -598,12 +644,15 @@ class TestPolish:
         assert longest > 1_000
 
     def test_polishes_a_scaled_fit_once(self):
-        # on data scaled by 1e9 the absolute KKT_TOL is out of reach, and
-        # the accepted polish is not repeated for the rest of the sweeps
+        # on data scaled by 1e9 the absolute KKT_TOL is out of reach of
+        # rounding (the refreshed residual is 1.3e-4), but not the floor p *
+        # eps * ||X'Y||_inf, 3.1e-4: the fit converges after its one
+        # accepted polish instead of sweeping on to MAX_ITER
         x, y = tall_problem(seed=0, n=100, p=10)
         lam = 0.1 * lambda_max(x, y)
         fit = solve(x, y * 1e9, lam * 1e9, lasso())
-        assert (fit.iterations, fit.converged, fit.polish_accepts) == (MAX_ITER, False, 1)
+        assert (fit.iterations, fit.converged, fit.polish_accepts) == (8, True, 1)
+        assert KKT_TOL < fit.kkt_residual < 10 * np.finfo(float).eps * np.max(np.abs(x.T @ y * 1e9))
 
 
 class TestSharedGram:
@@ -658,6 +707,68 @@ class TestSharedGram:
             assert len(fits) == len(refs), name
             for fit, ref in zip(fits, refs):
                 self.assert_same(fit, ref, name)
+
+
+class TestGramStore:
+    """X'X through solver._Gram: where p > n, row j is built on its first
+    read as X'x_j alone, so its bits are the same whichever rows were
+    built before it, and a fit holds only the rows it has read."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 8), extra=st.integers(1, 150), data=st.data())
+    def test_a_row_has_the_same_bits_whatever_was_built_before(self, seed, n, extra, data):
+        p = n + extra
+        x, y = tall_problem(seed=seed, n=n, p=p)
+        j = data.draw(st.integers(0, p - 1))
+        alone = solver._Gram(x, y)[j].copy()
+        order = data.draw(st.permutations(range(p)))
+        cut = data.draw(st.integers(0, p))
+        gram = solver._Gram(x, y)
+        gram.rows(np.array(order[:cut], dtype=int))  # one batch, then one row at a time
+        for k in order[cut:]:
+            gram[k]
+        assert gram[j].tobytes() == alone.tobytes() == (x.T @ x[:, j]).tobytes()
+        assert gram.rows(np.array([j]))[0].tobytes() == alone.tobytes()
+        # a gather over blocks of 64 rows keeps the order it is asked for
+        stacked = gram.rows(np.array(order))
+        assert stacked.tobytes() == np.array([x.T @ x[:, k] for k in order]).tobytes()
+        assert np.allclose(stacked, (x.T @ x)[order], rtol=1e-12, atol=1e-12)
+        assert gram.diag.tobytes() == np.einsum("ij,ij->j", x, x).tobytes()
+
+    @settings(deadline=None, max_examples=12)
+    @given(seed=st.integers(0, 2**16), pen=st.sampled_from([scad(), mcp(1.5)]), frac=st.floats(0.05, 0.6))
+    def test_multistart_equals_single_solves_from_its_starts(self, seed, pen, frac):
+        # multistart builds rows in the order its first start reads them; a
+        # single solve from a later start builds them in its own order
+        x, y = tall_problem(seed=seed, n=6, p=15)
+        scale = lambda_max(x, y)
+        lam = frac * scale
+        fits = multistart_local_minima(x, y, lam, pen, 4)
+        rng = np.random.default_rng(0)
+        refs = []
+        for _ in range(4):
+            ref = solve(x, y, lam, pen, init=rng.uniform(-scale, scale, size=15))
+            if all(np.max(np.abs(ref.beta - r.beta)) > solver.DISTINCT_TOL for r in refs):
+                refs.append(ref)
+        refs.sort(key=lambda f: (f.objective, tuple(f.beta)))
+        assert len(fits) == len(refs)
+        for fit, ref in zip(fits, refs):
+            TestSharedGram.assert_same(fit, ref, seed)
+
+    def test_a_wide_path_holds_only_the_rows_it_reads(self):
+        # a 30 x 3000 design, whose full X'X would take 72 MB
+        rng = np.random.default_rng(38)
+        x = rng.standard_normal((30, 3000))
+        y = x[:, :4] @ np.array([2.0, -1.5, 1.0, 0.5]) + 0.3 * rng.standard_normal(30)
+        top = lambda_max(x, y)
+        tracemalloc.start()
+        try:
+            fits = solve_path(x, y, np.geomspace(top, 0.05 * top, 8), lasso())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(f.converged for f in fits)
+        assert peak < 10e6
 
 
 class TestSolvePath:

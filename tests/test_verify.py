@@ -406,7 +406,7 @@ class TestTheoremCounts:
                 assert report.details["nonconverged_excluded"] == 0, (pen.kind, tau)
         report = check_local_min_gap(verify.DEFAULT_TRIALS["eq10_gap"], seed=next(blocks))
         assert report.details["nonconverged_excluded"] == 0
-        assert report.details["pairs_checked"] == 3054
+        assert report.details["pairs_checked"] == 3081
 
 
 class TestQuantileHelper:
