@@ -211,21 +211,20 @@ class _Gram(dict):
     column j. Where n >= p, one m.T @ m holds every row. Where p > n, row
     j is built on its first read as X'x_j by itself, so its bits depend on
     (X, j) only, and kept in blocks of 64 rows; the diagonal is one einsum.
-    NumericalError as ``linalg.normal_equations`` raises it, per row."""
+    NumericalError as ``linalg.normal_equations`` raises it, and per row."""
 
     def __init__(self, m, v):
-        n, p = m.shape
         self.m = m
-        if n >= p:
-            block = linalg.finite("X'X", lambda: m.T @ m)
+        if m.shape[0] >= m.shape[1]:
+            block, self.xty = linalg.normal_equations(m, v)
             self.diag, self.rows = block.diagonal(), block.__getitem__  # rows(idx) is block[idx]
             self.update(enumerate(block))
         else:
             self.diag = linalg.finite("X'X", lambda: np.einsum("ij,ij->j", m, m))
+            self.xty = linalg.finite("X'Y", lambda: m.T @ v)
+            linalg.require_resolved(m, self.diag)
             # row j is blocks[k // 64][k % 64], k = slot[j], once built
-            self.blocks, self.slot = [], np.full(p, -1)
-        self.xty = linalg.finite("X'Y", lambda: m.T @ v)
-        linalg.require_resolved(m, self.diag)
+            self.blocks, self.slot = [], np.full(m.shape[1], -1)
 
     def __missing__(self, j):
         column = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puffer_lasso import estimators, solver
-from puffer_lasso.errors import DataError
+from puffer_lasso.errors import DataError, NumericalError
 from puffer_lasso.penalties import (
     elastic_net,
     lasso,
@@ -734,6 +734,23 @@ class TestGramStore:
         assert stacked.tobytes() == np.array([x.T @ x[:, k] for k in order]).tobytes()
         assert np.allclose(stacked, (x.T @ x)[order], rtol=1e-12, atol=1e-12)
         assert gram.diag.tobytes() == np.einsum("ij,ij->j", x, x).tobytes()
+
+    def test_a_row_that_leaves_float64_raises_as_it_is_built(self):
+        # |X'X| entries are bounded by the diagonal, but their rounding is
+        # not: this design's diagonal (one einsum) is finite, yet on the
+        # recorded stack its row 0, built as X'x_0, rounds to inf
+        col = np.array([3.3005897743530503e153, 7.645460544004469e153, 7.635212482916621e153, 7.219825762333378e153])
+        x = np.column_stack([col, col[::-1], np.zeros((4, 3))])
+        gram = solver._Gram(x, np.ones(4))
+        assert np.isfinite(gram.diag).all()
+        for j in range(2):
+            with np.errstate(over="ignore"):
+                built = x.T @ x[:, j]
+            if np.isfinite(built).all():
+                assert gram[j].tobytes() == built.tobytes()
+            else:
+                with pytest.raises(NumericalError, match="X'X overflows float64"):
+                    gram[j]
 
     @settings(deadline=None, max_examples=12)
     @given(seed=st.integers(0, 2**16), pen=st.sampled_from([scad(), mcp(1.5)]), frac=st.floats(0.05, 0.6))
