@@ -227,6 +227,7 @@ class _Gram(dict):
             self.blocks, self.slot = [], np.full(m.shape[1], -1)
 
     def __missing__(self, j):
+        """Row j, built by itself and kept in the next free block slot."""
         column = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])
         k = self.slot[j] = len(self)
         if k % 64 == 0:
