@@ -153,7 +153,7 @@ def load_dataset(path: str, response_column: str) -> Dataset:
         raise DataError(f"{path}: no feature columns besides the response")
     return Dataset(
         x=data[:, mask],
-        y=data[:, response_idx],
+        y=data[:, response_idx].copy(),  # not a view that keeps the whole block
         feature_names=tuple(h for i, h in enumerate(header) if i != response_idx),
         response_name=header[response_idx],
     )

@@ -9,7 +9,7 @@ operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,10 +107,16 @@ def rank_of(f: SvdFactors) -> int:
     return int(np.count_nonzero(f.d > f.rank_tol))
 
 
-def require_full_rank(f: SvdFactors) -> None:
+def require_full_rank(f: SvdFactors, shape: tuple[int, int] | None = None) -> None:
     """Raise RankError naming the offending singular value if rank <
-    min(n, p): the column rank for n > p, the row rank otherwise."""
-    n, p = f.u.shape[0], f.v.shape[0]
+    min(n, p): the column rank for n > p, the row rank otherwise.
+
+    ``shape`` is the (n, p) of the matrix that f factors where f.u is only
+    a p x p rotation of its left factor; the tolerance is then the one
+    ``svd`` of the n x p matrix would take."""
+    n, p = shape or (f.u.shape[0], f.v.shape[0])
+    if shape is not None:
+        f = replace(f, rank_tol=max(n, p) * EPS * float(f.d[0]))
     kind, full = ("column", p) if n > p else ("row", n)
     r = rank_of(f)
     if r < full:

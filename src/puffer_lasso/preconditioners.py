@@ -52,11 +52,23 @@ def scaling_matrix(x) -> np.ndarray:
 
 
 def puffer_scaled(x, y) -> PreconditionedPair:
-    """Scaled transform: Puffer applied to X N, recording the N diagonal."""
-    m = linalg.as_matrix(x)
-    n_diag = scaling_matrix(m)
-    pair = puffer(m * n_diag, y)
-    return PreconditionedPair(pair.x_tilde, pair.y_tilde, n_diag=n_diag)
+    """Scaled transform: Puffer applied to X N, recording the N diagonal.
+
+    X is factored once: X N = U (D V'N), and one p x p SVD D V'N = Q S W'
+    gives X N = (U Q) S W'. So F X N = U (Q W') and F Y = U Q S^-1 Q'U'Y,
+    with the p x p products taken first: neither X N nor U Q is built.
+    """
+    # N as scaling_matrix takes it, to the bit and with its error records
+    m, _ = linalg.as_design(x, name="gram_inverse_diagonal", needs="n > p")
+    f = linalg.svd(m)
+    linalg.require_full_rank(f)
+    n_diag = np.sqrt(linalg._gram_inverse_diagonal(f))
+    v = linalg.as_vector(y, m.shape[0])
+    g = linalg.svd(f.d[:, None] * (f.v.T * n_diag))
+    linalg.require_full_rank(g, shape=m.shape)
+    x_tilde = f.u @ (g.u @ g.v.T)
+    y_tilde = f.u @ (g.u @ ((g.u.T @ (f.u.T @ v)) / g.d))
+    return PreconditionedPair(x_tilde, y_tilde, n_diag=n_diag)
 
 
 def puffer_tau(x, y, tau: float) -> PreconditionedPair:

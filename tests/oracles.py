@@ -21,7 +21,11 @@ estimators that preceded the single-SVD ``inference``; it calls
 ``np.linalg.svd`` itself and the library's ``p_values``.
 ``load_dataset_reference`` is the CLI's CSV reader as it was before the
 ``np.loadtxt`` fast path: ``csv.reader`` and one ``float()`` per cell, with
-a ``csv.Error`` reported as a DataError naming the row.
+a ``csv.Error`` reported as a DataError naming the row; its ``y`` is a
+contiguous copy of the response column, as the CLI's is.
+``puffer_scaled_reference`` is the scaled Puffer transform as it was
+before X was factored once: N from one SVD of X, then Puffer on X N with a
+second SVD, both by ``np.linalg.svd``.
 ``precondition_csv_reference`` is the ``precondition`` output as it was
 before one format per row: the CLI's ``_fmt`` on every value.
 ``kkt_residual_reference`` and ``objective_value_reference`` are the
@@ -492,10 +496,21 @@ def load_dataset_reference(path: str, response_column: str | int) -> Dataset:
         raise DataError(f"{path}: no feature columns besides the response")
     return Dataset(
         x=data[:, mask],
-        y=data[:, response_idx],
+        y=data[:, response_idx].copy(),
         feature_names=tuple(h for i, h in enumerate(header) if i != response_idx),
         response_name=header[response_idx],
     )
+
+
+def puffer_scaled_reference(x, y):
+    """(x_tilde, y_tilde, n_diag) of the two-SVD scaled transform:
+    N_jj = sqrt of [(X'X)^-1]_jj from the SVD of X, then the SVD
+    X N = U S W' gives x_tilde = U W' and y_tilde = U S^-1 U'Y."""
+    m, v = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    _, d, vt = np.linalg.svd(m, full_matrices=False)
+    n_diag = np.sqrt(np.square(vt.T) @ (1.0 / np.square(d)))
+    u, s, wt = np.linalg.svd(m * n_diag, full_matrices=False)
+    return u @ wt, u @ ((u.T @ v) / s), n_diag
 
 
 def precondition_csv_reference(data: Dataset, x, y) -> str:

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -27,9 +28,12 @@ from puffer_lasso.cli import (
 )
 from puffer_lasso.errors import DataError, NumericalError
 from puffer_lasso.penalties import lasso, mcp
-from puffer_lasso.preconditioners import puffer, puffer_scaled
+from puffer_lasso.preconditioners import puffer, puffer_scaled, puffer_tau
 from puffer_lasso.solver import lambda_max
 from test_acceptance import package_env
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_csv(path, header, rows):
@@ -57,6 +61,13 @@ class TestLoadDataset:
         assert data.feature_names == ("x1", "x2")
         assert data.response_name == "y"
         assert np.array_equal(data.y, [1, 4, 7, 1])
+
+    def test_response_owns_its_memory(self, small_csv):
+        # a view of the parsed block would keep all of it, and its stride
+        # would change the bits of the transforms' products with y
+        data = load_dataset(str(small_csv), "y")
+        assert data.y.base is None
+        assert data.y.flags.c_contiguous
 
     def test_response_by_index(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -1036,6 +1047,24 @@ class TestPreconditionOutput:
         assert main(argv + ["--output", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("csv_name, flags", [
+        ("tall.csv", ["--transform", "puffer"]),
+        ("tall.csv", ["--transform", "puffer_scaled"]),
+        ("wide.csv", ["--transform", "puffer_tau", "--tau", "0"]),
+        ("wide.csv", ["--transform", "puffer_tau", "--tau", "1"]),
+    ])
+    def test_matches_library_on_contiguous_inputs(self, capsys, csv_name, flags):
+        # a library caller holding the loaded numbers in contiguous arrays
+        # reproduces the CLI's bytes
+        path = str(GOLDEN / csv_name)
+        data = oracles.load_dataset_reference(path, "y")
+        x, y = np.ascontiguousarray(data.x), np.ascontiguousarray(data.y)
+        transform = {"puffer": puffer, "puffer_scaled": puffer_scaled}.get(flags[1])
+        pair = transform(x, y) if transform else puffer_tau(x, y, float(flags[3]))
+        expected = oracles.precondition_csv_reference(data, pair.x_tilde, pair.y_tilde)
+        assert main(["precondition", "--input", path, "--response", "y", *flags]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_signed_zeros_subnormals_and_extremes(self, tmp_path, capsys):
         path = tmp_path / "extremes.csv"

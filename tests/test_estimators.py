@@ -241,7 +241,7 @@ class TestInference:
 
 class TestOneSvdPerDesign:
     """Every factorization goes through linalg.svd; each estimator makes one
-    and puffer_scaled two (X, then X N)."""
+    and puffer_scaled two (X, then the p x p D V'N)."""
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):

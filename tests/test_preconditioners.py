@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import estimators, preconditioners
+from puffer_lasso import estimators, linalg, preconditioners, verify
 from puffer_lasso.errors import DataError, NumericalError, RankError
 from puffer_lasso.penalties import lasso, soft_threshold
 from puffer_lasso.preconditioners import (
@@ -148,6 +150,74 @@ class TestPufferScaled:
         assert np.max(np.abs(scaled_design_ols - bols / n_diag)) <= 1e-8
         z = estimators.z_stats(x, y, sigma)
         assert np.max(np.abs(scaled_design_ols - sigma * z / math.sqrt(x.shape[0]))) <= 1e-8
+
+
+# verify's full-rank designs; spiked_problems reaches a condition number of 1e4
+FULL_RANK_FAMILIES = {
+    "orthonormal": verify.orthonormal_problems,
+    "equicorrelated_0": verify.equicorrelated_problems(0.0),
+    "equicorrelated_0.5": verify.equicorrelated_problems(0.5),
+    "equicorrelated_0.9": verify.equicorrelated_problems(0.9),
+    "heteroskedastic": verify.heteroskedastic_problems,
+    "spiked": verify.spiked_problems,
+    "inference_scale": verify.inference_scale_problems,
+}
+
+
+class TestOneFactorization:
+    """puffer_scaled factors X once and rotates its factors by one p x p
+    SVD; the two-SVD route it replaced is oracles.puffer_scaled_reference."""
+
+    def test_one_n_by_p_svd(self, monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        x, y = tall_problem(21, 70, 15)
+        puffer_scaled(x, y)
+        assert shapes.count((70, 15)) == 1
+        assert set(shapes) == {(70, 15), (15, 15)}
+
+    @pytest.mark.parametrize("family", FULL_RANK_FAMILIES)
+    def test_matches_two_svd_route(self, family):
+        for seed in range(20):
+            x, y, *_ = FULL_RANK_FAMILIES[family](seed)
+            pair = puffer_scaled(x, y)
+            x_ref, y_ref, n_ref = oracles.puffer_scaled_reference(x, y)
+            assert pair.n_diag.tobytes() == n_ref.tobytes() == scaling_matrix(x).tobytes()
+            for got, ref in ((pair.x_tilde, x_ref), (pair.y_tilde, y_ref)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    def test_memory_bound(self):
+        # U and the result, against the parent's X N, U of X N and the result
+        x, y = tall_problem(22, 4000, 50)
+        tracemalloc.start()
+        try:
+            puffer_scaled(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
+
+    def test_rank_of_scaled_design_at_n_by_p_tolerance(self, monkeypatch):
+        # X N's rank is tested at the tolerance an SVD of the n x p X N
+        # takes, max(n, p) eps s_1, not the p x p factor's p eps s_1
+        x, y = tall_problem(23, 600, 3)
+        real = linalg.svd
+
+        def squeezed(m):
+            f = real(m)
+            if m.shape == (3, 3):  # D V'N: its smallest singular value below the n x p tolerance
+                f = dataclasses.replace(f, d=f.d * np.array([1.0, 1.0, 300 * linalg.EPS]))
+            return f
+
+        monkeypatch.setattr(linalg, "svd", squeezed)
+        with pytest.raises(RankError, match=r"^matrix is column-rank deficient: rank 2 < 3 columns "):
+            puffer_scaled(x, y)
 
 
 class TestPufferTau:

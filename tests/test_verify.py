@@ -359,7 +359,7 @@ class TestTheoremCounts:
         assert report.passed
         assert report.details["boundary_ties_excluded"] == 2 * (1 + 2 * 2 + 1)
         assert report.details["set_mismatches"] == report.details["rule_005_mismatches"] == 0
-        assert report.worst_case_seed == 5
+        assert report.worst_case_seed == 4
 
     def test_theorem2_mismatches(self, monkeypatch):
         # the unscaled transform thresholds beta_ols, not sigma Z / sqrt(n):
