@@ -1048,22 +1048,20 @@ class TestPreconditionOutput:
         assert out.read_bytes() == expected.encode()
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("csv_name, flags", [
-        ("tall.csv", ["--transform", "puffer"]),
-        ("tall.csv", ["--transform", "puffer_scaled"]),
-        ("wide.csv", ["--transform", "puffer_tau", "--tau", "0"]),
-        ("wide.csv", ["--transform", "puffer_tau", "--tau", "1"]),
-    ])
-    def test_matches_library_on_contiguous_inputs(self, capsys, csv_name, flags):
+    @pytest.mark.parametrize("csv_name, flags, transform", [
+        ("tall.csv", ["puffer"], puffer),
+        ("tall.csv", ["puffer_scaled"], puffer_scaled),
+        ("wide.csv", ["puffer_tau", "--tau", "0"], lambda x, y: puffer_tau(x, y, 0.0)),
+        ("wide.csv", ["puffer_tau", "--tau", "1"], lambda x, y: puffer_tau(x, y, 1.0)),
+    ], ids=["puffer", "puffer_scaled", "puffer_tau-0", "puffer_tau-1"])
+    def test_matches_library_on_contiguous_inputs(self, capsys, csv_name, flags, transform):
         # a library caller holding the loaded numbers in contiguous arrays
         # reproduces the CLI's bytes
         path = str(GOLDEN / csv_name)
         data = oracles.load_dataset_reference(path, "y")
-        x, y = np.ascontiguousarray(data.x), np.ascontiguousarray(data.y)
-        transform = {"puffer": puffer, "puffer_scaled": puffer_scaled}.get(flags[1])
-        pair = transform(x, y) if transform else puffer_tau(x, y, float(flags[3]))
+        pair = transform(np.ascontiguousarray(data.x), np.ascontiguousarray(data.y))
         expected = oracles.precondition_csv_reference(data, pair.x_tilde, pair.y_tilde)
-        assert main(["precondition", "--input", path, "--response", "y", *flags]) == 0
+        assert main(["precondition", "--input", path, "--response", "y", "--transform", *flags]) == 0
         assert capsys.readouterr().out == expected
 
     def test_signed_zeros_subnormals_and_extremes(self, tmp_path, capsys):

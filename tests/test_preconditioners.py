@@ -211,7 +211,7 @@ class TestOneFactorization:
 
         def squeezed(m):
             f = real(m)
-            if m.shape == (3, 3):  # D V'N: its smallest singular value below the n x p tolerance
+            if m.shape == (3, 3):  # D V'N: put its last singular value between the two
                 f = dataclasses.replace(f, d=f.d * np.array([1.0, 1.0, 300 * linalg.EPS]))
             return f
 
