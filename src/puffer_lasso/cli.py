@@ -302,12 +302,13 @@ def _csv_table(table: dict) -> tuple[str, Iterator[str]]:
     """The header line of ``table``, a dict of named columns, and its rows
     as a stream of lines. A float column is an ndarray; the cells of any
     other column are written by ``_csv_cell``. The first non-finite float,
-    in row-major order, raises here, before a line is written."""
+    in row-major order, raises here, before a line is written; the float
+    columns are checked one at a time and stacked only to find it."""
     columns = list(table.values())
-    floats = np.column_stack([c for c in columns if isinstance(c, np.ndarray)])
-    finite = np.isfinite(floats)
-    if not finite.all():
-        _fmt(floats[~finite][0])
+    floats = [c for c in columns if isinstance(c, np.ndarray)]
+    if not all(np.isfinite(c).all() for c in floats):
+        stacked = np.column_stack(floats)
+        _fmt(stacked[~np.isfinite(stacked)][0])
     cells = [c if isinstance(c, np.ndarray) else [_csv_cell(v) for v in c] for c in columns]
     row_format = ",".join(_FLOAT if isinstance(c, np.ndarray) else "%s" for c in columns) + "\n"
     header = ",".join(_csv_cell(name) for name in table) + "\n"

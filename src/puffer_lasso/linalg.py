@@ -3,7 +3,8 @@ and the range guards every float64 product goes through.
 
 Everything downstream (preconditioners, estimators, the solver) consumes
 these routines. Matrices are plain 2-D float64 numpy arrays; all
-operations are pure functions of their inputs.
+operations are pure functions of their inputs, except
+``multiply_in_place``, which writes its product over its first argument.
 """
 
 from __future__ import annotations
@@ -84,22 +85,81 @@ class SvdFactors:
     rank_tol: float
 
 
+#: the fewest rows of a block in ``svd``'s blocked route
+_BLOCK_ROWS = 2048
+
+
+def _block_rows(p: int) -> int:
+    """B, the rows per block of a tall design with p columns."""
+    return max(_BLOCK_ROWS, 8 * p)
+
+
+def row_blocks(n: int, p: int) -> list[int]:
+    """Row offsets of the blocks ``svd`` factors an n x p matrix in: n // B
+    blocks of B to 2B rows where n > p and that is at least two, else one."""
+    k = max(n // _block_rows(p), 1) if n > p else 1
+    return [i * n // k for i in range(k + 1)]
+
+
 def svd(x) -> SvdFactors:
     """Skinny singular value decomposition of a dense matrix.
+
+    A tall matrix of two or more row blocks is factored one block at a
+    time (tall-skinny QR): QR of each block, QR of the stacked R factors,
+    the SVD of the last p x p R, and U formed block by block in one n x p
+    array, where each block's Q was kept. So it holds U and a block or two
+    besides X, where ``np.linalg.svd`` holds three n x p arrays. Any other
+    matrix takes one ``np.linalg.svd`` call.
 
     Raises NumericalError if the underlying iteration fails to converge
     (never silent NaN).
     """
     m = as_matrix(x)
+    n, p = m.shape
+    edges = row_blocks(n, p)
     try:
-        u, d, vt = np.linalg.svd(m, full_matrices=False)
+        if len(edges) > 2:
+            u, d, vt = _blocked_svd(m, edges)
+        else:
+            u, d, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(d))):
         raise NumericalError("SVD produced non-finite factors")
-    n, p = m.shape
     tol = max(n, p) * EPS * (float(d[0]) if d.size else 0.0)
     return SvdFactors(u=u, d=d, v=vt.T, rank_tol=tol)
+
+
+def _blocked_svd(m: np.ndarray, edges: list[int]):
+    """(U, d, V') of a tall m whose row blocks start at ``edges``. A block
+    with fewer rows than columns has a square Q and a wide R."""
+    n, p = m.shape
+    u = np.empty((n, p))
+    spans = list(zip(edges, edges[1:]))
+    rs = []
+    for s, e in spans:
+        q, r = np.linalg.qr(m[s:e])
+        u[s:e, : q.shape[1]] = q
+        rs.append(r)
+    q, r = np.linalg.qr(np.concatenate(rs))
+    w, d, vt = np.linalg.svd(r)
+    q = q @ w  # the stacked R's Q rotated by R's left singular vectors
+    row = 0
+    for (s, e), r in zip(spans, rs):
+        c = r.shape[0]
+        u[s:e] = u[s:e, :c] @ q[row : row + c]
+        row += c
+    return u, d, vt
+
+
+def multiply_in_place(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u @ w written over u, for an n x p u from ``svd`` and a p x p w, one
+    of svd's row blocks at a time: the product needs no second n x p array.
+    With one block it is the one product u @ w, to the bit."""
+    edges = row_blocks(*u.shape)
+    for s, e in zip(edges, edges[1:]):
+        u[s:e] = u[s:e] @ w
+    return u
 
 
 def rank_of(f: SvdFactors) -> int:

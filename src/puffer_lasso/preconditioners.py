@@ -41,9 +41,8 @@ def puffer(x, y) -> PreconditionedPair:
     m, v = linalg.as_design(x, y, "puffer", "n > p")
     f = linalg.svd(m)
     linalg.require_full_rank(f)
-    x_tilde = f.u @ f.v.T
     y_tilde = f.u @ ((f.u.T @ v) / f.d)
-    return PreconditionedPair(x_tilde, y_tilde)
+    return PreconditionedPair(linalg.multiply_in_place(f.u, f.v.T), y_tilde)
 
 
 def scaling_matrix(x) -> np.ndarray:
@@ -57,6 +56,7 @@ def puffer_scaled(x, y) -> PreconditionedPair:
     X is factored once: X N = U (D V'N), and one p x p SVD D V'N = Q S W'
     gives X N = (U Q) S W'. So F X N = U (Q W') and F Y = U Q S^-1 Q'U'Y,
     with the p x p products taken first: neither X N nor U Q is built.
+    Y~ is taken first; then X~ is written over U, as ``puffer`` does.
     """
     # N as scaling_matrix takes it, to the bit and with its error records
     m, _ = linalg.as_design(x, name="gram_inverse_diagonal", needs="n > p")
@@ -66,8 +66,8 @@ def puffer_scaled(x, y) -> PreconditionedPair:
     v = linalg.as_vector(y, m.shape[0])
     g = linalg.svd(f.d[:, None] * (f.v.T * n_diag))
     linalg.require_full_rank(g, shape=m.shape)
-    x_tilde = f.u @ (g.u @ g.v.T)
     y_tilde = f.u @ (g.u @ ((g.u.T @ (f.u.T @ v)) / g.d))
+    x_tilde = linalg.multiply_in_place(f.u, g.u @ g.v.T)
     return PreconditionedPair(x_tilde, y_tilde, n_diag=n_diag)
 
 

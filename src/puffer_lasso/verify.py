@@ -247,8 +247,10 @@ def _scaled_z(x, y, sigma):
 def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, np.ndarray]:
     """Fit (x, y) at each lambda; return the worst sup-norm gap between a
     fit and the thresholding map applied to b, and the fitted
-    coefficients, one row per lambda."""
-    betas = np.array([solver.solve(x, y, float(lam), pen).beta for lam in lambdas])
+    coefficients, one row per lambda. The cold-started fits share one
+    ``solver._Gram``; the thresholding side never reads it."""
+    normal = solver._Gram(*linalg.as_design(x, y))
+    betas = np.array([solver.solve(x, y, float(lam), pen, normal=normal).beta for lam in lambdas])
     targets = [[univariate_threshold(pen, t, float(lam)) for t in b.tolist()] for lam in lambdas]
     return float(np.max(np.abs(betas - targets))), betas
 

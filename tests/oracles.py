@@ -26,6 +26,11 @@ contiguous copy of the response column, as the CLI's is.
 ``puffer_scaled_reference`` is the scaled Puffer transform as it was
 before X was factored once: N from one SVD of X, then Puffer on X N with a
 second SVD, both by ``np.linalg.svd``.
+``one_svd_reference`` is every tall-design quantity as it was computed
+before tall designs were factored in row blocks: one ``np.linalg.svd`` of
+X, and for the scaled transform one more of the p x p D V'N.
+``exact_ols`` is not a fast path's earlier form: it solves the normal
+equations in exact rational arithmetic.
 ``precondition_csv_reference`` is the ``precondition`` output as it was
 before one format per row: the CLI's ``_fmt`` on every value.
 ``kkt_residual_reference`` and ``objective_value_reference`` are the
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +152,31 @@ def gauss_jordan_solve(a, b) -> np.ndarray:
             if row != col and aug[row, col] != 0.0:
                 aug[row] = aug[row] - aug[row, col] * aug[col]
     return aug[:, n]
+
+
+def exact_ols(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """beta_ols and diag((X'X)^-1) of a full-column-rank X, each rounded
+    once from the exact rational solution: X'X and X'Y are formed, and
+    Gauss-Jordan runs, on ``Fraction``s of the float64 entries."""
+    xs = [[Fraction(v) for v in row] for row in np.asarray(x, dtype=np.float64).tolist()]
+    ys = [Fraction(v) for v in np.asarray(y, dtype=np.float64).tolist()]
+    cols = list(zip(*xs))
+    p = len(cols)
+    aug = [
+        [sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(p)]
+        + [sum(a * b for a, b in zip(cols[i], ys))]
+        + [Fraction(int(i == j)) for j in range(p)]
+        for i in range(p)
+    ]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(p):
+            if r != c and aug[r][c] != 0:
+                factor = aug[r][c]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[c])]
+    return np.array([float(row[p]) for row in aug]), np.array([float(row[p + 1 + i]) for i, row in enumerate(aug)])
 
 
 def gauss_jordan_inverse(a) -> np.ndarray:
@@ -511,6 +542,25 @@ def puffer_scaled_reference(x, y):
     n_diag = np.sqrt(np.square(vt.T) @ (1.0 / np.square(d)))
     u, s, wt = np.linalg.svd(m * n_diag, full_matrices=False)
     return u @ wt, u @ ((u.T @ v) / s), n_diag
+
+
+def one_svd_reference(x, y, sigma: float):
+    """Puffer's (x_tilde, y_tilde), the scaled transform's (x_tilde,
+    y_tilde, n_diag), beta_ols and the Z statistics at ``sigma``, from one
+    ``np.linalg.svd`` of X (full column rank, n > p), by name."""
+    m, v = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    u, d, vt = np.linalg.svd(m, full_matrices=False)
+    nu = np.square(vt.T) @ (1.0 / np.square(d))
+    n_diag = np.sqrt(nu)
+    q, s, wt = np.linalg.svd(d[:, None] * (vt * n_diag))
+    uty = u.T @ v
+    beta = vt.T @ (uty / d)
+    return {
+        "puffer": (u @ vt, u @ (uty / d)),
+        "puffer_scaled": (u @ (q @ wt), u @ (q @ ((q.T @ uty) / s)), n_diag),
+        "beta_ols": beta,
+        "z_stats": math.sqrt(m.shape[0]) * beta / (sigma * np.sqrt(nu)),
+    }
 
 
 def precondition_csv_reference(data: Dataset, x, y) -> str:

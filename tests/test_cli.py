@@ -1076,6 +1076,19 @@ class TestPreconditionOutput:
         assert main(["precondition", "--input", str(path), "--response", "y", "--output", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
 
+    def test_finite_columns_are_not_stacked(self, small_csv, monkeypatch, capsys):
+        # each float column is checked by itself: a stacked copy of the
+        # table would double the memory of a tall precondition
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.column_stack called")
+
+        data = oracles.load_dataset_reference(str(small_csv), "y")
+        pair = puffer(data.x, data.y)
+        expected = oracles.precondition_csv_reference(data, pair.x_tilde, pair.y_tilde)
+        monkeypatch.setattr(np, "column_stack", refuse)
+        assert main(["precondition", "--input", str(small_csv), "--response", "y", "--transform", "puffer"]) == 0
+        assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_non_finite_transform_writes_nothing(self, small_csv, tmp_path, monkeypatch, capsys, to_file):
         def corrupted(x, y):

@@ -10,7 +10,8 @@ machine it was recorded on. Rules:
   ``passed``, ``converged``, every count, and the active set of every fit;
 - bounded: beta to BETA_BOUND * max(1, max |beta|), ``objective`` to
   OBJECTIVE_REL relative, ``kkt_residual`` of a converged fit to
-  ``KKT_TOL``, and each certificate discrepancy below its gate;
+  ``KKT_TOL``, and each certificate discrepancy below its gate, and on
+  the recorded stack also byte-equal;
 - free: ``iterations``, and a report's ``worst_case_seed`` together with
   its worst component's ``penalty`` and ``tau``;
 - SCAD and MC+ fits, ``precondition`` output and every other number
@@ -183,6 +184,8 @@ class Comparator:
             for key in ("theorem_id", "trials", "tolerance", "passed"):
                 assert report[key] == ref[key], (where, key)
             assert float(report["max_discrepancy"]) <= float(report["tolerance"]), where
+            if self.same_stack:
+                assert report["max_discrepancy"] == ref["max_discrepancy"], where
             for key, value in ref["details"].items():
                 got = report["details"][key]
                 if key in ("penalty", "tau"):  # the worst component's, free
@@ -271,6 +274,7 @@ MUTANTS = {
     "mcp zero changes sign": ("path-wide-mcp.json", ("path", 0, "beta", 0), lambda _: Number("-0")),
     "report fails": ("verify.json", ("reports", 0, "passed"), lambda _: False),
     "discrepancy above its gate": ("verify.json", ("reports", 1, "max_discrepancy"), lambda _: Number("2e-06")),
+    "discrepancy one ulp off": ("verify.json", ("reports", 3, "max_discrepancy"), _next_up),
     "count changes": ("verify.json", ("reports", 5, "details", "pairs_checked"), _times(0.5)),
     "key order changes": ("fit-tall-mcp.json", (), _reordered),
 }

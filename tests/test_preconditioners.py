@@ -168,19 +168,30 @@ class TestOneFactorization:
     """puffer_scaled factors X once and rotates its factors by one p x p
     SVD; the two-SVD route it replaced is oracles.puffer_scaled_reference."""
 
-    def test_one_n_by_p_svd(self, monkeypatch):
-        shapes = []
-        real = np.linalg.svd
+    def test_one_factorization_of_x(self, monkeypatch):
+        # below two row blocks X takes one n x p np.linalg.svd; above, one
+        # QR per block, one of the stacked R factors and no n x p SVD
+        calls = []
 
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return real(a, *args, **kwargs)
+        def counted(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+            def call(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
         x, y = tall_problem(21, 70, 15)
         puffer_scaled(x, y)
-        assert shapes.count((70, 15)) == 1
-        assert set(shapes) == {(70, 15), (15, 15)}
+        assert calls == [("svd", (70, 15)), ("svd", (15, 15))]
+        calls.clear()
+        monkeypatch.setattr(linalg, "_block_rows", lambda p: 20)
+        puffer_scaled(x, y)
+        blocks = [("qr", (23, 15)), ("qr", (23, 15)), ("qr", (24, 15)), ("qr", (45, 15))]
+        assert calls == [*blocks, ("svd", (15, 15)), ("svd", (15, 15))]
 
     @pytest.mark.parametrize("family", FULL_RANK_FAMILIES)
     def test_matches_two_svd_route(self, family):
@@ -193,7 +204,8 @@ class TestOneFactorization:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
     def test_memory_bound(self):
-        # U and the result, against the parent's X N, U of X N and the result
+        # one row block: U, and the product X~ written over it, against the
+        # two-SVD route's X N, U of X N and the result
         x, y = tall_problem(22, 4000, 50)
         tracemalloc.start()
         try:
@@ -218,6 +230,151 @@ class TestOneFactorization:
         monkeypatch.setattr(linalg, "svd", squeezed)
         with pytest.raises(RankError, match=r"^matrix is column-rank deficient: rank 2 < 3 columns "):
             puffer_scaled(x, y)
+
+
+def gap(got, want) -> float:
+    """max |got - want| relative to max(1, max |want|)."""
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.max(np.abs(want))))
+
+
+class TestBlockedFactorization:
+    """linalg.svd factors a tall design of two or more row blocks by QR per
+    block; B, the rows per block, is patched down so that small designs run
+    through many blocks. The one-call route is oracles.one_svd_reference."""
+
+    CALLS = {
+        "ols": lambda x, y: estimators.ols(x, y),
+        "sigma_hat": lambda x, y: estimators.sigma_hat(x, y),
+        "z_stats": lambda x, y: estimators.z_stats(x, y, 0.5),
+        "inference": lambda x, y: estimators.inference(x, y),
+        "gram_inverse_diagonal": lambda x, y: linalg.gram_inverse_diagonal(x),
+        "puffer": puffer,
+        "puffer_scaled": puffer_scaled,
+    }
+
+    @staticmethod
+    def blocks_of(monkeypatch, rows):
+        monkeypatch.setattr(linalg, "_block_rows", lambda p: rows)
+
+    @pytest.mark.parametrize("rows", [3, 7, 16])
+    @pytest.mark.parametrize("family", FULL_RANK_FAMILIES)
+    def test_factors(self, monkeypatch, family, rows):
+        self.blocks_of(monkeypatch, rows)
+        for seed in range(20):
+            x, *_ = FULL_RANK_FAMILIES[family](seed)
+            f = linalg.svd(x)
+            d = np.linalg.svd(x, compute_uv=False)
+            p = x.shape[1]
+            assert np.max(np.abs(f.d - d)) <= 1e-13 * d[0]
+            assert np.max(np.abs(f.u.T @ f.u - np.eye(p))) <= 1e-13
+            assert np.max(np.abs((f.u * f.d) @ f.v.T - x)) <= 1e-13 * np.max(np.abs(x))
+            assert f.rank_tol == max(x.shape) * linalg.EPS * f.d[0]
+
+    @pytest.mark.parametrize("rows", [3, 7, 16])
+    @pytest.mark.parametrize("family", FULL_RANK_FAMILIES)
+    def test_matches_one_svd_route(self, monkeypatch, family, rows):
+        self.blocks_of(monkeypatch, rows)
+        sigma = 0.5
+        for seed in range(20):
+            x, y, *_ = FULL_RANK_FAMILIES[family](seed)
+            ref = oracles.one_svd_reference(x, y, sigma)
+            plain, scaled = puffer(x, y), puffer_scaled(x, y)
+            result = estimators.inference(x, y, sigma)
+            for got, want in [
+                (plain.x_tilde, ref["puffer"][0]),
+                (scaled.x_tilde, ref["puffer_scaled"][0]),
+                (scaled.y_tilde, ref["puffer_scaled"][1]),
+                (scaled.n_diag, ref["puffer_scaled"][2]),
+            ]:
+                assert gap(got, want) <= 1e-12
+            # beta_ols carries the least-squares error of order kappa^2 eps
+            # and passes it to z and to Puffer's Y~ = X~ beta_ols. Where
+            # the two routes differ by more than 1e-12 (two spiked designs
+            # near kappa = 5e3), the blocked one must be within 1e-12, or
+            # twice the one-call route's distance, of the exact solution.
+            exact = None
+            for name, got, want in [
+                ("beta_ols", result.beta_ols, ref["beta_ols"]),
+                ("z_stats", result.z_stats, ref["z_stats"]),
+                ("y_tilde", plain.y_tilde, ref["puffer"][1]),
+            ]:
+                if gap(got, want) > 1e-12:
+                    if exact is None:
+                        beta, nu = oracles.exact_ols(x, y)
+                        exact = {
+                            "beta_ols": beta,
+                            "z_stats": math.sqrt(x.shape[0]) * beta / (sigma * np.sqrt(nu)),
+                            "y_tilde": ref["puffer"][0] @ beta,
+                        }
+                    assert gap(got, exact[name]) <= max(1e-12, 2 * gap(want, exact[name])), (family, seed, name)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rank_deficient_records(self, monkeypatch, call):
+        # a column that is the sum of two others, over eight blocks: the
+        # error kind and message form of the one-call route
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((40, 4))
+        x[:, 3] = x[:, 0] + x[:, 1]
+        y = rng.standard_normal(40)
+        records = []
+        for rows in (None, 5):
+            if rows is not None:
+                self.blocks_of(monkeypatch, rows)
+                assert len(linalg.row_blocks(40, 4)) == 9
+            with pytest.raises(RankError) as raised:
+                self.CALLS[call](x, y)
+            records.append(re.sub(r"\d\.\d{3}e[+-]\d+", "#", str(raised.value)))
+        assert records[0] == records[1]
+        assert records[1] == "matrix is column-rank deficient: rank 3 < 4 columns (singular value # <= tol #)"
+
+    def test_failures_surface_as_numerical_errors(self, monkeypatch):
+        x = tall_problem(32, 40, 4)[0]
+        self.blocks_of(monkeypatch, 5)
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        with pytest.raises(NumericalError, match=r"^SVD failed to converge: SVD did not converge$"):
+            linalg.svd(x)
+        monkeypatch.setattr(np.linalg, "svd", lambda r: (np.full((4, 4), np.nan), np.ones(4), np.eye(4)))
+        with pytest.raises(NumericalError, match=r"^SVD produced non-finite factors$"):
+            linalg.svd(x)
+
+    @pytest.mark.parametrize("rows, n, p", [(None, 30, 6), (None, 4095, 50), (20, 39, 4), (20, 21, 20), (20, 30, 60)])
+    def test_one_block_is_bit_equal(self, monkeypatch, rows, n, p):
+        if rows is not None:
+            self.blocks_of(monkeypatch, rows)
+        assert linalg.row_blocks(n, p) == [0, n]
+        x = np.random.default_rng(33).standard_normal((n, p))
+        f = linalg.svd(x)
+        u, d, vt = np.linalg.svd(x, full_matrices=False)
+        assert (f.u.tobytes(), f.d.tobytes(), f.v.T.tobytes()) == (u.tobytes(), d.tobytes(), vt.tobytes())
+
+    def test_row_blocks(self):
+        assert linalg.row_blocks(4095, 50) == [0, 4095]
+        assert linalg.row_blocks(4096, 50) == [0, 2048, 4096]
+        assert linalg.row_blocks(20000, 100) == [0, 2222, 4444, 6666, 8888, 11111, 13333, 15555, 17777, 20000]
+        assert linalg.row_blocks(8000, 300) == [0, 2666, 5333, 8000]  # B = 8p = 2400
+        assert linalg.row_blocks(4799, 300) == [0, 4799]
+        assert linalg.row_blocks(5000, 5000) == [0, 5000]  # p >= n: one block
+        assert linalg.row_blocks(4096, 9000) == [0, 4096]
+
+    @pytest.mark.parametrize("name", ["svd", "puffer_scaled", "inference"])
+    def test_memory_bound(self, monkeypatch, name):
+        # eight blocks of 500 rows: U and a few blocks besides X
+        monkeypatch.setattr(linalg, "_BLOCK_ROWS", 500)
+        x, y = tall_problem(22, 4000, 50)
+        assert len(linalg.row_blocks(*x.shape)) == 9
+        call = {"svd": lambda: linalg.svd(x), "puffer_scaled": lambda: puffer_scaled(x, y),
+                "inference": lambda: estimators.inference(x, y)}[name]
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * x.nbytes
 
 
 class TestPufferTau:

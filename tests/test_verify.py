@@ -7,7 +7,7 @@ import pytest
 
 from puffer_lasso import estimators, preconditioners, solver, verify
 from puffer_lasso.errors import NumericalError
-from puffer_lasso.penalties import mcp, scad
+from puffer_lasso.penalties import elastic_net, lasso, mcp, scad
 from puffer_lasso.verify import (
     TheoremReport,
     check_generalized_theorem1,
@@ -469,3 +469,28 @@ class TestIdentityEdgeCases:
         fit = solve(pair.x_tilde, pair.y_tilde, 1e-8, lasso())
         gap = estimators.ridge(x, y, tau) - project_rowspace(x, fit.beta, tau)
         assert np.max(np.abs(gap)) <= 1e-6
+
+
+class TestThresholdGapSharesOneGram:
+    """_threshold_gap builds one solver._Gram per trial and passes it to
+    each cold-started solve; the fits are those of separate solve calls."""
+
+    @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.6), scad(), mcp(1.5)], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fits_equal_separate_solves(self, monkeypatch, pen, seed):
+        x, y, _ = mixed_full_rank_problems(seed)
+        b = estimators.ols(x, y)
+        lambdas = np.geomspace(float(np.max(np.abs(b))), 1e-3, 6)
+        builds = []
+        real = solver._Gram
+
+        def counted(m, v):
+            builds.append(m.shape)
+            return real(m, v)
+
+        monkeypatch.setattr(solver, "_Gram", counted)
+        _, betas = verify._threshold_gap(x, y, b, pen, lambdas)
+        assert builds == [x.shape]
+        monkeypatch.setattr(solver, "_Gram", real)
+        separate = np.array([solver.solve(x, y, float(lam), pen).beta for lam in lambdas])
+        assert betas.tobytes() == separate.tobytes()
