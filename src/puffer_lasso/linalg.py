@@ -94,7 +94,7 @@ def _block_rows(p: int) -> int:
     return max(_BLOCK_ROWS, 8 * p)
 
 
-def row_blocks(n: int, p: int) -> list[int]:
+def _row_blocks(n: int, p: int) -> list[int]:
     """Row offsets of the blocks ``svd`` factors an n x p matrix in: n // B
     blocks of B to 2B rows where n > p and that is at least two, else one."""
     k = max(n // _block_rows(p), 1) if n > p else 1
@@ -116,7 +116,7 @@ def svd(x) -> SvdFactors:
     """
     m = as_matrix(x)
     n, p = m.shape
-    edges = row_blocks(n, p)
+    edges = _row_blocks(n, p)
     try:
         if len(edges) > 2:
             u, d, vt = _blocked_svd(m, edges)
@@ -156,7 +156,7 @@ def multiply_in_place(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """u @ w written over u, for an n x p u from ``svd`` and a p x p w, one
     of svd's row blocks at a time: the product needs no second n x p array.
     With one block it is the one product u @ w, to the bit."""
-    edges = row_blocks(*u.shape)
+    edges = _row_blocks(*u.shape)
     for s, e in zip(edges, edges[1:]):
         u[s:e] = u[s:e] @ w
     return u

@@ -168,7 +168,7 @@ class TestOneFactorization:
     """puffer_scaled factors X once and rotates its factors by one p x p
     SVD; the two-SVD route it replaced is oracles.puffer_scaled_reference."""
 
-    def test_one_factorization_of_x(self, monkeypatch):
+    def test_one_n_by_p_svd(self, monkeypatch):
         # below two row blocks X takes one n x p np.linalg.svd; above, one
         # QR per block, one of the stacked R factors and no n x p SVD
         calls = []
@@ -243,10 +243,10 @@ class TestBlockedFactorization:
     through many blocks. The one-call route is oracles.one_svd_reference."""
 
     CALLS = {
-        "ols": lambda x, y: estimators.ols(x, y),
-        "sigma_hat": lambda x, y: estimators.sigma_hat(x, y),
+        "ols": estimators.ols,
+        "sigma_hat": estimators.sigma_hat,
         "z_stats": lambda x, y: estimators.z_stats(x, y, 0.5),
-        "inference": lambda x, y: estimators.inference(x, y),
+        "inference": estimators.inference,
         "gram_inverse_diagonal": lambda x, y: linalg.gram_inverse_diagonal(x),
         "puffer": puffer,
         "puffer_scaled": puffer_scaled,
@@ -320,7 +320,7 @@ class TestBlockedFactorization:
         for rows in (None, 5):
             if rows is not None:
                 self.blocks_of(monkeypatch, rows)
-                assert len(linalg.row_blocks(40, 4)) == 9
+                assert len(linalg._row_blocks(40, 4)) == 9
             with pytest.raises(RankError) as raised:
                 self.CALLS[call](x, y)
             records.append(re.sub(r"\d\.\d{3}e[+-]\d+", "#", str(raised.value)))
@@ -345,32 +345,33 @@ class TestBlockedFactorization:
     def test_one_block_is_bit_equal(self, monkeypatch, rows, n, p):
         if rows is not None:
             self.blocks_of(monkeypatch, rows)
-        assert linalg.row_blocks(n, p) == [0, n]
+        assert linalg._row_blocks(n, p) == [0, n]
         x = np.random.default_rng(33).standard_normal((n, p))
         f = linalg.svd(x)
         u, d, vt = np.linalg.svd(x, full_matrices=False)
         assert (f.u.tobytes(), f.d.tobytes(), f.v.T.tobytes()) == (u.tobytes(), d.tobytes(), vt.tobytes())
+        if n > p:  # and X~ written over U is the one product U V'
+            assert linalg.multiply_in_place(f.u, f.v.T).tobytes() == (u @ vt).tobytes()
 
     def test_row_blocks(self):
-        assert linalg.row_blocks(4095, 50) == [0, 4095]
-        assert linalg.row_blocks(4096, 50) == [0, 2048, 4096]
-        assert linalg.row_blocks(20000, 100) == [0, 2222, 4444, 6666, 8888, 11111, 13333, 15555, 17777, 20000]
-        assert linalg.row_blocks(8000, 300) == [0, 2666, 5333, 8000]  # B = 8p = 2400
-        assert linalg.row_blocks(4799, 300) == [0, 4799]
-        assert linalg.row_blocks(5000, 5000) == [0, 5000]  # p >= n: one block
-        assert linalg.row_blocks(4096, 9000) == [0, 4096]
+        assert linalg._row_blocks(4095, 50) == [0, 4095]
+        assert linalg._row_blocks(4096, 50) == [0, 2048, 4096]
+        assert linalg._row_blocks(20000, 100) == [0, 2222, 4444, 6666, 8888, 11111, 13333, 15555, 17777, 20000]
+        assert linalg._row_blocks(8000, 300) == [0, 2666, 5333, 8000]  # B = 8p = 2400
+        assert linalg._row_blocks(4799, 300) == [0, 4799]
+        assert linalg._row_blocks(5000, 5000) == [0, 5000]  # p >= n: one block
+        assert linalg._row_blocks(4096, 9000) == [0, 4096]
 
     @pytest.mark.parametrize("name", ["svd", "puffer_scaled", "inference"])
     def test_memory_bound(self, monkeypatch, name):
         # eight blocks of 500 rows: U and a few blocks besides X
         monkeypatch.setattr(linalg, "_BLOCK_ROWS", 500)
         x, y = tall_problem(22, 4000, 50)
-        assert len(linalg.row_blocks(*x.shape)) == 9
-        call = {"svd": lambda: linalg.svd(x), "puffer_scaled": lambda: puffer_scaled(x, y),
-                "inference": lambda: estimators.inference(x, y)}[name]
+        assert len(linalg._row_blocks(*x.shape)) == 9
+        call = {"svd": lambda x, y: linalg.svd(x), "puffer_scaled": puffer_scaled, "inference": estimators.inference}
         tracemalloc.start()
         try:
-            call()
+            call[name](x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
