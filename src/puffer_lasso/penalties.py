@@ -5,7 +5,9 @@ monotone away from zero, non-differentiable only at zero, and whose
 derivative magnitude tends to 1 at the origin. The fitting objective
 multiplies pen by an external weight lambda, so the concave penalties
 (SCAD, MC+) are kept at unit internal scale: their shape parameter is
-the only knob.
+the only knob. Every pen here is quadratic on pieces of |b|, and each
+``PenaltySpec`` carries its table of pieces, which ``pen_value``,
+``pen_derivative``, ``zero_within_level`` and the solver's polish read.
 
 The thresholding map ``univariate_threshold(pen, z, lam)`` solves the
 scalar problem
@@ -14,10 +16,11 @@ scalar problem
 
 exactly. For the Lasso this is plain soft thresholding and for the
 elastic net a shrunken soft threshold. For SCAD and MC+ the objective is
-piecewise quadratic. Where it is convex (MC+ with lam < gamma, SCAD with
-lam < a - 1) the minimizer has a closed form: firm thresholding for MC+
-(Zhang 2010) and the three-piece SCAD rule (Fan & Li 2001; Breheny &
-Huang 2011). In the unit-scale parameterization used here these read
+piecewise quadratic. Where it is convex (lam below the table's limit:
+gamma for MC+, a - 1 for SCAD) the minimizer has a closed form: firm
+thresholding for MC+ (Zhang 2010) and the three-piece SCAD rule (Fan &
+Li 2001; Breheny & Huang 2011). In the unit-scale parameterization used
+here these read
 
     MC+:   0 for z <= lam, gamma (z - lam) / (gamma - lam) for z < gamma,
            z beyond;
@@ -31,7 +34,9 @@ compared by objective with ties going to the smaller magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from .linalg import require_scalar
 
@@ -42,18 +47,45 @@ SCAD_DEFAULT_A = 3.7
 MCP_DEFAULT_GAMMA = 3.0
 ENET_DEFAULT_ALPHA = 0.5
 
+# Each kind's table from its shape parameter: (breakpoints, one row (c, l,
+# v) per piece, limit). SCAD's v = -1/(2(a-1)) makes the middle piece meet
+# the first at |b| = 1.
+_TABLES = dict(
+    lasso=lambda s: ((), ((0.0, 1.0, 0.0),), math.inf),
+    elastic_net=lambda s: ((), ((s, 1.0, 0.0),), math.inf),
+    scad=lambda s: (
+        (1.0, s),
+        ((0.0, 1.0, 0.0), (-1.0 / (s - 1.0), s / (s - 1.0), -0.5 / (s - 1.0)), (0.0, 0.0, 0.5 * (s + 1.0))),
+        s - 1.0,
+    ),
+    mcp=lambda s: ((s,), ((-1.0 / s, 1.0, 0.0), (0.0, 0.0, 0.5 * s)), s),
+)
+
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty identity plus its single shape parameter.
+    """Penalty identity plus its single shape parameter, and the penalty's
+    piece table, built from the two once. Equality, hash and repr read
+    (kind, param) only.
 
     kind         one of "lasso", "elastic_net", "scad", "mcp"
     param        elastic_net: ridge weight alpha in (0, 1];
                  scad: a > 2; mcp: gamma > 1; ignored for lasso
+    breakpoints  ascending; piece k of |b| runs from breakpoint k - 1 (0
+                 for the first) to breakpoint k (inf for the last), and a
+                 |b| on a breakpoint is in the lower piece
+    pieces       one row (c, l, v) per piece: on it pen(b) = c b^2 / 2 +
+                 l |b| + v and pen'(b) = c b + s l, with s the sign of b
+    limit        the scalar objective 0.5 (z - b)^2 + lam pen(b) is convex
+                 exactly for lam < limit: a - 1 for SCAD, gamma for MC+,
+                 inf for the Lasso and the elastic net
     """
 
     kind: str
     param: float = 0.0
+    breakpoints: tuple = field(init=False, compare=False, repr=False)
+    pieces: tuple = field(init=False, compare=False, repr=False)
+    limit: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,10 +97,12 @@ class PenaltySpec:
             low = 2 if self.kind == "scad" else 1
             if not self.param > low:
                 raise ValueError(f"{_PARAM_NAMES[self.kind]} must exceed {low}, got {self.param}")
+        for name, value in zip(("breakpoints", "pieces", "limit"), _TABLES[self.kind](self.param)):
+            object.__setattr__(self, name, value)
 
     @property
     def convex(self) -> bool:
-        return self.kind in ("lasso", "elastic_net")
+        return self.limit == math.inf
 
 
 def lasso() -> PenaltySpec:
@@ -103,62 +137,33 @@ def _soft(z: float, level: float) -> float:
 
 
 def pen_value(p: PenaltySpec, x: float) -> float:
-    """Evaluate the penalty at a scalar coefficient."""
+    """Evaluate the penalty at a finite scalar coefficient (NaN gives NaN)."""
     t = abs(x)
-    if p.kind == "lasso":
-        return t
-    if p.kind == "elastic_net":
-        return t + 0.5 * p.param * t * t
-    if p.kind == "scad":
-        a = p.param
-        if t <= 1.0:
-            return t
-        if t <= a:
-            return (2.0 * a * t - t * t - 1.0) / (2.0 * (a - 1.0))
-        return 0.5 * (a + 1.0)
-    # mcp
-    g = p.param
-    if t <= g:
-        return t - t * t / (2.0 * g)
-    return 0.5 * g
+    c, l, v = p.pieces[bisect_left(p.breakpoints, t)]
+    return 0.5 * c * t * t + l * t + v
 
 
 def pen_derivative(p: PenaltySpec, x: float) -> float:
-    """Derivative of pen_value at x != 0 (the penalty has a kink at zero)."""
+    """Derivative of pen_value at a finite x != 0 (the penalty has a kink
+    at zero; NaN gives NaN)."""
     if x == 0.0:
         raise ValueError("penalty is non-differentiable at zero")
-    s = 1.0 if x > 0 else -1.0
     t = abs(x)
-    if p.kind == "lasso":
-        return s
-    if p.kind == "elastic_net":
-        return s * (1.0 + p.param * t)
-    if p.kind == "scad":
-        a = p.param
-        if t <= 1.0:
-            return s
-        if t <= a:
-            return s * (a - t) / (a - 1.0)
-        return 0.0
-    # mcp
-    g = p.param
-    if t <= g:
-        return s * (1.0 - t / g)
-    return 0.0
+    c, l, _ = p.pieces[bisect_left(p.breakpoints, t)]
+    return c * t + l if x > 0.0 else -(c * t + l)
 
 
-def _threshold_scad(a: float, z: float, lam: float) -> float:
-    # z > 0, lam > 0. The objective is quadratic on [0, 1], [1, a] and
-    # [a, inf), with curvature 1 - lam/(a-1) on the middle piece.
+def _threshold_scad(a: float, limit: float, z: float, lam: float) -> float:
+    # z > 0, lam > 0, limit = a - 1. The objective is quadratic on [0, 1],
+    # [1, a] and [a, inf), with curvature 1 - lam/(a-1) on the middle piece.
     b1 = z - lam
-    curv = 1.0 - lam / (a - 1.0)
-    if curv > 0.0:
+    if lam < limit:
         # convex: the stationary point of the piece that holds it
         if b1 <= 0.0:
             return 0.0
         if b1 <= 1.0:
             return b1
-        b2 = (z - lam * a / (a - 1.0)) / curv
+        b2 = (z - lam * a / limit) / (1.0 - lam / limit)
         # float rounding can put b2 one ulp above z
         return min(b2, z) if b2 <= a else z
     # middle piece not convex: the minimizer is 0, the first piece's
@@ -176,7 +181,7 @@ def _threshold_scad(a: float, z: float, lam: float) -> float:
     if f < best_f:
         best, best_f = 1.0, f
     r = z - a
-    f = 0.5 * r * r + lam * ((2.0 * a * a - a * a - 1.0) / (2.0 * (a - 1.0)))
+    f = 0.5 * r * r + lam * ((2.0 * a * a - a * a - 1.0) / (2.0 * limit))
     if f < best_f:
         best, best_f = a, f
     if z > a and lam * (0.5 * (a + 1.0)) < best_f:
@@ -184,10 +189,10 @@ def _threshold_scad(a: float, z: float, lam: float) -> float:
     return best
 
 
-def _threshold_mcp(g: float, z: float, lam: float) -> float:
-    # z > 0, lam > 0. The objective has curvature 1 - lam/g on [0, g]
-    # and is 0.5 * (z - b)^2 + const beyond.
-    if lam < g:
+def _threshold_mcp(g: float, limit: float, z: float, lam: float) -> float:
+    # z > 0, lam > 0, limit = g. The objective has curvature 1 - lam/g on
+    # [0, g] and is 0.5 * (z - b)^2 + const beyond.
+    if lam < limit:
         # convex: firm thresholding
         if z <= lam:
             return 0.0
@@ -208,15 +213,11 @@ def _threshold_mcp(g: float, z: float, lam: float) -> float:
 
 def zero_within_level(p: PenaltySpec, lam: float) -> bool:
     """True when ``univariate_threshold(p, z, lam)`` is zero for every
-    |z| <= lam: always for the convex penalties, and for SCAD and MC+ only
-    where their scalar objective is convex (the tests in
-    ``_threshold_scad`` and ``_threshold_mcp``). Otherwise a z just below
-    lam can map to z itself."""
-    if p.kind == "mcp":
-        return lam < p.param
-    if p.kind == "scad":
-        return 1.0 - lam / (p.param - 1.0) > 0.0
-    return True
+    |z| <= lam, which holds where the scalar objective is convex: lam <
+    p.limit, the test ``_threshold_scad`` and ``_threshold_mcp`` make.
+    Otherwise a z just below lam can map to z itself, and at lam = gamma
+    rounding can take z = lam to itself under MC+."""
+    return lam < p.limit
 
 
 def threshold_map(p: PenaltySpec):
@@ -226,7 +227,7 @@ def threshold_map(p: PenaltySpec):
     ``solve``) to a zero."""
     if p.kind == "lasso":
         return _soft
-    shape = p.param
+    shape, limit = p.param, p.limit
     if p.kind == "elastic_net":
         return lambda z, level: _soft(z, level) / (1.0 + level * shape)
     rule = _threshold_scad if p.kind == "scad" else _threshold_mcp
@@ -237,8 +238,8 @@ def threshold_map(p: PenaltySpec):
         if z == 0.0:
             return 0.0
         if z < 0.0:
-            return -rule(shape, -z, level)
-        return rule(shape, z, level)
+            return -rule(shape, limit, -z, level)
+        return rule(shape, limit, z, level)
 
     return threshold
 

@@ -47,18 +47,6 @@ KKT_TOL = 1e-7
 #: two minima are distinct when their sup-distance exceeds this
 DISTINCT_TOL = 1e-5
 
-# pen' on |b| in pieces, from the shape parameter: (breakpoints,
-# curvatures c, linear terms l). Piece k runs from breakpoint k - 1 (0 for
-# the first) to breakpoint k (inf for the last), and on it pen'(b) =
-# c_k * b + s * l_k, with s the sign of b.
-_PIECES = {
-    "lasso": lambda shape: ((), (0.0,), (1.0,)),
-    "elastic_net": lambda shape: ((), (shape,), (1.0,)),
-    "mcp": lambda shape: ((shape,), (-1.0 / shape, 0.0), (1.0, 0.0)),
-    "scad": lambda shape: ((1.0, shape), (0.0, -1.0 / (shape - 1.0), 0.0), (1.0, shape / (shape - 1.0), 0.0)),
-}
-
-
 @dataclass(frozen=True)
 class FitResult:
     beta: np.ndarray
@@ -261,12 +249,12 @@ def _polish(m, v, gram, lam: float, pen: PenaltySpec, beta):
     solves, or None where there is none to take.
 
     On the cell with support A, signs s and pieces with curvatures c and
-    linear terms l (``_PIECES``) the objective is the quadratic whose
-    stationary point solves (G_AA + lam * diag(c_A)) b_A = (X'Y)_A - lam *
-    s_A * l_A. A point of |b_j| on a breakpoint starts in the lower piece,
-    as in ``pen_derivative``. Each pass solves the current cell; a
-    solution inside it ends the search. Otherwise the point moves to
-    another cell, and that cell is solved on the next pass:
+    linear terms l (the rows of ``pen.pieces``) the objective is the
+    quadratic whose stationary point solves (G_AA + lam * diag(c_A)) b_A =
+    (X'Y)_A - lam * s_A * l_A. A point of |b_j| on a breakpoint starts in
+    the lower piece, as in ``pen_derivative``. Each pass solves the
+    current cell; a solution inside it ends the search. Otherwise the
+    point moves to another cell, and that cell is solved on the next pass:
 
     - where the cell matrix has a Cholesky factor, b_A walks toward the
       solution, along which the cell quadratic falls, and stops at the
@@ -285,7 +273,8 @@ def _polish(m, v, gram, lam: float, pen: PenaltySpec, beta):
     The final point is kept only if its objective does not rise above
     beta's.
     """
-    breaks, curvature, linear = (np.array(t) for t in _PIECES[pen.kind](pen.param))
+    breaks = np.array(pen.breakpoints)
+    curvature, linear, _ = np.array(pen.pieces).T
     bounds = np.concatenate([[0.0], breaks, [np.inf]])  # piece k spans bounds[k : k + 2]
     point = beta.copy()
     pieces = np.searchsorted(breaks, np.abs(point))

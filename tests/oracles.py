@@ -6,10 +6,14 @@ elimination, integrals from composite Simpson, the normal CDF from a
 Taylor series plus a Laplace continued fraction, and the Lasso from
 subgradient descent and exact sign-pattern enumeration.
 
+``pen_value_reference`` and ``pen_derivative_reference`` are the
+penalty and its derivative as they were written before the piece table,
+one formula per kind and piece; ``threshold_by_enumeration`` is the
+SCAD/MC+ candidate enumeration that preceded the closed-form thresholds,
+scored with ``pen_value_reference``.
+
 Some exceptions are not independent: they keep an earlier, plainer form
 of a fast path as a reference for tests that demand the same floats.
-``threshold_by_enumeration`` is the SCAD/MC+ candidate enumeration that
-preceded the closed-form thresholds, on the library's ``pen_value``.
 ``threshold_dispatch_reference`` is ``univariate_threshold`` as it was
 before ``threshold_map``: its level-0, zero and sign dispatch, without
 argument checks, on the library's ``_threshold_scad`` and ``_threshold_mcp``.
@@ -303,9 +307,50 @@ def lasso_sign_enumeration(x, y, lam: float) -> np.ndarray:
     return best
 
 
+def pen_value_reference(p: PenaltySpec, x: float) -> float:
+    """pen(x), one formula per kind and piece of |x|."""
+    t = abs(x)
+    if p.kind == "lasso":
+        return t
+    if p.kind == "elastic_net":
+        return t + 0.5 * p.param * t * t
+    if p.kind == "scad":
+        a = p.param
+        if t <= 1.0:
+            return t
+        if t <= a:
+            return (2.0 * a * t - t * t - 1.0) / (2.0 * (a - 1.0))
+        return 0.5 * (a + 1.0)
+    g = p.param
+    if t <= g:
+        return t - t * t / (2.0 * g)
+    return 0.5 * g
+
+
+def pen_derivative_reference(p: PenaltySpec, x: float) -> float:
+    """pen'(x) at x != 0, one formula per kind and piece of |x|."""
+    s = 1.0 if x > 0 else -1.0
+    t = abs(x)
+    if p.kind == "lasso":
+        return s
+    if p.kind == "elastic_net":
+        return s * (1.0 + p.param * t)
+    if p.kind == "scad":
+        a = p.param
+        if t <= 1.0:
+            return s
+        if t <= a:
+            return s * (a - t) / (a - 1.0)
+        return 0.0
+    g = p.param
+    if t <= g:
+        return s * (1.0 - t / g)
+    return 0.0
+
+
 def _scalar_objective(p: PenaltySpec, z: float, lam: float, b: float) -> float:
     r = z - b
-    return 0.5 * r * r + lam * pen_value(p, b)
+    return 0.5 * r * r + lam * pen_value_reference(p, b)
 
 
 def _threshold_nonconvex(p: PenaltySpec, z: float, lam: float) -> float:
@@ -363,8 +408,8 @@ def threshold_dispatch_reference(p: PenaltySpec, z: float, lam: float) -> float:
         return 0.0
     threshold = _threshold_scad if p.kind == "scad" else _threshold_mcp
     if z < 0.0:
-        return -threshold(p.param, -z, lam)
-    return threshold(p.param, z, lam)
+        return -threshold(p.param, p.limit, -z, lam)
+    return threshold(p.param, p.limit, z, lam)
 
 
 def coordinate_descent_reference(

@@ -5,8 +5,10 @@ captured output of a failing run). The heavy checks run once in
 session-scoped fixtures and are shared across criteria.
 """
 
+import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -270,6 +272,12 @@ VERIFY_SEED0_REPORTS = [
 ]
 
 
+# sha256 of the output of verify --seed 0 on the stack the goldens were
+# recorded on (tests/golden/stack.json), with any number of BLAS threads
+VERIFY_SEED0_SHA256 = "2e9a1ce49d647767974b840924227b11713e1b71f71b72600863a81cf104d631"
+STACK = Path(__file__).resolve().parent / "golden" / "stack.json"
+
+
 def test_criterion_9_cli_verify_end_to_end(tmp_path):
     out = tmp_path / "verify.json"
     start = time.perf_counter()
@@ -301,6 +309,8 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
         assert list(r["details"]) == list(details), theorem_id
         counts = {k: v for k, v in details.items() if v is not None}
         assert {k: r["details"][k] for k in counts} == counts, theorem_id
+    if json.loads(STACK.read_text()) == {"numpy": np.__version__, "machine": platform.machine()}:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED0_SHA256
 
 
 def test_readme_quick_start_runs(tmp_path):

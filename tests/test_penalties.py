@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from puffer_lasso import penalties
 from puffer_lasso.penalties import (
+    KINDS,
     PenaltySpec,
     elastic_net,
     lasso,
@@ -19,6 +21,7 @@ from puffer_lasso.penalties import (
     threshold_map,
     univariate_threshold,
 )
+from puffer_lasso.solver import solve
 
 import oracles
 
@@ -201,6 +204,94 @@ class TestPenDerivative:
         assert abs(abs(pen_derivative(pen, -1e-6)) - 1.0) <= 1e-3
 
 
+@st.composite
+def specs(draw):
+    """A penalty of any kind, with a random shape parameter."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "lasso":
+        return lasso()
+    low, high = {"elastic_net": (0.0, 1.0), "scad": (2.0, 12.0), "mcp": (1.0, 12.0)}[kind]
+    return PenaltySpec(kind, draw(st.floats(low, high, exclude_min=True)))
+
+
+def piece_value(row, t):
+    c, l, v = row
+    return 0.5 * c * t * t + l * t + v
+
+
+class TestPieceTable:
+    @settings(max_examples=400, deadline=None)
+    @given(pen=specs(), data=st.data())
+    def test_matches_per_kind_formulas(self, pen, data):
+        # the table's value and slope against the formulas it replaced,
+        # on every piece and at every breakpoint and its neighbours
+        top = max(pen.breakpoints, default=1.0)
+        edges = [math.nextafter(b, toward) for b in pen.breakpoints for toward in (0.0, math.inf)]
+        magnitude = data.draw(st.one_of(st.floats(0.0, 2.0 * top), st.sampled_from([0.0, *pen.breakpoints, *edges])))
+        x = data.draw(st.sampled_from([-1.0, 1.0])) * magnitude
+        # Each side rounds on its own: on SCAD's middle piece the table's
+        # value is up to 2.9 eps (relative to max(1, |pen|)) from the exact
+        # one and the formula's up to 1.9 eps, and they differ by up to 4.1
+        # eps over 600k draws of a in (2, 50), so the bound is 8 eps.
+        eps = np.finfo(float).eps
+        ref = oracles.pen_value_reference(pen, x)
+        assert abs(pen_value(pen, x) - ref) <= 8 * eps * max(1.0, abs(ref)), (pen, x)
+        if x != 0.0:
+            ref = oracles.pen_derivative_reference(pen, x)
+            assert abs(pen_derivative(pen, x) - ref) <= 8 * eps * max(1.0, abs(ref)), (pen, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pen=specs())
+    def test_continuous_at_breakpoints(self, pen):
+        # both pieces that meet at a breakpoint give its pen and pen'
+        assert len(pen.pieces) == len(pen.breakpoints) + 1
+        eps = np.finfo(float).eps
+        for k, t in enumerate(pen.breakpoints):
+            below, above = pen.pieces[k], pen.pieces[k + 1]
+            value = piece_value(below, t)
+            assert abs(piece_value(above, t) - value) <= 4 * eps * max(1.0, value), (pen, t)
+            slope = below[0] * t + below[1]
+            assert abs(above[0] * t + above[1] - slope) <= 4 * eps * max(1.0, abs(slope)), (pen, t)
+
+    @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.9)])
+    def test_breakpoint_is_in_the_lower_piece(self, pen):
+        # at these shapes the two pieces that meet at a breakpoint round pen
+        # or pen' differently there, so the bits tell which piece was read
+        split = set()
+        for k, t in enumerate(pen.breakpoints):
+            below, above = pen.pieces[k], pen.pieces[k + 1]
+            slope = below[0] * t + below[1]
+            for x, s in ((t, 1.0), (-t, -1.0)):
+                assert pen_value(pen, x) == piece_value(below, t)
+                assert pen_derivative(pen, x) == s * slope
+            if piece_value(above, t) != piece_value(below, t):
+                split.add("value")
+            if above[0] * t + above[1] != slope:
+                split.add("slope")
+        assert split == {"value", "slope"}
+
+    @settings(max_examples=50)
+    @given(a=st.floats(2.0, 50.0, exclude_min=True), g=st.floats(1.0, 50.0, exclude_min=True))
+    def test_limits(self, a, g):
+        assert scad(a).limit == a - 1.0 and mcp(g).limit == g
+        assert lasso().limit == elastic_net(0.3).limit == math.inf
+
+    def test_identity_is_kind_and_param(self):
+        # the table is built from (kind, param) and takes no part in
+        # equality, hashing or repr
+        assert PenaltySpec("scad", 3.7) == scad()
+        assert hash(scad()) == hash(("scad", 3.7))
+        assert repr(scad()) == "PenaltySpec(kind='scad', param=3.7)"
+        assert [f.name for f in dataclasses.fields(scad()) if f.compare] == ["kind", "param"]
+
+    @pytest.mark.parametrize("pen", ALL_KINDS)
+    def test_nan_coefficient_gives_nan(self, pen):
+        # a NaN used to read as a finite value: 2.35 (scad), 1.5 (mcp),
+        # and pen' 0.0 (scad, mcp) or -1.0 (lasso)
+        assert math.isnan(pen_value(pen, math.nan))
+        assert math.isnan(pen_derivative(pen, math.nan))
+
+
 class TestUnivariateThreshold:
     def test_lasso_reduces_to_soft(self):
         assert univariate_threshold(lasso(), 3.0, 1.0) == 2.0
@@ -357,6 +448,29 @@ class TestUnivariateThreshold:
         if penalties.zero_within_level(pen, lam):
             assert univariate_threshold(pen, frac * lam, lam) == 0.0
             assert univariate_threshold(pen, math.copysign(lam, frac), lam) == 0.0
+
+    # an MC+ shape at which rounding breaks the tie of f(0) and f(gamma) at
+    # z = lam = gamma toward z, so the map is not zero within lam = limit
+    ROUNDING_GAMMA = 1.734065401009878
+
+    @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.5), mcp(3.0), mcp(ROUNDING_GAMMA)])
+    def test_zero_skip_regime(self, pen):
+        # The sweep skips a zero coordinate with |grad_j| <= lam where
+        # zero_within_level holds, so there the map must be zero on all of
+        # [-lam, lam]. It holds below the limit and not at it: at lam =
+        # limit the map is zero within lam for the four named shapes, but not
+        # for ROUNDING_GAMMA, and past the limit MC+ takes z = lam to z.
+        for lam in (math.nextafter(pen.limit, 0.0), pen.limit, math.nextafter(pen.limit, math.inf)):
+            inner = math.nextafter(lam, 0.0)
+            zs = [*np.linspace(-lam, lam, 401).tolist(), lam, -lam, inner, -inner]
+            assert penalties.zero_within_level(pen, lam) is (lam < pen.limit), lam
+            if penalties.zero_within_level(pen, lam):
+                assert all(univariate_threshold(pen, z, lam) == 0.0 for z in zs), lam
+            # one unit column from zero: the sweep's first update is the map
+            fit = solve(np.ones((1, 1)), np.array([lam]), lam, pen)
+            assert fit.beta.tolist() == [univariate_threshold(pen, lam, lam)], lam
+        if pen.param == self.ROUNDING_GAMMA:
+            assert univariate_threshold(pen, pen.limit, pen.limit) == pen.limit
 
     def test_exact_tie_resolves_to_smaller_magnitude(self):
         # mcp(gamma=2), lam=2, z=2: the objective at b=0 and b=2 is exactly

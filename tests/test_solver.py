@@ -15,7 +15,6 @@ from puffer_lasso.penalties import (
     lasso,
     mcp,
     pen_derivative,
-    pen_value,
     scad,
     soft_threshold,
 )
@@ -493,25 +492,6 @@ class TestPolish:
         x = np.column_stack([x, x[:, 0]])
         assert solver._polish(x, y, solver._Gram(x, y), 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
 
-    @given(
-        st.sampled_from(["lasso", "elastic_net", "scad", "mcp"]),
-        st.floats(0.0, 1.0),
-        st.integers(0, 2),
-        st.floats(0.0, 1.0),
-        st.sampled_from([-1.0, 1.0]),
-    )
-    def test_pieces_give_the_penalty_derivative(self, kind, shape, k, where, sign):
-        # pen'(b) = c * b + s * l on every piece of |b|, so the cell's lam *
-        # pen' is the penalty's; breakpoints included, where pen' is
-        # continuous
-        pen = {"lasso": lasso(), "elastic_net": elastic_net(0.05 + 0.95 * shape),
-               "scad": scad(2.01 + 5 * shape), "mcp": mcp(1.01 + 5 * shape)}[kind]
-        breaks, curvature, linear = solver._PIECES[kind](pen.param)
-        k = min(k, len(breaks))
-        bounds = (0.0, *breaks, breaks[-1] + 10.0 if breaks else 10.0)
-        b = sign * max(bounds[k] + where * (bounds[k + 1] - bounds[k]), 1e-3)
-        assert math.isclose(pen_derivative(pen, b), curvature[k] * b + sign * linear[k], rel_tol=1e-12, abs_tol=1e-12)
-
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scad_walk_lands_on_each_breakpoint(self, sign, monkeypatch):
         # one unit column, so the cell solution of piece (c, l) is (z - lam *
@@ -528,6 +508,18 @@ class TestPolish:
         assert [float(t[0]) for t in starts] == [sign * 0.5, sign * 1.0, sign * a]
         assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
         assert polished.tolist() == [sign * 5.0]
+
+    def test_walk_from_a_breakpoint_starts_in_the_lower_piece(self, monkeypatch):
+        # the cell of the walk above, started on 1: the first pass solves
+        # the first piece's cell, steps 0 to the breakpoint and moves on
+        a, lam = 3.7, 0.5
+        x, y = np.eye(3)[:, :1], np.array([5.0, 1.0, 1.0])
+        cells = []
+        np_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda cell, rhs: cells.append(float(cell[0, 0])) or np_solve(cell, rhs))
+        polished = solver._polish(x, y, solver._Gram(x, y), lam, scad(a), np.array([1.0]))
+        assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
+        assert polished.tolist() == [5.0]
 
     @pytest.mark.parametrize("pen", [scad(), mcp()])
     def test_leaves_a_cell_without_a_cholesky_factor_to_coordinate_descent(self, pen, monkeypatch):
