@@ -371,6 +371,9 @@ def _run_fit(config: RunConfig) -> int:
     the path, or one CSV row per (lambda, feature) pair."""
     data = load_dataset(config.input_path, config.response_column)
     x, y, transform = _transform_pair(config, data)
+    # under a transform the solve needs X~ alone: let the loaded X go
+    feature_names = data.feature_names
+    del data
     if config.command == "fit":
         fits = [solve(x, y, config.lam, config.penalty)]
         record = _fit_record(fits[0])
@@ -378,10 +381,10 @@ def _run_fit(config: RunConfig) -> int:
         fits = solve_path(x, y, config.lambda_grid or _default_grid(x, y), config.penalty)
         record = {"path": [_fit_record(f) for f in fits]}
     record["transform"] = transform
-    record["features"] = list(data.feature_names)
+    record["features"] = list(feature_names)
     _emit(config, record, {
-        "lambda": np.repeat([f.lam for f in fits], len(data.feature_names)),
-        "feature": data.feature_names * len(fits),
+        "lambda": np.repeat([f.lam for f in fits], len(feature_names)),
+        "feature": feature_names * len(fits),
         "coefficient": np.concatenate([f.beta for f in fits]),
     })
     return EXIT_OK

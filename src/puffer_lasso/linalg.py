@@ -152,6 +152,20 @@ def _blocked_svd(m: np.ndarray, edges: list[int]):
     return u, d, vt
 
 
+def _wide_svd(m: np.ndarray) -> SvdFactors:
+    """U and d of a p >= n matrix through its n x n side (R-SVD): the R of
+    the QR of X' gives X = R'Q', and the SVD R' = U D W' gives X = U D (QW)'.
+    The factors' v is the n x n W, so X's V is never formed; test the rank
+    with ``require_full_rank(f, shape=m.shape)``. Errors are ``svd``'s."""
+    try:
+        r = np.linalg.qr(m.T, mode="r")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+    if not np.all(np.isfinite(r)):
+        raise NumericalError("SVD produced non-finite factors")
+    return svd(r.T)
+
+
 def multiply_in_place(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """u @ w written over u, for an n x p u from ``svd`` and a p x p w, one
     of svd's row blocks at a time: the product needs no second n x p array.

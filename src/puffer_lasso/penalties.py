@@ -150,7 +150,10 @@ def pen_derivative(p: PenaltySpec, x: float) -> float:
         raise ValueError("penalty is non-differentiable at zero")
     t = abs(x)
     c, l, _ = p.pieces[bisect_left(p.breakpoints, t)]
-    return c * t + l if x > 0.0 else -(c * t + l)
+    # pen is monotone away from zero; c t + l can round below zero where a
+    # falling piece ends (SCAD at |b| = a). max keeps a NaN as NaN
+    slope = max(c * t + l, 0.0)
+    return slope if x > 0.0 else -slope
 
 
 def _threshold_scad(a: float, limit: float, z: float, lam: float) -> float:

@@ -12,8 +12,10 @@ Three left-preconditioners built from the SVD X = U diag(d) V':
                  bridges the penalized fit to ridge regression.
 
 Only left multiplications are used: rotating the columns instead would
-change the basis the penalty acts in. F is never materialized as an
-n x n matrix; it is applied through its factors, which is the same map.
+change the basis the penalty acts in. For n > p, F is never materialized
+as an n x n matrix; it is applied through its factors, which is the same
+map. For p >= n, F_tau is formed n x n, no larger than X, from the U and
+d of the QR of X' and an n x n SVD; X's V is never formed.
 """
 
 from __future__ import annotations
@@ -74,19 +76,21 @@ def puffer_scaled(x, y) -> PreconditionedPair:
 def puffer_tau(x, y, tau: float) -> PreconditionedPair:
     """Generalized transform F_tau = U (D^2 + tau I)^-1/2 U' for p >= n.
 
-    tau = 0 additionally requires full row rank; a numerically tiny
-    singular value then raises rather than being regularized silently.
+    U and d come from linalg._wide_svd; X~ = F_tau X with the n x n F_tau.
+    tau = 0 additionally requires full row rank, at the tolerance an SVD of
+    the n x p X takes; a numerically tiny singular value then raises rather
+    than being regularized silently.
     """
     m, v = linalg.as_design(x, y, "puffer_tau", "p >= n")
     linalg.require_scalar("tau", tau)
-    f = linalg.svd(m)  # U is n x n here
+    f = linalg._wide_svd(m)
     if tau == 0.0:
-        linalg.require_full_rank(f)
+        linalg.require_full_rank(f, shape=m.shape)
     shifted = linalg.finite("XX' + tau I", lambda: np.square(f.d) + tau)
     w = linalg.finite("(XX' + tau I)^-1/2", lambda: 1.0 / np.sqrt(shifted))
-    x_tilde = (f.u * (w * f.d)) @ f.v.T
-    y_tilde = (f.u * w) @ (f.u.T @ v)
-    return PreconditionedPair(x_tilde, y_tilde, tau=tau)
+    uw = f.u * w
+    y_tilde = uw @ (f.u.T @ v)
+    return PreconditionedPair((uw @ f.u.T) @ m, y_tilde, tau=tau)
 
 
 def project_rowspace(x, v, tau: float) -> np.ndarray:
@@ -96,7 +100,7 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     vec = linalg.as_vector(v, m.shape[1])
     linalg.require_scalar("tau", tau)
     if tau == 0.0:
-        linalg.require_full_rank(linalg.svd(m))
+        linalg.require_full_rank(linalg._wide_svd(m), shape=m.shape)
     gram = linalg.finite("XX'", lambda: m @ m.T)
     linalg.require_resolved(m.T, gram.diagonal(), "XX'")
     w = np.linalg.solve(gram + tau * np.eye(m.shape[0]), m @ vec)

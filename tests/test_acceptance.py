@@ -274,7 +274,7 @@ VERIFY_SEED0_REPORTS = [
 
 # sha256 of the output of verify --seed 0 on the stack the goldens were
 # recorded on (tests/golden/stack.json), with any number of BLAS threads
-VERIFY_SEED0_SHA256 = "2e9a1ce49d647767974b840924227b11713e1b71f71b72600863a81cf104d631"
+VERIFY_SEED0_SHA256 = "1157808efd2526faa3ceaeb6a1f44fab852f55e6cc5ff1adeca95ea016cdfec1"
 STACK = Path(__file__).resolve().parent / "golden" / "stack.json"
 
 

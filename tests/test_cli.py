@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,33 @@ class TestFitCommand:
         assert payload["meta"]["config"]["command"] == "fit"
         assert len(payload["result"]["beta"]) == 3
         assert payload["result"]["converged"] is True
+
+    @pytest.mark.parametrize("command", [["fit", "--lambda", "0.1"], ["path"]], ids=["fit", "path"])
+    def test_loaded_design_is_released_before_the_solve(self, tmp_path, monkeypatch, command):
+        # under a transform the solve needs only X~: the X read from the CSV
+        # must be gone by then, not held through the fit beside X~
+        rng = np.random.default_rng(8)
+        path = tmp_path / "wide.csv"
+        write_csv(path, ["y", *(f"x{j}" for j in range(12))], rng.standard_normal((6, 13)).tolist())
+        loaded = []
+
+        def load(*args):
+            data = load_dataset(*args)
+            loaded.append(weakref.ref(data.x))
+            return data
+
+        def released(real):
+            def call(*args, **kwargs):
+                assert loaded and loaded[0]() is None, "the loaded X is alive during the solve"
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli_module, "load_dataset", load)
+        monkeypatch.setattr(cli_module, "solve", released(cli_module.solve))
+        monkeypatch.setattr(cli_module, "solve_path", released(cli_module.solve_path))
+        argv = [*command, "--input", str(path), "--response", "y", "--transform", "puffer_tau", "--tau", "1"]
+        assert main([*argv, "--output", str(tmp_path / "out.json")]) == 0
 
     def test_fit_above_lambda_max_is_all_zero(self, small_csv, tmp_path):
         data = load_dataset(str(small_csv), "y")

@@ -256,19 +256,39 @@ class TestPieceTable:
     @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.9)])
     def test_breakpoint_is_in_the_lower_piece(self, pen):
         # at these shapes the two pieces that meet at a breakpoint round pen
-        # or pen' differently there, so the bits tell which piece was read
+        # or pen' differently there, so the bits tell which piece was read;
+        # pen' is the piece's slope clamped at zero
         split = set()
         for k, t in enumerate(pen.breakpoints):
             below, above = pen.pieces[k], pen.pieces[k + 1]
-            slope = below[0] * t + below[1]
+            slope = max(below[0] * t + below[1], 0.0)
             for x, s in ((t, 1.0), (-t, -1.0)):
                 assert pen_value(pen, x) == piece_value(below, t)
                 assert pen_derivative(pen, x) == s * slope
             if piece_value(above, t) != piece_value(below, t):
                 split.add("value")
-            if above[0] * t + above[1] != slope:
+            if max(above[0] * t + above[1], 0.0) != slope:
                 split.add("slope")
         assert split == {"value", "slope"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pen=st.one_of(
+            st.floats(2.0, 50.0, exclude_min=True).map(scad),
+            st.floats(1.0, 50.0, exclude_min=True).map(mcp),
+        ),
+        data=st.data(),
+    )
+    def test_slope_is_nonnegative(self, pen, data):
+        # pen is monotone away from zero, also where a falling piece's
+        # c t + l rounds below zero at its end (SCAD's at |b| = a)
+        edges = [math.nextafter(b, toward) for b in pen.breakpoints for toward in (0.0, math.inf)]
+        t = data.draw(st.one_of(
+            st.floats(0.0, 2.0 * max(pen.breakpoints), exclude_min=True),
+            st.sampled_from([*pen.breakpoints, *edges]),
+        ))
+        assert pen_derivative(pen, t) >= 0.0, (pen, t)
+        assert pen_derivative(pen, -t) <= 0.0, (pen, t)
 
     @settings(max_examples=50)
     @given(a=st.floats(2.0, 50.0, exclude_min=True), g=st.floats(1.0, 50.0, exclude_min=True))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -164,6 +165,24 @@ FULL_RANK_FAMILIES = {
 }
 
 
+def count_factorizations(monkeypatch) -> list:
+    """The (name, shape) of every np.linalg.svd and qr call from now on."""
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
 class TestOneFactorization:
     """puffer_scaled factors X once and rotates its factors by one p x p
     SVD; the two-SVD route it replaced is oracles.puffer_scaled_reference."""
@@ -171,19 +190,7 @@ class TestOneFactorization:
     def test_one_n_by_p_svd(self, monkeypatch):
         # below two row blocks X takes one n x p np.linalg.svd; above, one
         # QR per block, one of the stacked R factors and no n x p SVD
-        calls = []
-
-        def counted(name):
-            real = getattr(np.linalg, name)
-
-            def call(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return real(a, *args, **kwargs)
-
-            return call
-
-        for name in ("svd", "qr"):
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        calls = count_factorizations(monkeypatch)
         x, y = tall_problem(21, 70, 15)
         puffer_scaled(x, y)
         assert calls == [("svd", (70, 15)), ("svd", (15, 15))]
@@ -424,6 +431,111 @@ class TestPufferTau:
             puffer_tau(x, y, -1.0)
 
 
+def spiked_wide_problem(seed, cond):
+    """A p > n design with singular values from 1 down to 1/cond."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((int(rng.integers(n + 4, 37)), n)))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T, rng.standard_normal(n)
+
+
+# each family's designs, and the condition number the spiked ones reach
+# (1 for verify's families, whose tau = 0 transforms are well conditioned)
+WIDE_FAMILIES = {
+    "wide": (lambda seed: verify.wide_problems(seed)[:2], 1.0),
+    "clustered_wide": (lambda seed: verify.clustered_wide_problems(seed)[:2], 1.0),
+    **{f"spiked_{cond:.0e}": (functools.partial(spiked_wide_problem, cond=cond), cond) for cond in (1e2, 1e4, 1e6, 1e8)},
+}
+
+
+class TestWideFactorization:
+    """puffer_tau and project_rowspace take U and d from the QR of the p x n
+    X' and an SVD of the n x n R' (linalg._wide_svd); X's V is never formed."""
+
+    def test_one_qr_and_one_n_by_n_svd(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        x, y = wide_problem(40, 6, 20)
+        one_factorization = [("qr", (20, 6)), ("svd", (6, 6))]
+        for tau in (0.0, 1.0):
+            calls.clear()
+            puffer_tau(x, y, tau)
+            assert calls == one_factorization
+        calls.clear()
+        project_rowspace(x, np.ones(20), 0.0)
+        assert calls == one_factorization
+        calls.clear()
+        project_rowspace(x, np.ones(20), 1.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("family", WIDE_FAMILIES)
+    def test_matches_one_svd_route(self, family, tau):
+        # At tau = 0, X~ is X's polar factor U V', which moves by up to
+        # about cond * eps when X does by eps: two backward-stable routes
+        # agree only to that (8e-9 at cond 1e8 over these seeds), so the
+        # bound there is 1e-12 or 1e-14 cond, whichever is larger.
+        problem, cond = WIDE_FAMILIES[family]
+        bound = max(1e-12, 1e-14 * cond) if tau == 0.0 else 1e-12
+        for seed in range(20):
+            x, y = problem(seed)
+            pair = puffer_tau(x, y, tau)
+            u, d, vt = np.linalg.svd(x, full_matrices=False)
+            w = 1.0 / np.sqrt(np.square(d) + tau)
+            assert gap(pair.x_tilde, (u * (w * d)) @ vt) <= bound, seed
+            assert gap(pair.y_tilde, (u * w) @ (u.T @ y)) <= bound, seed
+
+    @pytest.mark.parametrize("call", ["puffer_tau", "project_rowspace"])
+    def test_row_rank_at_n_by_p_tolerance(self, monkeypatch, call):
+        # the rank is tested at the tolerance an SVD of the n x p X takes,
+        # max(n, p) eps s_1, not the n x n factor's n eps s_1
+        x, y = wide_problem(41, 3, 600)
+        real = linalg.svd
+
+        def squeezed(m):
+            f = real(m)
+            if m.shape == (3, 3):  # R': put its last singular value between the two
+                f = dataclasses.replace(f, d=f.d * np.array([1.0, 1.0, 300 * linalg.EPS]))
+            return f
+
+        monkeypatch.setattr(linalg, "svd", squeezed)
+        run = {"puffer_tau": lambda: puffer_tau(x, y, 0.0), "project_rowspace": lambda: project_rowspace(x, np.ones(600), 0.0)}
+        with pytest.raises(RankError, match=r"^matrix is row-rank deficient: rank 2 < 3 rows "):
+            run[call]()
+
+    def test_failures_surface_as_numerical_errors(self, monkeypatch):
+        x, y = wide_problem(42, 4, 9)
+
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", diverges)
+        with pytest.raises(NumericalError, match=r"^SVD failed to converge: SVD did not converge$"):
+            puffer_tau(x, y, 1.0)
+        monkeypatch.setattr(np.linalg, "qr", diverges)
+        with pytest.raises(NumericalError, match=r"^SVD failed to converge: SVD did not converge$"):
+            project_rowspace(x, np.ones(9), 0.0)
+
+    def test_overflowing_factor_keeps_its_record(self):
+        # a row norm past float64 puts inf in R, as it did in X's d
+        x, y = wide_problem(44, 6, 400)
+        for call in (lambda: puffer_tau(x * 1e307, y, 1.0), lambda: project_rowspace(x * 1e307, np.ones(400), 0.0)):
+            with pytest.raises(NumericalError, match=r"^SVD produced non-finite factors$"):
+                call()
+
+    def test_memory_bound(self):
+        # one X-sized array at a time (the copy QR factors, then X~ = F_tau X
+        # with the n x n F_tau), where V' and the product (U w d) V' took two
+        x, y = wide_problem(43, 50, 4000)
+        tracemalloc.start()
+        try:
+            puffer_tau(x, y, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
+
+
 class TestProjectRowspace:
     def test_fixes_rowspace_vectors(self):
         x, _ = wide_problem(14)
@@ -532,11 +644,12 @@ class TestOutOfRangeScale:
                 call(x * 1e-165, y, 0.0)
 
     def test_ordinary_scale_is_bit_unchanged(self):
+        # the range guards leave the R-SVD route's bits as they are
         x, y = wide_problem(33, 6, 12)
         x = x * 1e150
-        u, d, vt = np.linalg.svd(x, full_matrices=False)
+        u, d, _ = np.linalg.svd(np.linalg.qr(x.T, mode="r").T)
         w = 1.0 / np.sqrt(np.square(d) + 0.5)
-        assert puffer_tau(x, y, 0.5).x_tilde.tobytes() == ((u * (w * d)) @ vt).tobytes()
+        assert puffer_tau(x, y, 0.5).x_tilde.tobytes() == (((u * w) @ u.T) @ x).tobytes()
         v = np.ones(12)
         expected = x.T @ np.linalg.solve(x @ x.T + 0.5 * np.eye(6), x @ v)
         assert project_rowspace(x, v, 0.5).tobytes() == expected.tobytes()
