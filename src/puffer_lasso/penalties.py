@@ -7,7 +7,7 @@ multiplies pen by an external weight lambda, so the concave penalties
 (SCAD, MC+) are kept at unit internal scale: their shape parameter is
 the only knob. Every pen here is quadratic on pieces of |b|, and each
 ``PenaltySpec`` carries its table of pieces, which ``pen_value``,
-``pen_derivative``, ``zero_within_level`` and the solver's polish read.
+``pen_derivative`` and the solver's polish read.
 
 The thresholding map ``univariate_threshold(pen, z, lam)`` solves the
 scalar problem
@@ -78,7 +78,10 @@ class PenaltySpec:
                  l |b| + v and pen'(b) = c b + s l, with s the sign of b
     limit        the scalar objective 0.5 (z - b)^2 + lam pen(b) is convex
                  exactly for lam < limit: a - 1 for SCAD, gamma for MC+,
-                 inf for the Lasso and the elastic net
+                 inf for the Lasso and the elastic net. There, and only
+                 there, the threshold map is zero for every |z| <= lam;
+                 beyond it a z just below lam can map to z itself, and at
+                 lam = gamma rounding can take z = lam to itself under MC+
     """
 
     kind: str
@@ -212,15 +215,6 @@ def _threshold_mcp(g: float, limit: float, z: float, lam: float) -> float:
     if z > g and lam * (0.5 * g) < best_f:
         best = z
     return best
-
-
-def zero_within_level(p: PenaltySpec, lam: float) -> bool:
-    """True when ``univariate_threshold(p, z, lam)`` is zero for every
-    |z| <= lam, which holds where the scalar objective is convex: lam <
-    p.limit, the test ``_threshold_scad`` and ``_threshold_mcp`` make.
-    Otherwise a z just below lam can map to z itself, and at lam = gamma
-    rounding can take z = lam to itself under MC+."""
-    return lam < p.limit
 
 
 def threshold_map(p: PenaltySpec):

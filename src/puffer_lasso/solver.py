@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .penalties import PenaltySpec, pen_derivative, pen_value, threshold_map, zero_within_level
+from .penalties import PenaltySpec, pen_derivative, pen_value, threshold_map
 
 
 #: sweep cap; a fit that reaches it is returned with converged=False
@@ -90,16 +90,14 @@ def lambda_max(x, y) -> float:
     return top
 
 
-def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None = None) -> FitResult:
+def solve(x, y, lam: float, pen: PenaltySpec, init=None) -> FitResult:
     """Run cyclic coordinate descent from ``init`` (zeros by default).
 
     Always returns a FitResult; if MAX_ITER is exhausted the result is
     flagged converged=False rather than raising. Converged means a KKT
     residual below max(KKT_TOL, p * eps * ||X'Y||_inf), the second term
     rounding at the data's own scale; the reported residual is recomputed
-    from the raw inputs at the end. ``normal`` is the ``_Gram`` of these
-    x and y, which ``solve_path`` and ``multistart_local_minima`` share
-    among their fits.
+    from the raw inputs at the end.
 
     Once 2 sweeps in a row have moved no coordinate to, from or across
     zero, the fit is polished once: ``_polish`` solves the quadratic of
@@ -112,11 +110,16 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None
     its gradient with is taken over beta's support only.
     """
     m, v = linalg.as_design(x, y)
-    p = m.shape[1]
     linalg.require_scalar("lambda", lam)
-    gram = _Gram(m, v) if normal is None else normal
-    xty = gram.xty
-    beta = np.zeros(p) if init is None else linalg.as_vector(init, p).copy()
+    return _descent(_Gram(m, v), lam, pen, None if init is None else linalg.as_vector(init, m.shape[1]))
+
+
+def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
+    """``solve``'s descent on the validated design that ``gram`` holds,
+    from ``init`` (zeros for None), which it does not write to."""
+    m, v, xty = gram.m, gram.v, gram.xty
+    p = m.shape[1]
+    beta = np.zeros(p) if init is None else init
 
     # The sweep runs on Python floats and row views; the numpy beta is
     # rebuilt only where a matrix product needs it. The penalty's map and
@@ -129,7 +132,7 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None
     # the threshold map is zero on [-lam/c_j, lam/c_j], since correctly
     # rounded division is monotone; it is not for SCAD and MC+ in their
     # nonconvex regime. A zero column's update is always 0.
-    settled = [cj <= 0.0 or zero_within_level(pen, level) for cj, level in zip(diag, levels)]
+    settled = [cj <= 0.0 or level < pen.limit for cj, level in zip(diag, levels)]
     lo = -lam
     tol = max(KKT_TOL, p * linalg.EPS * float(np.max(np.abs(xty))))
     # grad is maintained as X'(Y - X beta), in place only, so that g, a
@@ -173,7 +176,7 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None
             np.subtract(xty, _gram_times(gram, beta), out=grad)  # cap incremental drift
         stable = 0 if moved else stable + 1
         if stable == 2:
-            polished = _polish(m, v, gram, lam, pen, np.array(coef))
+            polished = _polish(gram, lam, pen, np.array(coef))
             if polished is not None:
                 accepts += 1
                 coef = polished.tolist()
@@ -195,14 +198,15 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None, *, normal: _Gram | None
 
 
 class _Gram(dict):
-    """X'X and X'Y of a validated design; gram[j] is row j of X'X, which is
-    column j. Where n >= p, one m.T @ m holds every row. Where p > n, row
-    j is built on its first read as X'x_j by itself, so its bits depend on
-    (X, j) only, and kept in blocks of 64 rows; the diagonal is one einsum.
-    NumericalError as ``linalg.normal_equations`` raises it, and per row."""
+    """A validated design (X, Y), kept with its X'X and X'Y for every fit
+    on it; gram[j] is row j of X'X, which is column j. Where n >= p, one
+    m.T @ m holds every row. Where p > n, row j is built on its first read
+    as X'x_j by itself, so its bits depend on (X, j) only, and kept in
+    blocks of 64 rows; the diagonal is one einsum. NumericalError as
+    ``linalg.normal_equations`` raises it, and per row."""
 
     def __init__(self, m, v):
-        self.m = m
+        self.m, self.v = m, v
         if m.shape[0] >= m.shape[1]:
             block, self.xty = linalg.normal_equations(m, v)
             self.diag, self.rows = block.diagonal(), block.__getitem__  # rows(idx) is block[idx]
@@ -244,7 +248,7 @@ def _gram_times(gram, beta):
     return beta[support] @ gram.rows(support)
 
 
-def _polish(m, v, gram, lam: float, pen: PenaltySpec, beta):
+def _polish(gram: _Gram, lam: float, pen: PenaltySpec, beta):
     """A point of the objective no higher than beta's, found by exact cell
     solves, or None where there is none to take.
 
@@ -273,6 +277,7 @@ def _polish(m, v, gram, lam: float, pen: PenaltySpec, beta):
     The final point is kept only if its objective does not rise above
     beta's.
     """
+    m, v = gram.m, gram.v
     breaks = np.array(pen.breakpoints)
     curvature, linear, _ = np.array(pen.pieces).T
     bounds = np.concatenate([[0.0], breaks, [np.inf]])  # piece k spans bounds[k : k + 2]
@@ -341,14 +346,10 @@ def solve_path(x, y, lambdas, pen: PenaltySpec) -> list[FitResult]:
     for t in lams:
         linalg.require_scalar("lambda grid entries", t, "positive")
     linalg.require_descending("lambda grid", lams)
-    m, v = linalg.as_design(x, y)
-    normal = _Gram(m, v)
-    results: list[FitResult] = []
-    warm = None
-    for lam in lams:
-        fit = solve(m, v, lam, pen, init=warm, normal=normal)
-        results.append(fit)
-        warm = fit.beta
+    gram = _Gram(*linalg.as_design(x, y))
+    results = [_descent(gram, lams[0], pen, None)]
+    for lam in lams[1:]:
+        results.append(_descent(gram, lam, pen, results[-1].beta))
     return results
 
 
@@ -367,14 +368,13 @@ def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8)
         raise ValueError(f"starts must be >= 1, got {starts}")
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen)]
-    m, v = linalg.as_design(x, y)
-    normal = _Gram(m, v)
-    scale = float(np.max(np.abs(normal.xty)))  # lambda_max(x, y)
+    gram = _Gram(*linalg.as_design(x, y))
+    scale = float(np.max(np.abs(gram.xty)))  # lambda_max(x, y)
     rng = np.random.default_rng(0)
     fits: list[FitResult] = []
     for _ in range(starts):
-        init = rng.uniform(-scale, scale, size=m.shape[1])
-        fit = solve(m, v, lam, pen, init=init, normal=normal)
+        init = rng.uniform(-scale, scale, size=gram.m.shape[1])
+        fit = _descent(gram, lam, pen, init)
         if all(np.max(np.abs(fit.beta - f.beta)) > DISTINCT_TOL for f in fits):
             fits.append(fit)
     fits.sort(key=lambda f: (f.objective, tuple(f.beta)))

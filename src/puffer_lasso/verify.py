@@ -107,10 +107,11 @@ def _reduce(rows, col: int = 1):
     return float(column[i]), rows[i][0]
 
 
-def _lambda_grid(scale: float, count: int):
-    """Log-spaced grid reaching past the all-zero threshold at the top."""
+def _lambda_grid(scale: float, count: int | None):
+    """Log-spaced ascending grid reaching past the all-zero threshold at the
+    top, or for count=None one scale / 4; every lambda is positive."""
     s = max(float(scale), 1e-8)
-    return np.geomspace(1e-3 * s, 1.2 * s, count)
+    return (0.25 * s,) if count is None else np.geomspace(1e-3 * s, 1.2 * s, count)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +248,14 @@ def _scaled_z(x, y, sigma):
 def _threshold_gap(x, y, b, pen: PenaltySpec, lambdas) -> tuple[float, np.ndarray]:
     """Fit (x, y) at each lambda; return the worst sup-norm gap between a
     fit and the thresholding map applied to b, and the fitted
-    coefficients, one row per lambda. The cold-started fits share one
-    ``solver._Gram``; the thresholding side never reads it."""
-    normal = solver._Gram(*linalg.as_design(x, y))
-    betas = np.array([solver.solve(x, y, float(lam), pen, normal=normal).beta for lam in lambdas])
-    targets = [[univariate_threshold(pen, t, float(lam)) for t in b.tolist()] for lam in lambdas]
+    coefficients, one row per lambda in the order given. The fits are one
+    ``solver.solve_path`` over the lambdas in descending order; the
+    thresholding side never reads them."""
+    lams = np.array(lambdas, dtype=float)
+    order = np.argsort(-lams)
+    betas = np.empty((lams.size, b.size))
+    betas[order] = [fit.beta for fit in solver.solve_path(x, y, lams[order], pen)]
+    targets = [[univariate_threshold(pen, t, lam) for t in b.tolist()] for lam in lams.tolist()]
     return float(np.max(np.abs(betas - targets))), betas
 
 
@@ -262,8 +266,7 @@ def _threshold_check(gen, seed, trials, transform, coefs, pen: PenaltySpec, n_la
     function, or None for the raw data) is compared with the thresholding
     map applied to b = coefs(X, Y, sigma). b comes from the untransformed
     X through estimators, never from a fit, so the two sides share no
-    code path. The lambdas form a grid of n_lambdas values over max |b|,
-    or, for n_lambdas=None, the negative controls' single max |b| / 4.
+    code path. The lambdas are ``_lambda_grid(max |b|, n_lambdas)``.
     Returns the worst gap and its seed.
     """
 
@@ -273,8 +276,7 @@ def _threshold_check(gen, seed, trials, transform, coefs, pen: PenaltySpec, n_la
         if transform is not None:
             pair = transform(x, y)
             x, y = pair.x_tilde, pair.y_tilde
-        scale = float(np.max(np.abs(b)))
-        lambdas = (0.25 * scale,) if n_lambdas is None else _lambda_grid(scale, n_lambdas)
+        lambdas = _lambda_grid(np.max(np.abs(b)), n_lambdas)
         return (_threshold_gap(x, y, b, pen, lambdas)[0],)
 
     return _reduce(_trials(seed, trials, trial))

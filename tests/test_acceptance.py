@@ -274,7 +274,7 @@ VERIFY_SEED0_REPORTS = [
 
 # sha256 of the output of verify --seed 0 on the stack the goldens were
 # recorded on (tests/golden/stack.json), with any number of BLAS threads
-VERIFY_SEED0_SHA256 = "1157808efd2526faa3ceaeb6a1f44fab852f55e6cc5ff1adeca95ea016cdfec1"
+VERIFY_SEED0_SHA256 = "e9d28d005cdcc430f105c4afc54d965a451d7f66b693d03b7a442657f70b0120"
 STACK = Path(__file__).resolve().parent / "golden" / "stack.json"
 
 

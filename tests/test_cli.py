@@ -607,14 +607,14 @@ class TestErrorHandling:
         assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
 
     def test_nan_certificate_exits_three(self, monkeypatch, capsys):
-        # lemma1 runs first, on the single seed of its block
-        solve = cli_module.verify.solver.solve
+        # lemma1 runs first, on the single seed of its block, and fits its
+        # lambda grid with one solve_path
+        solve_path = cli_module.verify.solver.solve_path
 
-        def nan_solve(*args, **kwargs):
-            fit = solve(*args, **kwargs)
-            return dataclasses.replace(fit, beta=np.full_like(fit.beta, np.nan))
+        def nan_path(*args, **kwargs):
+            return [dataclasses.replace(f, beta=np.full_like(f.beta, np.nan)) for f in solve_path(*args, **kwargs)]
 
-        monkeypatch.setattr(cli_module.verify.solver, "solve", nan_solve)
+        monkeypatch.setattr(cli_module.verify.solver, "solve_path", nan_path)
         code = main(["verify", "--trials", "1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puffer_lasso import penalties
 from puffer_lasso.penalties import (
     KINDS,
     PenaltySpec,
@@ -451,21 +450,21 @@ class TestUnivariateThreshold:
                     assert abs(b - ref) <= 1e-9 * (1.0 + abs(z)), where
 
     def test_nonconvex_map_is_not_zero_below_lambda(self):
-        # why solve skips a zero coordinate with |z| <= lam only where
-        # zero_within_level holds: past MC+'s gamma or SCAD's a - 1 the
+        # why solve skips a zero coordinate with |z| <= lam only for lam
+        # below the penalty's limit: past MC+'s gamma or SCAD's a - 1 the
         # scalar minimizer can be z itself
         assert univariate_threshold(mcp(1.5), 1.9, 2.0) == 1.9
         assert univariate_threshold(scad(), 9.0, 10.0) == 9.0
-        assert not penalties.zero_within_level(mcp(1.5), 2.0)
-        assert not penalties.zero_within_level(scad(), 10.0)
-        assert penalties.zero_within_level(mcp(1.5), 1.4)
-        assert penalties.zero_within_level(scad(), 2.6)
+        assert not 2.0 < mcp(1.5).limit
+        assert not 10.0 < scad().limit
+        assert 1.4 < mcp(1.5).limit
+        assert 2.6 < scad().limit
 
     @pytest.mark.parametrize("pen", [*ALL_KINDS, scad(2.5), mcp(1.5)])
     @settings(max_examples=60, deadline=None)
     @given(lam=lams, frac=st.floats(-1, 1))
     def test_zero_within_level(self, pen, lam, frac):
-        if penalties.zero_within_level(pen, lam):
+        if lam < pen.limit:
             assert univariate_threshold(pen, frac * lam, lam) == 0.0
             assert univariate_threshold(pen, math.copysign(lam, frac), lam) == 0.0
 
@@ -475,16 +474,15 @@ class TestUnivariateThreshold:
 
     @pytest.mark.parametrize("pen", [scad(2.5), scad(3.7), mcp(1.5), mcp(3.0), mcp(ROUNDING_GAMMA)])
     def test_zero_skip_regime(self, pen):
-        # The sweep skips a zero coordinate with |grad_j| <= lam where
-        # zero_within_level holds, so there the map must be zero on all of
+        # The sweep skips a zero coordinate with |grad_j| <= lam where lam <
+        # pen.limit, so there the map must be zero on all of
         # [-lam, lam]. It holds below the limit and not at it: at lam =
         # limit the map is zero within lam for the four named shapes, but not
         # for ROUNDING_GAMMA, and past the limit MC+ takes z = lam to z.
         for lam in (math.nextafter(pen.limit, 0.0), pen.limit, math.nextafter(pen.limit, math.inf)):
             inner = math.nextafter(lam, 0.0)
             zs = [*np.linspace(-lam, lam, 401).tolist(), lam, -lam, inner, -inner]
-            assert penalties.zero_within_level(pen, lam) is (lam < pen.limit), lam
-            if penalties.zero_within_level(pen, lam):
+            if lam < pen.limit:
                 assert all(univariate_threshold(pen, z, lam) == 0.0 for z in zs), lam
             # one unit column from zero: the sweep's first update is the map
             fit = solve(np.ones((1, 1)), np.array([lam]), lam, pen)

@@ -422,7 +422,7 @@ class TestPolish:
         lam = 0.2 * lambda_max(x, y)
         exact = solve(x, y, lam, lasso()).beta
         near = exact + 1e-3 * np.sign(exact)
-        polished = solver._polish(x, y, solver._Gram(x, y), lam, lasso(), near)
+        polished = solver._polish(solver._Gram(x, y), lam, lasso(), near)
         assert polished is not None
         assert within_beta_bound(polished, exact)
         assert objective_value(x, y, lam, lasso(), polished) <= objective_value(x, y, lam, lasso(), near)
@@ -443,7 +443,7 @@ class TestPolish:
         first = np.argmin(np.where(np.sign(optimum) != np.sign(flipped[active]), times, np.inf))
         assert active[first] == j
         assert flipped[j] + times[first] * (optimum[first] - flipped[j]) != 0.0
-        polished = solver._polish(x, y, solver._Gram(x, y), lam, lasso(), flipped)
+        polished = solver._polish(solver._Gram(x, y), lam, lasso(), flipped)
         assert polished is not None
         assert float(polished[j]).hex() == "0x0.0p+0"
         others = np.flatnonzero(polished)
@@ -456,21 +456,21 @@ class TestPolish:
         # (-1, -2, 0.5) from (1, 2, 1), where the first two coordinates
         # reach zero together, at t = 0.5 exactly
         x, y = np.eye(4)[:, :3], np.array([-0.5, -1.5, 1.0, 0.0])
-        assert solver._polish(x, y, solver._Gram(x, y), 0.5, lasso(), np.array([1.0, 2.0, 1.0])) is None
+        assert solver._polish(solver._Gram(x, y), 0.5, lasso(), np.array([1.0, 2.0, 1.0])) is None
 
     def test_gives_up_where_the_cell_solution_is_nan(self):
         # no coordinate walks toward zero along a NaN direction
         x, y = tall_problem(seed=231, n=10, p=4)
         gram = solver._Gram(x, y)
         gram.xty[0] = math.nan
-        assert solver._polish(x, y, gram, 0.1, lasso(), np.ones(4)) is None
+        assert solver._polish(gram, 0.1, lasso(), np.ones(4)) is None
 
     def test_steps_off_a_singular_cell(self):
         # |A| = 6 > n = 3: the cell matrix has no Cholesky factor, and the
         # objective falls along its null space in the direction with s'd < 0
         x, y = tall_problem(seed=232, n=3, p=6)
         start = np.ones(6)
-        polished = solver._polish(x, y, solver._Gram(x, y), 0.01, lasso(), start)
+        polished = solver._polish(solver._Gram(x, y), 0.01, lasso(), start)
         assert polished is not None
         assert 0 < np.count_nonzero(polished) <= 3
         assert np.all(polished >= 0.0)
@@ -487,10 +487,10 @@ class TestPolish:
         x, y = tall_problem(seed=232, n=3, p=6)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", eigh)
-            assert solver._polish(x, y, solver._Gram(x, y), 0.0, lasso(), np.ones(6)) is None
+            assert solver._polish(solver._Gram(x, y), 0.0, lasso(), np.ones(6)) is None
         x, y = tall_problem(seed=236, n=8, p=3)
         x = np.column_stack([x, x[:, 0]])
-        assert solver._polish(x, y, solver._Gram(x, y), 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
+        assert solver._polish(solver._Gram(x, y), 0.1, lasso(), np.array([0.5, 0.3, -0.2, 0.5])) is None
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scad_walk_lands_on_each_breakpoint(self, sign, monkeypatch):
@@ -504,7 +504,7 @@ class TestPolish:
         np_sign, np_solve = np.sign, np.linalg.solve
         monkeypatch.setattr(np, "sign", lambda t: starts.append(t.copy()) or np_sign(t))
         monkeypatch.setattr(np.linalg, "solve", lambda cell, rhs: cells.append(float(cell[0, 0])) or np_solve(cell, rhs))
-        polished = solver._polish(x, y, solver._Gram(x, y), lam, scad(a), np.array([sign * 0.5]))
+        polished = solver._polish(solver._Gram(x, y), lam, scad(a), np.array([sign * 0.5]))
         assert [float(t[0]) for t in starts] == [sign * 0.5, sign * 1.0, sign * a]
         assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
         assert polished.tolist() == [sign * 5.0]
@@ -517,7 +517,7 @@ class TestPolish:
         cells = []
         np_solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda cell, rhs: cells.append(float(cell[0, 0])) or np_solve(cell, rhs))
-        polished = solver._polish(x, y, solver._Gram(x, y), lam, scad(a), np.array([1.0]))
+        polished = solver._polish(solver._Gram(x, y), lam, scad(a), np.array([1.0]))
         assert cells == [1.0, 1.0 - lam / (a - 1.0), 1.0]
         assert polished.tolist() == [5.0]
 
@@ -527,22 +527,22 @@ class TestPolish:
         # 1 - lam / 2.7 on SCAD's middle piece or 1 - lam / 3 on MC+'s
         # first, is negative
         x, y = np.eye(3)[:, :1], np.array([2.0, 0.0, 0.0])
-        assert solver._polish(x, y, solver._Gram(x, y), 4.0, pen, np.array([2.0])) is None
+        assert solver._polish(solver._Gram(x, y), 4.0, pen, np.array([2.0])) is None
         # a singular cell (|A| > n) beyond every breakpoint has c = 0, as the
         # Lasso's has, so it is convex and eigendecomposed like the Lasso's;
         # l = 0 there too, so the objective is flat along the null space,
         # and the cell is left to coordinate descent
         x, y = tall_problem(seed=232, n=3, p=6)
         gram = solver._Gram(x, y)
-        assert solver._polish(x, y, gram, 0.01, lasso(), np.full(6, 5.0)) is not None
+        assert solver._polish(gram, 0.01, lasso(), np.full(6, 5.0)) is not None
         shapes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda cell: shapes.append(cell.shape) or eigh(cell))
-        assert solver._polish(x, y, gram, 0.01, pen, np.full(6, 5.0)) is None
+        assert solver._polish(gram, 0.01, pen, np.full(6, 5.0)) is None
         assert shapes == [(6, 6)]
         # where some c < 0, on SCAD's middle piece or MC+'s first, the cell
         # can be concave, and it is not walked at all
         monkeypatch.setattr(np.linalg, "eigh", lambda cell: pytest.fail("eigh called"))
-        assert solver._polish(x, y, gram, 0.01, pen, np.full(6, 2.0)) is None
+        assert solver._polish(gram, 0.01, pen, np.full(6, 2.0)) is None
 
     def test_walks_a_convex_scad_cell_past_its_first_breakpoint(self, monkeypatch):
         # |A| = 6 > n = 3, three coefficients beyond a (c = 0, l = 0) and
@@ -553,7 +553,7 @@ class TestPolish:
         start = np.array([50.0, 0.05, 50.0, 0.05, 50.0, 0.05])
         shapes, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda cell: shapes.append(cell.shape) or eigh(cell))
-        polished = solver._polish(x, y, solver._Gram(x, y), 0.1, scad(), start)
+        polished = solver._polish(solver._Gram(x, y), 0.1, scad(), start)
         assert polished is not None
         assert shapes[0] == (6, 6)
         assert objective_value(x, y, 0.1, scad(), polished) < objective_value(x, y, 0.1, scad(), start)
@@ -575,7 +575,7 @@ class TestPolish:
             return cholesky(cell)
 
         monkeypatch.setattr(np.linalg, "cholesky", narrow_only)
-        solver._polish(x, y, solver._Gram(x, y), 0.1, pen, start)
+        solver._polish(solver._Gram(x, y), 0.1, pen, start)
         fits = solve_path(x, y, np.geomspace(lambda_max(x, y), 1e-3, 20), pen)
         assert all(f.converged for f in fits)
 
@@ -601,7 +601,7 @@ class TestPolish:
         exact = solve(x, y, lam, lasso()).beta
         near = exact + 1e-3 * np.sign(exact)
         monkeypatch.setattr(solver, "objective_value", lambda x, y, lam, pen, b: -float(np.sum(np.abs(b))))
-        assert solver._polish(x, y, solver._Gram(x, y), lam, lasso(), near) is None
+        assert solver._polish(solver._Gram(x, y), lam, lasso(), near) is None
 
     def test_waits_for_sweeps_without_a_crossing(self, monkeypatch):
         # with every polish rejected the sweep is the reference's, whose

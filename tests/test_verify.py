@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,13 +46,13 @@ CHECKS = {
 
 
 def nan_fits(monkeypatch):
-    solve = solver.solve
+    solve, solve_path = solver.solve, solver.solve_path
 
-    def nan_solve(*args, **kwargs):
-        fit = solve(*args, **kwargs)
+    def nan_beta(fit):
         return dataclasses.replace(fit, beta=np.full_like(fit.beta, np.nan))
 
-    monkeypatch.setattr(solver, "solve", nan_solve)
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: nan_beta(solve(*a, **k)))
+    monkeypatch.setattr(solver, "solve_path", lambda *a, **k: [nan_beta(f) for f in solve_path(*a, **k)])
 
 
 def nan_result(module, name):
@@ -472,15 +474,19 @@ class TestIdentityEdgeCases:
 
 
 class TestThresholdGapSharesOneGram:
-    """_threshold_gap builds one solver._Gram per trial and passes it to
-    each cold-started solve; the fits are those of separate solve calls."""
+    """_threshold_gap fits its lambdas with one solver.solve_path, so on one
+    X'X store per trial, over the lambdas in descending order, and returns
+    the rows in the order it was given them; each row is also the fit of a
+    separate solve warm-started from the fit at the next larger lambda."""
 
     @pytest.mark.parametrize("pen", [lasso(), elastic_net(0.6), scad(), mcp(1.5)], ids=lambda p: p.kind)
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fits_equal_separate_solves(self, monkeypatch, pen, seed):
         x, y, _ = mixed_full_rank_problems(seed)
         b = estimators.ols(x, y)
-        lambdas = np.geomspace(float(np.max(np.abs(b))), 1e-3, 6)
+        top = float(np.max(np.abs(b)))
+        descending = np.geomspace(1.2 * top, 1e-3 * top, 6)
+        order = [[5, 4, 3, 2, 1, 0], [2, 0, 5, 1, 4, 3], [0, 1, 2, 3, 4, 5]][seed - 1]
         builds = []
         real = solver._Gram
 
@@ -489,8 +495,72 @@ class TestThresholdGapSharesOneGram:
             return real(m, v)
 
         monkeypatch.setattr(solver, "_Gram", counted)
-        _, betas = verify._threshold_gap(x, y, b, pen, lambdas)
+        _, betas = verify._threshold_gap(x, y, b, pen, descending[order])
         assert builds == [x.shape]
         monkeypatch.setattr(solver, "_Gram", real)
-        separate = np.array([solver.solve(x, y, float(lam), pen).beta for lam in lambdas])
-        assert betas.tobytes() == separate.tobytes()
+        path = solver.solve_path(x, y, descending, pen)
+        warm, chain = None, []
+        for lam in descending.tolist():
+            warm = solver.solve(x, y, lam, pen, init=warm).beta
+            chain.append(warm)
+        assert betas.tobytes() == np.array([path[k].beta for k in order]).tobytes()
+        assert betas.tobytes() == np.array([chain[k] for k in order]).tobytes()
+
+    def test_a_zero_b_gets_a_positive_negative_control_lambda(self):
+        # max |b| = 0 takes the grid's 1e-8 floor, so solve_path, which
+        # takes positive lambdas only, fits the control at 2.5e-9
+        zeros = lambda x, y, sigma: np.zeros(x.shape[1])
+        assert verify._lambda_grid(0.0, None) == (2.5e-9,)
+        gap, _ = verify._threshold_check(equicorrelated_problems(0.9), 1, 1, None, zeros, lasso(), None)
+        assert gap > 0.0
+
+
+def private_reaches(source: str) -> list[str]:
+    """Every _-prefixed (not dunder) name that ``source`` reads from another
+    puffer_lasso module: imported by name, or as an attribute of a module
+    that a puffer_lasso import binds."""
+    tree = ast.parse(source)
+    modules: set[str] = set()
+    found = []
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {(a.asname or a.name).split(".")[0] for a in node.names if a.name.startswith("puffer_lasso")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("puffer_lasso")):
+            if node.module in (None, "puffer_lasso"):  # from . import solver
+                modules |= {a.asname or a.name for a in node.names}
+            found += [f"{node.module}.{a.name}" for a in node.names if private(a.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+class TestCertificateBoundary:
+    """A certificate's fit side reaches the solver, the transforms and the
+    estimators only through their public entry points, so that the two
+    sides of an identity stay on independent code paths."""
+
+    def test_verify_reads_no_private_name_of_another_module(self):
+        source = Path(verify.__file__).read_text(encoding="utf-8")
+        assert private_reaches(source) == []
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("from . import linalg, solver\nsolver._Gram(*linalg.as_design(x, y))", ["solver._Gram"]),
+            ("from .solver import _polish, solve", ["solver._polish"]),
+            ("import puffer_lasso.solver\npuffer_lasso.solver._descent(g, 1.0, p, None)", ["puffer_lasso.solver._descent"]),
+            ("from puffer_lasso import linalg as la\nla._wide_svd(x)", ["la._wide_svd"]),
+            ("from . import solver\nsolver.solve_path(x, y, g, p)\nsolver.__name__\nself._cache", []),
+        ],
+    )
+    def test_private_reaches_are_found(self, source, expected):
+        assert private_reaches(source) == expected
