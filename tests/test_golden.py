@@ -1,10 +1,11 @@
 """Golden outputs: the CLI's output on fixed inputs, compared under the
 regression contract that README's "Golden outputs" section states.
 
-``tests/golden/`` holds two small CSVs (tall.csv, 30 x 6, and wide.csv,
-10 x 24), one file per case in CASES with the output the case's argv
-printed when it was recorded, and stack.json, the numpy version and
-machine it was recorded on. Rules:
+``tests/golden/`` holds three CSVs (tall.csv, 30 x 6, wide.csv, 10 x 24,
+and wider.csv, 70 x 300, whose fits fill more than one block of the
+p > n X'X store, release rows and build some again), one file per case
+in CASES with the output the case's argv printed when it was recorded,
+and stack.json, the numpy version and machine it was recorded on. Rules:
 
 - exact: keys and their order, meta, report ids, trials, tolerances,
   ``passed``, ``converged``, every count, and the active set of every fit;
@@ -15,10 +16,11 @@ machine it was recorded on. Rules:
 - free: a report's ``worst_case_seed`` together with its worst
   component's ``penalty`` and ``tau``, and, off the recorded stack, a
   fit's ``iterations``;
-- every fit (``objective`` aside), ``precondition`` output and every
-  other number are byte-equal on the recorded stack, ``iterations``
-  included; on any other stack their floats are held to the beta bound
-  instead.
+- every fit (``objective`` aside), every CSV output and every other
+  number are byte-equal on the recorded stack, ``iterations`` included;
+  on any other stack their floats are held to the beta bound instead
+  (a ``--format csv`` fit's coefficients per lambda, its ``feature``
+  column exactly).
 
 Every case run a second time in the same process must print the same
 bytes as its first run.
@@ -28,7 +30,9 @@ the fit and why; such a fit must then meet the KKT bound and end at an
 objective no higher than the recorded one.
 
 Regenerate (only when a change declares new outputs) with
-``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
+``PYTHONPATH=src python tests/test_golden.py [case ...]`` from the
+repository root; it rewrites the named cases, or every case when none is
+named.
 """
 
 import functools
@@ -52,8 +56,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BETA_BOUND = 1e-6
 OBJECTIVE_REL = 1e-12
 PENALTIES = ("lasso", "enet", "scad", "mcp")
-# a fit's lambda: about a tenth of each CSV's lambda_max (140.2 and 20.1)
-FIT_LAMBDA = {"tall": "14", "wide": "2"}
+# a fit's lambda: about a tenth of tall's and wide's lambda_max (140.2
+# and 20.1), and a hundredth of wider's (173.9)
+FIT_LAMBDA = {"tall": "14", "wide": "2", "wider": "1.7"}
 # the transforms each CSV admits: puffer and puffer_scaled need n > p,
 # puffer_tau p >= n
 TRANSFORMS = {"tall": (("puffer",), ("puffer_scaled",)), "wide": (("puffer_tau", "0"), ("puffer_tau", "1"))}
@@ -71,6 +76,13 @@ def _cases() -> dict[str, list[str]]:
             label = "-".join([data, transform, *tau])
             cases[f"precondition-{label}.csv"] = ["precondition", *source, *flags]
             cases[f"path-{label}-lasso.json"] = ["path", *source, "--penalty", "lasso", *flags]
+        for command in ("fit", "path"):
+            argv = cases[f"{command}-{data}-lasso.json"]
+            cases[f"{command}-{data}-lasso.csv"] = [*argv, "--format", "csv"]
+    source = ["--input", "wider.csv", "--response", "y"]
+    for pen in ("lasso", "mcp"):
+        cases[f"fit-wider-{pen}.json"] = ["fit", *source, "--penalty", pen, "--lambda", FIT_LAMBDA["wider"]]
+        cases[f"path-wider-{pen}.json"] = ["path", *source, "--penalty", pen]
     return cases
 
 
@@ -198,13 +210,31 @@ class Comparator:
             return
         self.floats([r.split(",") for r in rows_new[1:]], [r.split(",") for r in rows_old[1:]], self.name)
 
+    def coefficients(self, new: str, old: str):
+        """``fit``/``path --format csv``: rows of lambda, feature, coefficient."""
+        rows_new, rows_old = new.splitlines(), old.splitlines()
+        assert rows_new[0] == rows_old[0], self.name
+        if self.same_stack:
+            assert new == old, self.name
+            return
+        assert len(rows_new) == len(rows_old), self.name
+        lam_new, feature_new, beta_new = np.array([r.split(",") for r in rows_new[1:]]).T
+        lam_old, feature_old, beta_old = np.array([r.split(",") for r in rows_old[1:]]).T
+        assert feature_new.tolist() == feature_old.tolist(), self.name
+        self.floats(lam_new, lam_old, self.name)
+        for lam in dict.fromkeys(lam_old.tolist()):
+            fit = lam_old == lam
+            self.floats(beta_new[fit], beta_old[fit], (self.name, lam))
+
 
 def compare(name: str, new: str, old: str, same_stack: bool) -> None:
     """Raise AssertionError where ``new`` breaks the contract against the
     golden ``old`` of case ``name``."""
     check = Comparator(name, same_stack)
-    if name.endswith(".csv"):
+    if name.startswith("precondition"):
         check.precondition(new, old)
+    elif name.endswith(".csv"):
+        check.coefficients(new, old)
     else:
         check.document(load(new), load(old))
 
@@ -232,7 +262,8 @@ def test_same_bytes_when_run_twice(name):
 
 
 def test_every_golden_file_is_a_case():
-    recorded = {p.name for p in GOLDEN.iterdir()} - {"tall.csv", "wide.csv", "stack.json", "deep_path_reference.json"}
+    inputs = {"tall.csv", "wide.csv", "wider.csv", "stack.json", "deep_path_reference.json"}
+    recorded = {p.name for p in GOLDEN.iterdir()} - inputs
     assert recorded == set(CASES)
 
 
@@ -328,8 +359,32 @@ def test_comparator_rejects_a_precondition_cell_one_ulp_off():
         compare(name, head + ",".join(cells) + "\n" + "".join(rest), golden, same_stack=True)
 
 
+@pytest.mark.parametrize("same_stack", [True, False])
+def test_comparator_rejects_a_csv_coefficient_off(same_stack):
+    # the last fit's largest coefficient, one ulp off on the recorded
+    # stack and twice the beta bound off elsewhere
+    name = "path-wide-lasso.csv"
+    golden = (GOLDEN / name).read_text()
+    head, *rows = golden.splitlines(keepends=True)
+    cells = [r.rstrip("\n").split(",") for r in rows]
+    last = [i for i, c in enumerate(cells) if c[0] == cells[-1][0]]
+    i = max(last, key=lambda i: abs(float(cells[i][2])))
+    value = float(cells[i][2])
+    value = np.nextafter(value, math.inf) if same_stack else value + 2 * BETA_BOUND * max(1.0, abs(value))
+    cells[i][2] = "%.17g" % value
+    with pytest.raises(AssertionError):
+        compare(name, head + "".join(",".join(c) + "\n" for c in cells), golden, same_stack=same_stack)
+
+
+def test_comparator_rejects_a_renamed_csv_feature_off_the_stack():
+    name = "fit-tall-lasso.csv"
+    golden = (GOLDEN / name).read_text()
+    with pytest.raises(AssertionError):
+        compare(name, golden.replace(",x2,", ",x9,"), golden, same_stack=False)
+
+
 if __name__ == "__main__":
-    for case, argv in CASES.items():
-        (GOLDEN / case).write_text(run_cli(argv), encoding="utf-8")
+    for case in sys.argv[1:] or CASES:
+        (GOLDEN / case).write_text(run_cli(CASES[case]), encoding="utf-8")
     (GOLDEN / "stack.json").write_text(json.dumps(recorded_stack()) + "\n", encoding="utf-8")
     sys.exit(0)
