@@ -20,7 +20,8 @@ backward-elimination step, and one reaching a breakpoint moves to the
 next piece.
 
 Where p > n, X'X is built a column at a time on first use (``_Gram``),
-as in glmnet's covariance updates (Friedman, Hastie & Tibshirani 2010).
+as in glmnet's covariance updates (Friedman, Hastie & Tibshirani 2010),
+and kept only while its coordinate is nonzero or its slot is not needed.
 
 Note on conventions: the 0.5 factor above is fixed. The same problem
 written without it, ||Y - X b||^2 + lam' * ||b||_1, corresponds to
@@ -107,7 +108,8 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None) -> FitResult:
     moves a coordinate to, from or across zero, and sweeping goes on, so
     the COORD_TOL and KKT tests still decide convergence, and
     ``iterations`` counts sweeps only. Every X'X beta the sweep refreshes
-    its gradient with is taken over beta's support only.
+    its gradient with is taken over beta's support only, and a coordinate
+    that the sweep or the polish moves to zero releases its X'X row.
     """
     m, v = linalg.as_design(x, y)
     linalg.require_scalar("lambda", lam)
@@ -124,7 +126,7 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
     # The sweep runs on Python floats and row views; the numpy beta is
     # rebuilt only where a matrix product needs it. The penalty's map and
     # each coordinate's level lam / c_j are resolved once per fit.
-    coef = beta.tolist()
+    coef = gram.fit = beta.tolist()
     diag = gram.diag.tolist()
     threshold = threshold_map(pen)
     levels = [lam / cj if cj > 0.0 else 0.0 for cj in diag]
@@ -161,6 +163,8 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
                 coef[j] = new
                 if old * new <= 0.0:
                     moved = True
+                    if new == 0.0:
+                        gram.release(j)
                 if step > max_change:
                     max_change = step
                 elif -step > max_change:
@@ -176,10 +180,13 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
             np.subtract(xty, _gram_times(gram, beta), out=grad)  # cap incremental drift
         stable = 0 if moved else stable + 1
         if stable == 2:
-            polished = _polish(gram, lam, pen, np.array(coef))
+            beta = np.array(coef)
+            polished = _polish(gram, lam, pen, beta)
             if polished is not None:
                 accepts += 1
-                coef = polished.tolist()
+                for j in np.flatnonzero((beta != 0.0) & (polished == 0.0)).tolist():
+                    gram.release(j)
+                coef = gram.fit = polished.tolist()
                 np.subtract(xty, _gram_times(gram, polished), out=grad)
 
     beta = np.array(coef)
@@ -200,50 +207,124 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
 class _Gram(dict):
     """A validated design (X, Y), kept with its X'X and X'Y for every fit
     on it; gram[j] is row j of X'X, which is column j. Where n >= p, one
-    m.T @ m holds every row. Where p > n, row j is built on its first read
-    as X'x_j by itself, so its bits depend on (X, j) only, and kept in
-    blocks of 64 rows; the diagonal is one einsum. NumericalError as
-    ``linalg.normal_equations`` raises it, and per row."""
+    m.T @ m holds every row. Where p > n, the store keeps the rows of the
+    running fit's nonzero coordinates, in blocks of 64 slots, and the
+    diagonal is one einsum:
+
+    - row j is built on its first read as X'x_j by itself, so its bits
+      depend on (X, j) only, and a row built again has the same bits;
+    - ``release(j)`` marks row j as one whose coordinate has moved to
+      zero; it stays readable until its slot is taken;
+    - a new row takes the next free slot of the last block; when every
+      block is full, the slot of a released row whose coordinate is still
+      zero in ``fit``, the running fit's coefficient list; only then a new
+      block. A store that fits in its blocks drops no row;
+    - ``pack()``, once 64 released rows are still zero and there is more
+      than one block, moves the other rows in place to the lowest slots
+      and frees the blocks left empty.
+
+    NumericalError as ``linalg.normal_equations`` raises it, and per row."""
 
     def __init__(self, m, v):
         self.m, self.v = m, v
         if m.shape[0] >= m.shape[1]:
             block, self.xty = linalg.normal_equations(m, v)
-            self.diag, self.rows = block.diagonal(), block.__getitem__  # rows(idx) is block[idx]
+            self.diag = block.diagonal()
+            self.rows = block.__getitem__  # rows(idx) is block[idx]
+            self.cell = lambda idx: _take(block, idx, idx)
+            self.release = self.pack = lambda *_: None
             self.update(enumerate(block))
         else:
             self.diag = linalg.finite("X'X", lambda: np.einsum("ij,ij->j", m, m))
             self.xty = linalg.finite("X'Y", lambda: m.T @ v)
             linalg.require_resolved(m, self.diag)
-            # row j is blocks[k // 64][k % 64], k = slot[j], once built
-            self.blocks, self.slot = [], np.full(m.shape[1], -1)
+            # row j is blocks[k // 64][k % 64], k = slot[j], while held;
+            # slots below ``used`` are taken
+            self.blocks, self.slot, self.used = [], np.full(m.shape[1], -1), 0
+            self.fit = [0.0] * m.shape[1]
+            self.released = {}  # insertion-ordered, oldest first
 
     def __missing__(self, j):
-        """Row j, built by itself and kept in the next free block slot."""
+        """Row j, built by itself, in the slot ``_take_slot`` gives it."""
         column = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])
-        k = self.slot[j] = len(self)
-        if k % 64 == 0:
-            self.blocks.append(np.empty((64, self.slot.size)))
-        row = self[j] = self.blocks[-1][k % 64]
+        k = self.slot[j] = self._take_slot()
+        row = self[j] = self.blocks[k // 64][k % 64]
         row[:] = column
         return row
 
-    def rows(self, idx):
-        """Rows ``idx`` (distinct indices) of X'X, stacked in a new array."""
+    def _take_slot(self):
+        """The slot for a new row, by the rule in the class docstring; the
+        oldest released rows are looked at first."""
+        if self.used == 64 * len(self.blocks):
+            while self.released:
+                i = next(iter(self.released))
+                del self.released[i]
+                if self.fit[i] == 0.0:
+                    k, self.slot[i] = self.slot[i], -1
+                    del self[i]
+                    return k
+            self.blocks.append(np.empty((64, self.slot.size)))
+        self.used += 1
+        return self.used - 1
+
+    def release(self, j):
+        """Row j's coordinate has moved to zero: its slot may be taken."""
+        self.released[j] = None
+
+    def pack(self):
+        """Free the blocks that the rows of ``fit``'s nonzeros leave empty
+        once 64 released rows are still zero, copying no block."""
+        if len(self.released) < 64 or len(self.blocks) < 2:
+            return
+        self.released = {j: None for j in self.released if self.fit[j] == 0.0}
+        if len(self.released) < 64:
+            return
+        self.released.clear()
+        held = np.flatnonzero(self.slot >= 0)
+        zero = np.array(self.fit)[held] == 0.0
+        for j in held[zero].tolist():
+            del self[j]
+        self.slot[held[zero]] = -1
+        live = held[~zero]
+        for t, j in enumerate(live[np.argsort(self.slot[live])].tolist()):
+            s = self.slot[j]
+            if s != t:
+                row = self[j] = self.blocks[t // 64][t % 64]
+                row[:] = self.blocks[s // 64][s % 64]
+                self.slot[j] = t
+        self.used = live.size
+        del self.blocks[-(-self.used // 64):]
+
+    def rows(self, idx, cols=None):
+        """Rows ``idx`` (distinct indices) of X'X, or their entries in
+        columns ``cols``, stacked in a new array."""
         for j in idx[self.slot[idx] < 0].tolist():
             self[j]
         k = self.slot[idx]
         if len(self.blocks) == 1:
-            return self.blocks[0][k]
-        out = np.empty((k.size, self.slot.size))
+            return _take(self.blocks[0], k, cols)
+        out = np.empty((k.size, self.slot.size if cols is None else cols.size))
         for b, block in enumerate(self.blocks):
-            out[k // 64 == b] = block[k[k // 64 == b] % 64]
+            inside = k // 64 == b
+            out[inside] = _take(block, k[inside] % 64, cols)
         return out
+
+    def cell(self, idx):
+        """X'X at rows and columns ``idx``, gathered from the blocks into
+        a new |idx| x |idx| array."""
+        return self.rows(idx, idx)
+
+
+def _take(block, rows, cols):
+    """block[rows], or its entries in columns ``cols`` (all for None)."""
+    return block[rows] if cols is None else block[rows[:, None], cols]
 
 
 def _gram_times(gram, beta):
-    """X'X @ beta from the ``_Gram`` rows at beta's nonzeros: exact zeros
-    for a zero beta, and a NaN coefficient is nonzero, so it passes on."""
+    """X'X @ beta from the ``_Gram`` rows at beta's nonzeros, packed
+    first: exact zeros for a zero beta, and a NaN coefficient is nonzero,
+    so it passes on."""
+    gram.pack()
     support = np.flatnonzero(beta)
     return beta[support] @ gram.rows(support)
 
@@ -292,7 +373,7 @@ def _polish(gram: _Gram, lam: float, pen: PenaltySpec, beta):
         current, k = point[active], pieces[active]
         signs = np.sign(current)
         shift, pull = lam * curvature[k], signs * linear[k]
-        cell = gram.rows(active)[:, active]
+        cell = gram.cell(active)
         cell[np.diag_indices_from(cell)] += shift
         try:
             if active.size > m.shape[0] and (shift <= 0.0).all():

@@ -258,6 +258,39 @@ def within_beta_bound(beta, ref) -> bool:
     return float(np.max(np.abs(beta - ref))) <= 1e-6 * max(1.0, float(np.max(np.abs(ref))))
 
 
+class CountingGram(solver._Gram):
+    """solver._Gram that logs, per store, each row it builds and, at that
+    moment, the blocks it holds and the fit's nonzero count, and counts
+    the slots it gives to a new row from a released one."""
+
+    def __init__(self, m, v):
+        super().__init__(m, v)
+        self.built, self.most_blocks, self.most_support, self.reused = [], 0, 0, 0
+        CountingGram.made.append(self)
+
+    def _take_slot(self):
+        used = self.used
+        k = super()._take_slot()
+        self.reused += self.used == used
+        return k
+
+    def __missing__(self, j):
+        support = sum(c != 0.0 for c in self.fit)
+        row = super().__missing__(j)
+        self.built.append(j)
+        self.most_blocks = max(self.most_blocks, len(self.blocks))
+        self.most_support = max(self.most_support, support)
+        return row
+
+    @classmethod
+    def watch(cls, monkeypatch) -> list:
+        """Make every store of the solver one of these; the list fills
+        with the stores made."""
+        cls.made = []
+        monkeypatch.setattr(solver, "_Gram", cls)
+        return cls.made
+
+
 class TestKernelMatchesReference:
     """solve's sweep against the plain numpy loop in oracles, which has the
     same update order and arithmetic but no polish. A fit without an
@@ -362,6 +395,25 @@ class TestKernelMatchesReference:
             warm = beta
         assert max(sweeps_seen) > 64
         assert polished > 0
+
+    @pytest.mark.parametrize("pen", [lasso(), mcp(1.5)])
+    def test_wide_cold_start_whose_store_reuses_slots(self, pen, monkeypatch):
+        # a 40 x 600 fit reads more rows than its one block has slots, so
+        # rows of coordinates back at zero give up their slots; plain
+        # sweeps stay the reference's bit for bit
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 600))
+        y = x[:, :5] @ rng.uniform(1.0, 2.0, 5) + 0.5 * rng.standard_normal(40)
+        lam = 0.1 * lambda_max(x, y)
+        store = CountingGram.watch(monkeypatch)
+        fit = solve(x, y, lam, pen)
+        beta, sweeps, converged = oracles.coordinate_descent_reference(x, y, lam, pen)
+        self.assert_matches(fit, beta, sweeps, converged, pen.kind)
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
+        plain = solve(x, y, lam, pen)
+        assert not self.assert_matches(plain, beta, sweeps, converged, pen.kind)
+        for gram in store:
+            assert (gram.most_blocks, gram.reused > 0) == (1, True)
 
 
 class TestPolish:
@@ -704,7 +756,162 @@ class TestSharedGram:
 class TestGramStore:
     """X'X through solver._Gram: where p > n, row j is built on its first
     read as X'x_j alone, so its bits are the same whichever rows were
-    built before it, and a fit holds only the rows it has read."""
+    built before it, and are the same again when a released row is built
+    once more; the store holds the rows of the fit's nonzeros, released
+    rows until their slots are taken, and no block it does not need."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        p=st.integers(7, 300),
+        rounds=st.lists(st.tuples(st.integers(0, 150), st.floats(0.0, 1.0), st.booleans()), min_size=1, max_size=6),
+    )
+    def test_rows_keep_their_bits_through_releases_reuses_and_packs(self, seed, n, p, rounds):
+        # as in a fit: a row is read for a coordinate made nonzero, and
+        # released when its coordinate goes back to zero; each round reads
+        # rows, releases a share of the nonzeros, may pack, and gathers
+        # the nonzeros' rows and cell
+        x, y = tall_problem(seed=seed, n=n, p=p)
+        rng = np.random.default_rng(seed)
+        gram = solver._Gram(x, y)
+        fit = gram.fit
+        for reads, share, pack in rounds:
+            for j in rng.integers(0, p, size=reads).tolist():
+                fit[j] = 1.0
+                assert gram[j].tobytes() == (x.T @ x[:, j]).tobytes()
+            nonzero = np.flatnonzero(fit)
+            for j in nonzero[rng.random(nonzero.size) < share].tolist():
+                fit[j] = 0.0
+                gram.release(j)
+            if pack:
+                gram.pack()
+            nonzero = np.flatnonzero(fit)
+            stacked = gram.rows(nonzero)
+            assert stacked.tobytes() == np.array([x.T @ x[:, k] for k in nonzero]).reshape(-1, p).tobytes()
+            assert gram.cell(nonzero).tobytes() == stacked[:, nonzero].tobytes()
+            # every nonzero's row is held, each held row has its own slot
+            # below ``used``, and the blocks are the fewest that hold them
+            held = np.flatnonzero(gram.slot >= 0)
+            assert set(nonzero) <= set(held) == set(gram)
+            assert sorted(gram.slot[held]) == list(range(gram.used))
+            assert len(gram.blocks) == -(-gram.used // 64)
+            for j in held.tolist():
+                assert gram[j].tobytes() == (x.T @ x[:, j]).tobytes()
+
+    def test_a_store_reuses_packs_and_builds_again(self):
+        x, y = tall_problem(seed=39, n=5, p=300)
+        gram = solver._Gram(x, y)
+        fit = gram.fit
+        for j in range(130):  # three blocks
+            fit[j] = 1.0
+            gram[j]
+        assert (len(gram.blocks), gram.used) == (3, 130)
+        for j in range(100):
+            fit[j] = 0.0
+            gram.release(j)
+        for j in range(130, 192):  # the last block has room
+            fit[j] = 1.0
+            gram[j]
+        assert (len(gram.blocks), gram.used, len(gram)) == (3, 192, 192)
+        for j in range(192, 242):  # then the oldest released slots
+            fit[j] = 1.0
+            gram[j]
+        assert (len(gram.blocks), gram.used, len(gram)) == (3, 192, 192)
+        assert 49 not in gram and 50 in gram and gram.slot[192] == 0
+        for j in range(100, 120):  # released, then nonzero again
+            fit[j] = 0.0
+            gram.release(j)
+            fit[j] = 1.0
+        gram.pack()  # 50 of 70 released rows still zero: too few
+        assert (len(gram.blocks), gram.used, len(gram)) == (3, 192, 192)
+        for j in range(150, 170):
+            fit[j] = 0.0
+            gram.release(j)
+        gram.pack()  # 70: the 122 rows of nonzeros fit in two blocks
+        assert (len(gram.blocks), gram.used, len(gram)) == (2, 122, 122)
+        # in slot order: 192-241 in the slots of 0-49, then 100-149 and 170-191
+        assert [int(gram.slot[j]) for j in (192, 241, 100, 149, 170, 191)] == [0, 49, 50, 99, 100, 121]
+        fit[0] = 1.0  # built again, in the next free slot
+        assert gram[0].tobytes() == (x.T @ x[:, 0]).tobytes()
+        assert (len(gram.blocks), gram.used, int(gram.slot[0])) == (2, 123, 122)
+        kept = np.flatnonzero(fit)
+        assert gram.rows(kept).tobytes() == np.array([x.T @ x[:, k] for k in kept]).tobytes()
+        assert gram.cell(kept).tobytes() == (np.array([x.T @ x[:, k] for k in kept])[:, kept]).tobytes()
+
+    @pytest.mark.parametrize("n, p", [(12, 5), (5, 12), (5, 200)])
+    def test_a_cell_is_the_rows_at_its_columns(self, n, p):
+        x, y = tall_problem(seed=42, n=n, p=p)
+        gram = solver._Gram(x, y)
+        idx = np.array([p - 1, 0, 3])
+        assert gram.cell(idx).tobytes() == gram.rows(idx)[:, idx].tobytes()
+
+    def test_one_block_is_never_packed(self):
+        x, y = tall_problem(seed=41, n=5, p=100)
+        gram = solver._Gram(x, y)
+        for j in range(64):
+            gram.fit[j] = 1.0
+            gram[j]
+        for j in range(64):
+            gram.fit[j] = 0.0
+            gram.release(j)
+        gram.pack()
+        assert (len(gram.blocks), gram.used, len(gram)) == (1, 64, 64)
+
+    def test_a_store_that_fits_in_one_block_builds_no_row_twice(self, monkeypatch):
+        # verify's p <= 36 designs and a 12 x 64 one, through paths and
+        # dense multistart starts, as the MC+ path of bench wide_path
+        # reads its 64 rows
+        designs = [wide_problems(seed)[:2] for seed in range(4)]
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((12, 64))
+        designs.append((x, x[:, :3] @ np.array([2.0, -1.0, 1.5]) + 0.3 * rng.standard_normal(12)))
+        store = CountingGram.watch(monkeypatch)
+        for x, y in designs:
+            top = lambda_max(x, y)
+            for pen in (lasso(), mcp(1.5)):
+                solve_path(x, y, np.geomspace(top, 1e-3 * top, 30), pen)
+                multistart_local_minima(x, y, 0.1 * top, pen, 6)
+        assert len(store) == 2 * 2 * len(designs)
+        for gram in store:
+            assert gram.most_blocks == 1
+            assert len(gram.built) == len(set(gram.built))
+            # every row held for a zero coordinate, by a sweep or a polish, is released
+            assert {j for j in gram if gram.fit[j] == 0.0} <= set(gram.released)
+        assert max(len(gram.built) for gram in store) == 64
+
+    @pytest.mark.parametrize("argv", [["fit", "--lambda", "1.7"], ["path"]])
+    @pytest.mark.parametrize("pen", ["lasso", "mcp"])
+    def test_the_wider_goldens_reach_released_slots(self, argv, pen, monkeypatch, capsys):
+        # the golden cases on wider.csv hold more than one block, and
+        # give released rows' slots to new rows
+        from puffer_lasso.cli import main
+
+        store = CountingGram.watch(monkeypatch)
+        wider = Path(__file__).parent / "golden" / "wider.csv"
+        assert main([*argv, "--input", str(wider), "--response", "y", "--penalty", pen]) == 0
+        capsys.readouterr()
+        (gram,) = store
+        assert gram.most_blocks > 1 and gram.reused > 0
+
+    def test_blocks_are_bounded_by_the_largest_support(self, monkeypatch):
+        # the blocks a puffer_tau fit holds are bounded by the most
+        # nonzeros it has at once, not by the rows it reads: it reads 388
+        # distinct rows, which would take 7 blocks, where the support
+        # needs 5
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((200, 2000))
+        signal = np.zeros(2000)
+        signal[:20] = rng.uniform(0.5, 2.0, 20) * rng.choice([-1.0, 1.0], 20)
+        pair = puffer_tau(x, x @ signal + 0.5 * rng.standard_normal(200), 1.0)
+        store = CountingGram.watch(monkeypatch)
+        fit = solve(pair.x_tilde, pair.y_tilde, 0.05 * lambda_max(pair.x_tilde, pair.y_tilde), lasso())
+        (gram,) = store
+        assert fit.converged
+        assert gram.most_blocks <= math.ceil((gram.most_support + 1) / 64) == 5
+        assert math.ceil(len(set(gram.built)) / 64) > 5
+        # the refreshes packed: the fit ends on fewer blocks than it held
+        assert len(gram.blocks) < gram.most_blocks
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 8), extra=st.integers(1, 150), data=st.data())
