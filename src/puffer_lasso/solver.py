@@ -218,7 +218,7 @@ class _Gram(dict):
     - a new row takes the next free slot of the last block; when every
       block is full, the slot of a released row whose coordinate is still
       zero in ``fit``, the running fit's coefficient list; only then a new
-      block. A store that fits in its blocks drops no row;
+      block. A store that fits in its blocks evicts no row;
     - ``pack()``, once 64 released rows are still zero and there is more
       than one block, moves the other rows in place to the lowest slots
       and frees the blocks left empty.
