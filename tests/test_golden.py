@@ -35,6 +35,7 @@ repository root; it rewrites the named cases, or every case when none is
 named.
 """
 
+import csv
 import functools
 import json
 import math
@@ -66,6 +67,7 @@ TRANSFORMS = {"tall": (("puffer",), ("puffer_scaled",)), "wide": (("puffer_tau",
 
 def _cases() -> dict[str, list[str]]:
     cases = {"verify.json": ["verify", "--seed", "0", "--trials", "2"]}
+    cases["verify.csv"] = [*cases["verify.json"], "--format", "csv"]
     for data in ("tall", "wide"):
         source = ["--input", f"{data}.csv", "--response", "y"]
         for pen in PENALTIES:
@@ -118,6 +120,12 @@ def load(text: str):
     """JSON with every number kept as its literal text, so that equal
     strings mean equal bytes (json would read -0 and 0 as one int)."""
     return json.loads(text, parse_int=Number, parse_float=Number)
+
+
+def report_rows(text: str) -> list[dict]:
+    """The reports of a ``verify --format csv`` output, every cell as its
+    text and ``details`` read as ``load`` reads JSON."""
+    return [{**row, "details": load(row["details"])} for row in csv.DictReader(StringIO(text))]
 
 
 def key_tree(obj):
@@ -185,7 +193,11 @@ class Comparator:
 
     def verify(self, new, old):
         assert new["all_passed"] == old["all_passed"], self.name
-        for report, ref in zip(new["reports"], old["reports"]):
+        self.reports(new["reports"], old["reports"])
+
+    def reports(self, new, old):
+        assert len(new) == len(old), self.name
+        for report, ref in zip(new, old):
             where = (self.name, ref["theorem_id"])
             for key in ("theorem_id", "trials", "tolerance", "passed"):
                 assert report[key] == ref[key], (where, key)
@@ -210,6 +222,15 @@ class Comparator:
             return
         self.floats([r.split(",") for r in rows_new[1:]], [r.split(",") for r in rows_old[1:]], self.name)
 
+    def verify_table(self, new: str, old: str):
+        """``verify --format csv``: one row per report, each held to the
+        JSON golden's rules, and the whole text byte-equal on the
+        recorded stack."""
+        assert new.splitlines()[0] == old.splitlines()[0], self.name
+        if self.same_stack:
+            assert new == old, self.name
+        self.reports(report_rows(new), report_rows(old))
+
     def coefficients(self, new: str, old: str):
         """``fit``/``path --format csv``: rows of lambda, feature, coefficient."""
         rows_new, rows_old = new.splitlines(), old.splitlines()
@@ -233,6 +254,8 @@ def compare(name: str, new: str, old: str, same_stack: bool) -> None:
     check = Comparator(name, same_stack)
     if name.startswith("precondition"):
         check.precondition(new, old)
+    elif name == "verify.csv":
+        check.verify_table(new, old)
     elif name.endswith(".csv"):
         check.coefficients(new, old)
     else:
@@ -374,6 +397,42 @@ def test_comparator_rejects_a_csv_coefficient_off(same_stack):
     cells[i][2] = "%.17g" % value
     with pytest.raises(AssertionError):
         compare(name, head + "".join(",".join(c) + "\n" for c in cells), golden, same_stack=same_stack)
+
+
+def _verify_cell_edited(report: int, column: str, edit) -> str:
+    """verify.csv with one cell of one report's row replaced by edit(cell)."""
+    rows = list(csv.reader(StringIO((GOLDEN / "verify.csv").read_text())))
+    row = rows[report + 1]
+    i = rows[0].index(column)
+    row[i] = edit(row[i])
+    out = StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+# label -> (report, column, edit, rejected on the recorded stack, rejected off it)
+VERIFY_CSV_EDITS = {
+    "report fails": (0, "passed", lambda _: "false", True, True),
+    "discrepancy above its gate": (1, "max_discrepancy", lambda _: "2e-06", True, True),
+    "discrepancy one ulp off": (3, "max_discrepancy", lambda c: repr(float(_next_up(c))), True, False),
+    "count changes": (5, "details", lambda c: c.replace('"pairs_checked":97', '"pairs_checked":48'), True, True),
+    "trials change": (2, "trials", lambda _: "3", True, True),
+    "worst case seed": (3, "worst_case_seed", lambda _: "7", True, False),
+}
+
+
+@pytest.mark.parametrize("same_stack", [True, False])
+@pytest.mark.parametrize("edit", sorted(VERIFY_CSV_EDITS))
+def test_comparator_on_verify_csv(edit, same_stack):
+    report, column, change, *rejected = VERIFY_CSV_EDITS[edit]
+    golden = (GOLDEN / "verify.csv").read_text()
+    edited = _verify_cell_edited(report, column, change)
+    assert edited != golden
+    if rejected[not same_stack]:
+        with pytest.raises(AssertionError):
+            compare("verify.csv", edited, golden, same_stack=same_stack)
+    else:
+        compare("verify.csv", edited, golden, same_stack=same_stack)
 
 
 def test_comparator_rejects_a_renamed_csv_feature_off_the_stack():
