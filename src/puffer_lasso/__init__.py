@@ -28,6 +28,7 @@ from .preconditioners import (
     puffer_scaled,
     puffer_tau,
     ridge_via_precond,
+    rowspace_projector,
     scaling_matrix,
 )
 from .solver import (
@@ -71,6 +72,7 @@ __all__ = [
     "rank_of",
     "ridge",
     "ridge_via_precond",
+    "rowspace_projector",
     "scad",
     "scaling_matrix",
     "sigma_hat",

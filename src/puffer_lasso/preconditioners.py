@@ -93,18 +93,41 @@ def puffer_tau(x, y, tau: float) -> PreconditionedPair:
     return PreconditionedPair((uw @ f.u.T) @ m, y_tilde, tau=tau)
 
 
+def rowspace_projector(x, tau: float):
+    """v -> X'(XX' + tau I)^-1 X v, the map ``project_rowspace`` applies,
+    with X factored once for every vector it projects.
+
+    Building it checks nothing. Its first call runs ``project_rowspace``'s
+    checks in their order (X, v, tau, the tau = 0 rank check, XX') and
+    raises their records; once a call has passed them, later calls
+    validate v alone. Every call takes the same products and solve as
+    ``project_rowspace``, to the bit.
+    """
+    factored = None  # (X, XX' + tau I) once a call has passed the checks
+
+    def project(v) -> np.ndarray:
+        nonlocal factored
+        if factored is None:
+            m, _ = linalg.as_design(x, name="project_rowspace", needs="p >= n")
+            vec = linalg.as_vector(v, m.shape[1])
+            linalg.require_scalar("tau", tau)
+            if tau == 0.0:
+                linalg.require_full_rank(linalg._wide_svd(m), shape=m.shape)
+            gram = linalg.finite("XX'", lambda: m @ m.T)
+            linalg.require_resolved(m.T, gram.diagonal(), "XX'")
+            factored = m, gram + tau * np.eye(m.shape[0])
+        else:
+            vec = linalg.as_vector(v, factored[0].shape[1])
+        m, shifted = factored
+        return m.T @ np.linalg.solve(shifted, m @ vec)
+
+    return project
+
+
 def project_rowspace(x, v, tau: float) -> np.ndarray:
     """Apply X'(XX' + tau I)^-1 X to v; at tau = 0 this projects onto the
     row space of X (and requires it to be full)."""
-    m, _ = linalg.as_design(x, name="project_rowspace", needs="p >= n")
-    vec = linalg.as_vector(v, m.shape[1])
-    linalg.require_scalar("tau", tau)
-    if tau == 0.0:
-        linalg.require_full_rank(linalg._wide_svd(m), shape=m.shape)
-    gram = linalg.finite("XX'", lambda: m @ m.T)
-    linalg.require_resolved(m.T, gram.diagonal(), "XX'")
-    w = np.linalg.solve(gram + tau * np.eye(m.shape[0]), m @ vec)
-    return m.T @ w
+    return rowspace_projector(x, tau)(v)
 
 
 def ridge_via_precond(x, y, tau: float) -> np.ndarray:

@@ -300,10 +300,12 @@ def _converged_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8):
     return converged, len(fits) - len(converged)
 
 
-def _project(x, v, tau: float) -> np.ndarray:
-    """P_tau(v), or NaN where v is not finite: the gap is NaN, and _report raises."""
-    finite = np.isfinite(v).all()
-    return preconditioners.project_rowspace(x, v, tau) if finite else np.full_like(v, np.nan)
+def _project(project, v) -> np.ndarray:
+    """project(v), for a ``preconditioners.rowspace_projector``, or NaN where
+    v is not finite: the gap is NaN, and _report raises. thm3 and eq10_gap
+    build one projector per trial, so X is factored once for all the
+    vectors the trial projects."""
+    return project(v) if np.isfinite(v).all() else np.full_like(v, np.nan)
 
 
 def check_lemma1(trials: int, *, seed: int = 0) -> TheoremReport:
@@ -393,6 +395,7 @@ def check_theorem3(
         x, y, _ = wide_problems(s)
         pair = preconditioners.puffer_tau(x, y, tau)
         ridge_fit = estimators.ridge(x, y, tau)
+        project = preconditioners.rowspace_projector(x, tau)
         lmax = solver.lambda_max(pair.x_tilde, pair.y_tilde)
         active_worst = inactive_worst = 0.0
         skipped = checked = 0
@@ -401,7 +404,7 @@ def check_theorem3(
             skipped += excluded
             checked += len(fits)
             for fit in fits:
-                gap = ridge_fit - _project(x, fit.beta, tau)
+                gap = ridge_fit - _project(project, fit.beta)
                 active = fit.beta != 0.0
                 expected = [lam * pen_derivative(pen, float(b)) for b in fit.beta[active]]
                 active_worst = np.maximum(active_worst, np.max(np.abs(gap[active] - expected), initial=0.0))
@@ -424,7 +427,10 @@ def check_theorem3(
 
 def check_lemma2(trials: int, *, seed: int = 0) -> TheoremReport:
     """Both factorization identities behind the ridge connection, compared
-    against direct linear solves over randomized (X, v, Y, tau) tuples."""
+    against direct linear solves over randomized (X, v, Y, tau) tuples.
+    Both factored sides read the trial's one puffer_tau pair (the ridge
+    side is ridge_via_precond's product); the direct sides,
+    project_rowspace and estimators.ridge, each factor X on their own."""
     taus = (0.0, 0.1, 1.0, 10.0)
 
     def trial(s: int) -> tuple[float]:
@@ -436,7 +442,7 @@ def check_lemma2(trials: int, *, seed: int = 0) -> TheoremReport:
         proj_direct = preconditioners.project_rowspace(x, v, tau)
         proj_factored = pair.x_tilde.T @ (pair.x_tilde @ v)
         ridge_direct = estimators.ridge(x, y, tau)
-        ridge_factored = preconditioners.ridge_via_precond(x, y, tau)
+        ridge_factored = pair.x_tilde.T @ pair.y_tilde
         gaps = np.concatenate([proj_direct - proj_factored, ridge_direct - ridge_factored])
         return (float(np.max(np.abs(gaps))),)
 
@@ -454,6 +460,7 @@ def check_local_min_gap(trials: int, *, seed: int = 0) -> TheoremReport:
     def trial(s: int) -> tuple[float, int, int]:
         x, y, _ = clustered_wide_problems(s)
         pair = preconditioners.puffer_tau(x, y, 0.0)
+        project = preconditioners.rowspace_projector(x, 0.0)
         lmax = solver.lambda_max(pair.x_tilde, pair.y_tilde)
         groups: list[tuple[float, np.ndarray]] = []
         skipped = 0
@@ -465,7 +472,7 @@ def check_local_min_gap(trials: int, *, seed: int = 0) -> TheoremReport:
                 groups += [(lam, fit.beta) for fit in fits]
         # a pair whose distance is NaN counts as distinct
         excess = [
-            np.max(np.abs(_project(x, beta1 - beta2, 0.0))) - (lam1 + lam2)
+            np.max(np.abs(_project(project, beta1 - beta2))) - (lam1 + lam2)
             for (lam1, beta1), (lam2, beta2) in itertools.combinations(groups, 2)
             if not np.max(np.abs(beta1 - beta2)) <= solver.DISTINCT_TOL
         ]

@@ -276,13 +276,30 @@ VERIFY_SEED0_REPORTS = [
 # recorded on (tests/golden/stack.json), with any number of BLAS threads
 VERIFY_SEED0_SHA256 = "e9d28d005cdcc430f105c4afc54d965a451d7f66b693d03b7a442657f70b0120"
 STACK = Path(__file__).resolve().parent / "golden" / "stack.json"
+# wide factorizations (linalg._wide_svd calls) that verify --seed 0 makes:
+# 620 in puffer_tau, one per trial; 72 in the projectors of thm3 at tau = 0
+# and of eq10_gap, one per trial; and 125 in lemma2's direct projections,
+# one per tau = 0 trial. Each projected vector took its own: 4,644 in all.
+VERIFY_SEED0_WIDE_FACTORIZATIONS = 817
+# python -m puffer_lasso with linalg._wide_svd counted; the count is the
+# last stderr line
+COUNTED_MAIN = """
+import runpy, sys
+from puffer_lasso import linalg
+calls, factor = [], linalg._wide_svd
+linalg._wide_svd = lambda m: calls.append(None) or factor(m)
+try:
+    runpy.run_module("puffer_lasso", run_name="__main__", alter_sys=True)
+finally:
+    print(f"wide factorizations: {len(calls)}", file=sys.stderr)
+"""
 
 
 def test_criterion_9_cli_verify_end_to_end(tmp_path):
     out = tmp_path / "verify.json"
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "puffer_lasso", "verify", "--seed", "0", "--output", str(out)],
+        [sys.executable, "-c", COUNTED_MAIN, "verify", "--seed", "0", "--output", str(out)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -302,6 +319,7 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 300.0
     assert len(reports) == 9
+    assert proc.stderr.splitlines()[-1] == f"wide factorizations: {VERIFY_SEED0_WIDE_FACTORIZATIONS}"
     assert payload["result"]["all_passed"] is True
     assert [r["theorem_id"] for r in reports] == [e[0] for e in VERIFY_SEED0_REPORTS]
     for r, (theorem_id, trials, tolerance, details) in zip(reports, VERIFY_SEED0_REPORTS):

@@ -18,6 +18,7 @@ from puffer_lasso.preconditioners import (
     puffer_scaled,
     puffer_tau,
     ridge_via_precond,
+    rowspace_projector,
     scaling_matrix,
 )
 from puffer_lasso.solver import solve
@@ -581,6 +582,86 @@ class TestProjectRowspace:
     def test_shape_checked_before_vector(self, v):
         with pytest.raises(DataError, match=r"^project_rowspace requires p >= n, got n=4, p=3$"):
             project_rowspace(np.ones((4, 3)), v, 0.0)
+
+
+RANK_DEFICIENT = np.vstack([np.ones(5), np.ones(5)])
+# (x, v, tau) that fail at X, v, tau and rank in that order, each also
+# carrying every later fault, and the record the first fault raises
+PRECEDENCE = {
+    "x": ((RANK_DEFICIENT * [[1.0], [np.nan]], np.full(5, np.nan), math.nan), DataError, r"^matrix contains NaN or Inf entries$"),
+    "x_shape": ((np.ones((6, 5)), np.ones(4), math.nan), DataError, r"^project_rowspace requires p >= n, got n=6, p=5$"),
+    "v": ((RANK_DEFICIENT, np.full(5, np.nan), math.nan), DataError, r"^vector contains NaN or Inf entries$"),
+    "v_length": ((RANK_DEFICIENT, np.ones(4), -1.0), DataError, r"^expected vector of length 5, got 4$"),
+    "tau": ((RANK_DEFICIENT, np.ones(5), math.nan), ValueError, r"^tau must be finite, got nan$"),
+    "tau_sign": ((RANK_DEFICIENT, np.ones(5), -1.0), ValueError, r"^tau must be nonnegative, got -1.0$"),
+    "rank": ((RANK_DEFICIENT, np.ones(5), 0.0), RankError, r"^matrix is row-rank deficient: rank 1 < 2 rows "),
+}
+
+
+class TestRowspaceProjector:
+    """rowspace_projector(x, tau) is project_rowspace with X factored once:
+    its first call runs project_rowspace's checks, in their order, and
+    every call returns project_rowspace's bytes."""
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("family", WIDE_FAMILIES)
+    def test_bytes_equal_project_rowspace(self, family, tau):
+        problem, _ = WIDE_FAMILIES[family]
+        for seed in range(5):
+            x, _ = problem(seed)
+            rng = np.random.default_rng(seed + 7)
+            vectors = [*rng.standard_normal((8, x.shape[1])), x.T @ rng.standard_normal(x.shape[0]), np.zeros(x.shape[1])]
+            project = rowspace_projector(x, tau)
+            for i, v in enumerate(vectors):
+                assert project(v).tobytes() == project_rowspace(x, v, tau).tobytes(), (seed, i)
+
+    def test_factors_once(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        x, _ = wide_problem(40, 6, 20)
+        project = rowspace_projector(x, 0.0)
+        assert calls == []
+        for v in np.random.default_rng(1).standard_normal((5, 20)):
+            project(v)
+        assert calls == [("qr", (20, 6)), ("svd", (6, 6))]
+        calls.clear()
+        project = rowspace_projector(x, 1.0)
+        project(np.ones(20))
+        assert calls == []
+
+    @pytest.mark.parametrize("fault", PRECEDENCE)
+    def test_error_precedence(self, fault):
+        (x, v, tau), error, record = PRECEDENCE[fault]
+        with pytest.raises(error, match=record):
+            project_rowspace(x, v, tau)
+        project = rowspace_projector(x, tau)
+        for _ in range(2):  # a failed call leaves the checks to the next one
+            with pytest.raises(error, match=record):
+                project(v)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "scale, record",
+        [(1e160, r"^XX' overflows float64; rescale the data$"), (1e-165, r"^XX' underflows float64; rescale the data$")],
+        ids=["overflow", "underflow"],
+    )
+    def test_out_of_range_raises_at_first_projection(self, scale, record, tau):
+        x, _ = wide_problem(30, 6, 12)
+        project = rowspace_projector(x * scale, tau)
+        for call in (project, lambda v: project_rowspace(x * scale, v, tau)):
+            with pytest.raises(NumericalError, match=record):
+                call(np.ones(12))
+
+    def test_checks_run_until_a_call_passes_them(self):
+        # a bad first vector factors nothing for later calls to skip: the
+        # next good vector runs every check and projects as project_rowspace
+        x, _ = wide_problem(14)
+        project = rowspace_projector(x, 0.0)
+        with pytest.raises(DataError, match=r"^vector contains NaN or Inf entries$"):
+            project(np.full(7, np.nan))
+        v = np.arange(7.0)
+        assert project(v).tobytes() == project_rowspace(x, v, 0.0).tobytes()
+        with pytest.raises(DataError, match=r"^expected vector of length 7, got 3$"):
+            project(np.ones(3))
 
 
 class TestRidgeViaPrecond:

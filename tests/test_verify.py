@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puffer_lasso import estimators, preconditioners, solver, verify
+from puffer_lasso import estimators, linalg, preconditioners, solver, verify
 from puffer_lasso.errors import NumericalError
 from puffer_lasso.penalties import elastic_net, lasso, mcp, scad
 from puffer_lasso.verify import (
@@ -63,6 +63,17 @@ def nan_result(module, name):
     return inject
 
 
+def nan_projections(monkeypatch):
+    """Every projector that rowspace_projector builds returns NaN."""
+    build = preconditioners.rowspace_projector
+
+    def nan_projector(x, tau):
+        project = build(x, tau)
+        return lambda v: np.full_like(project(v), np.nan)
+
+    monkeypatch.setattr(preconditioners, "rowspace_projector", nan_projector)
+
+
 def nan_minima(monkeypatch):
     minima = solver.multistart_local_minima
 
@@ -80,12 +91,12 @@ NAN_INJECTIONS = {
     "lemma1": (nan_fits, "lemma1", 2),
     "thm1": (nan_fits, "thm1", 2),
     "thm2": (nan_fits, "thm2", 2),
-    "thm3": (nan_result(preconditioners, "project_rowspace"), "thm3_active", 2),
+    "thm3": (nan_projections, "thm3_active", 2),
     "lemma2": (nan_result(estimators, "ridge"), "lemma2", 2),
-    "eq10_gap": (nan_result(preconditioners, "project_rowspace"), "eq10_gap", 4),
+    "eq10_gap": (nan_projections, "eq10_gap", 4),
     "thm1_general": (nan_fits, "thm1_general", 2),
     "thm2_general": (nan_fits, "thm2_general", 2),
-    # a non-finite local minimum used to reach project_rowspace's DataError
+    # a non-finite local minimum used to reach the projection's DataError
     "thm3/nan_minima": (nan_minima, "thm3_active", 1),
     "eq10_gap/nan_minima": (nan_minima, "eq10_gap", 1),
 }
@@ -409,6 +420,51 @@ class TestTheoremCounts:
         report = check_local_min_gap(verify.DEFAULT_TRIALS["eq10_gap"], seed=next(blocks))
         assert report.details["nonconverged_excluded"] == 0
         assert report.details["pairs_checked"] == 3081
+
+
+def count_wide_factorizations(monkeypatch) -> list:
+    """The shape of every design linalg._wide_svd factors from now on."""
+    calls = []
+    factor = linalg._wide_svd
+
+    def counted(m):
+        calls.append(m.shape)
+        return factor(m)
+
+    monkeypatch.setattr(linalg, "_wide_svd", counted)
+    return calls
+
+
+class TestProjectorFactorizations:
+    """thm3 and eq10_gap project every minimum of a trial through one
+    rowspace_projector, which factors X once at tau = 0 and not at all at
+    tau > 0; puffer_tau factors the trial's X once more, on its own."""
+
+    @pytest.mark.parametrize("tau, per_trial", [(0.0, 2), (0.1, 1)])
+    def test_theorem3(self, monkeypatch, tau, per_trial):
+        calls = count_wide_factorizations(monkeypatch)
+        active, _ = check_theorem3(trials=3, pen=mcp(), tau=tau, seed=3)
+        assert active.passed
+        assert len(calls) == per_trial * 3
+
+    def test_local_min_gap(self, monkeypatch):
+        calls = count_wide_factorizations(monkeypatch)
+        report = check_local_min_gap(trials=4, seed=0)
+        assert report.details["trials_without_pairs"] == 0
+        assert report.details["pairs_checked"] > 4
+        assert len(calls) == 2 * 4
+
+    def test_local_min_gap_without_pairs_projects_nothing(self, monkeypatch):
+        # one minimum per multistart leaves no distinct pair: the trial's
+        # projector is never called, so only puffer_tau factors X
+        def single_fit(x, y, lam, pen, starts=8):
+            return [solver.solve(x, y, 10.0 * solver.lambda_max(x, y), pen)]
+
+        monkeypatch.setattr(solver, "multistart_local_minima", single_fit)
+        calls = count_wide_factorizations(monkeypatch)
+        report = check_local_min_gap(trials=3, seed=0)
+        assert report.details["trials_without_pairs"] == 3
+        assert len(calls) == 3
 
 
 class TestQuantileHelper:
