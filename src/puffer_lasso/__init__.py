@@ -18,7 +18,6 @@ from .penalties import (
     pen_derivative,
     pen_value,
     scad,
-    soft_threshold,
     univariate_threshold,
 )
 from .preconditioners import (
@@ -27,9 +26,7 @@ from .preconditioners import (
     puffer,
     puffer_scaled,
     puffer_tau,
-    ridge_via_precond,
     rowspace_projector,
-    scaling_matrix,
 )
 from .solver import (
     FitResult,
@@ -71,12 +68,9 @@ __all__ = [
     "puffer_tau",
     "rank_of",
     "ridge",
-    "ridge_via_precond",
     "rowspace_projector",
     "scad",
-    "scaling_matrix",
     "sigma_hat",
-    "soft_threshold",
     "solve",
     "solve_path",
     "svd",

@@ -124,12 +124,6 @@ def mcp(gamma: float = MCP_DEFAULT_GAMMA) -> PenaltySpec:
     return PenaltySpec("mcp", gamma)
 
 
-def soft_threshold(x: float, lam: float) -> float:
-    """sign(x) * (|x| - lam)+, the Lasso's univariate solution map."""
-    require_scalar("threshold level", lam)
-    return _soft(require_scalar("x", x, None), lam)
-
-
 def _soft(z: float, level: float) -> float:
     # at level 0 the map is the identity, so a -0.0 survives
     if z > level:

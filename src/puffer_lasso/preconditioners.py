@@ -47,11 +47,6 @@ def puffer(x, y) -> PreconditionedPair:
     return PreconditionedPair(linalg.multiply_in_place(f.u, f.v.T), y_tilde)
 
 
-def scaling_matrix(x) -> np.ndarray:
-    """Diagonal of the right-scaling N: N_jj = sqrt of [(X'X)^-1]_jj."""
-    return np.sqrt(linalg.gram_inverse_diagonal(x))
-
-
 def puffer_scaled(x, y) -> PreconditionedPair:
     """Scaled transform: Puffer applied to X N, recording the N diagonal.
 
@@ -60,8 +55,7 @@ def puffer_scaled(x, y) -> PreconditionedPair:
     with the p x p products taken first: neither X N nor U Q is built.
     Y~ is taken first; then X~ is written over U, as ``puffer`` does.
     """
-    # N as scaling_matrix takes it, to the bit and with its error records
-    m, _ = linalg.as_design(x, name="gram_inverse_diagonal", needs="n > p")
+    m, _ = linalg.as_design(x, name="puffer_scaled", needs="n > p")
     f = linalg.svd(m)
     linalg.require_full_rank(f)
     n_diag = np.sqrt(linalg._gram_inverse_diagonal(f))
@@ -128,13 +122,3 @@ def project_rowspace(x, v, tau: float) -> np.ndarray:
     """Apply X'(XX' + tau I)^-1 X to v; at tau = 0 this projects onto the
     row space of X (and requires it to be full)."""
     return rowspace_projector(x, tau)(v)
-
-
-def ridge_via_precond(x, y, tau: float) -> np.ndarray:
-    """Ridge coefficients computed as (F_tau X)' F_tau Y.
-
-    Algebraically identical to estimators.ridge on the original data;
-    kept as a separate route so the identity can be tested.
-    """
-    pair = puffer_tau(x, y, tau)
-    return pair.x_tilde.T @ pair.y_tilde

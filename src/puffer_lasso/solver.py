@@ -223,7 +223,8 @@ class _Gram(dict):
       than one block, moves the other rows in place to the lowest slots
       and frees the blocks left empty.
 
-    NumericalError as ``linalg.normal_equations`` raises it, and per row."""
+    NumericalError as ``linalg.normal_equations`` raises it, then where
+    Y'Y leaves float64 (the objective squares the residual), and per row."""
 
     def __init__(self, m, v):
         self.m, self.v = m, v
@@ -243,6 +244,7 @@ class _Gram(dict):
             self.blocks, self.slot, self.used = [], np.full(m.shape[1], -1), 0
             self.fit = [0.0] * m.shape[1]
             self.released = {}  # insertion-ordered, oldest first
+        linalg.finite("Y'Y", lambda: v @ v)
 
     def __missing__(self, j):
         """Row j, built by itself, in the slot ``_take_slot`` gives it."""

@@ -429,7 +429,7 @@ def check_lemma2(trials: int, *, seed: int = 0) -> TheoremReport:
     """Both factorization identities behind the ridge connection, compared
     against direct linear solves over randomized (X, v, Y, tau) tuples.
     Both factored sides read the trial's one puffer_tau pair (the ridge
-    side is ridge_via_precond's product); the direct sides,
+    side is (F_tau X)' F_tau Y); the direct sides,
     project_rowspace and estimators.ridge, each factor X on their own."""
     taus = (0.0, 0.1, 1.0, 10.0)
 

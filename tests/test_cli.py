@@ -450,7 +450,7 @@ class TestEstimatorErrorRecords:
             (
                 ["fit", "--transform", "puffer_scaled", "--lambda", "0.1"],
                 np.arange(28.0).reshape(4, 7) % 3,
-                "gram_inverse_diagonal requires n > p, got n=4, p=6",
+                "puffer_scaled requires n > p, got n=4, p=6",
             ),
             (["fit", "--transform", "puffer_scaled", "--lambda", "0.1"], DUPLICATE_COLUMN, RANK_RECORD),
             # X'Y = 0, so the default grid's lambda_max is 0
@@ -685,6 +685,26 @@ class TestErrorHandling:
         # response orthogonal to every feature
         message = "X'X underflows float64; rescale the data"
         self.assert_exit_three(tmp_path, capsys, argv + transform, shape, 1e-165, message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--lambda", "0.1"],
+            ["fit", "--lambda", "0.1", "--transform", "puffer"],
+            ["fit", "--lambda", "0.1", "--transform", "puffer_scaled"],
+            ["path"],
+        ],
+        ids=["fit", "fit_puffer", "fit_puffer_scaled", "path"],
+    )
+    def test_overflowing_response_exits_three(self, tmp_path, capsys, argv):
+        # X'X and X'Y stay finite, but the objective squares the residual
+        path = tmp_path / "response.csv"
+        path.write_text("y,a,b\n1e308,1,0\n1,0,1\n2,1,1\n3,2,1\n")
+        code = main([argv[0], "--input", str(path), "--response", "y", *argv[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        payload = {"error": "NumericalError", "message": "Y'Y overflows float64; rescale the data", "exit_code": 3}
+        assert captured.err == json.dumps(payload, separators=(",", ":")) + "\n"
 
     @staticmethod
     def assert_exit_three(tmp_path, capsys, argv, shape, scale, message):

@@ -16,7 +16,6 @@ from puffer_lasso.penalties import (
     pen_derivative,
     pen_value,
     scad,
-    soft_threshold,
     threshold_map,
     univariate_threshold,
 )
@@ -92,40 +91,28 @@ class TestSpecValidation:
 
 
 class TestSoftThreshold:
+    """The Lasso's map sign(z) * (|z| - lam)+, through univariate_threshold."""
+
     def test_basic(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-0.5, 1.0) == 0.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
+        assert univariate_threshold(lasso(), 3.0, 1.0) == 2.0
+        assert univariate_threshold(lasso(), -0.5, 1.0) == 0.0
+        assert univariate_threshold(lasso(), -3.0, 1.0) == -2.0
 
     @given(finite_reals)
     def test_identity_at_zero_lambda(self, x):
-        assert soft_threshold(x, 0.0) == x
+        assert univariate_threshold(lasso(), x, 0.0) == x
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match=r"^threshold level must be nonnegative, got -0\.1$"):
-            soft_threshold(1.0, -0.1)
-
-    @pytest.mark.parametrize(
-        "x, lam, message",
-        [
-            (1.0, math.nan, "threshold level must be finite, got nan"),
-            (1.0, math.inf, "threshold level must be finite, got inf"),
-            (math.nan, 1.0, "x must be finite, got nan"),
-            (-math.inf, 1.0, "x must be finite, got -inf"),
-        ],
-    )
-    def test_nonfinite_rejected(self, x, lam, message):
-        # each used to return 0.0 silently
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            soft_threshold(x, lam)
+        with pytest.raises(ValueError, match=r"^lambda must be nonnegative, got -0\.1$"):
+            univariate_threshold(lasso(), 1.0, -0.1)
 
     @given(st.integers(0, 10**6))
     def test_elementwise_commutes_with_permutation(self, seed):
         rng = np.random.default_rng(seed)
         v = rng.standard_normal(8)
         perm = rng.permutation(8)
-        thresholded = np.array([soft_threshold(t, 0.7) for t in v])
-        permuted = np.array([soft_threshold(t, 0.7) for t in v[perm]])
+        thresholded = np.array([univariate_threshold(lasso(), t, 0.7) for t in v])
+        permuted = np.array([univariate_threshold(lasso(), t, 0.7) for t in v[perm]])
         assert np.array_equal(thresholded[perm], permuted)
 
 
@@ -325,7 +312,7 @@ class TestUnivariateThreshold:
         pen = elastic_net(0.8)
         z, lam = 3.0, 1.0
         assert univariate_threshold(pen, z, lam) == pytest.approx(
-            soft_threshold(z, lam) / (1 + lam * 0.8), abs=0
+            univariate_threshold(lasso(), z, lam) / (1 + lam * 0.8), abs=0
         )
 
     @pytest.mark.parametrize("pen", [scad(3.7), mcp(3.0), mcp(1.5), scad(2.5)])

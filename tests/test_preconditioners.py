@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 from puffer_lasso import estimators, linalg, preconditioners, verify
 from puffer_lasso.errors import DataError, NumericalError, RankError
-from puffer_lasso.penalties import lasso, soft_threshold
+from puffer_lasso.penalties import lasso, univariate_threshold
 from puffer_lasso.preconditioners import (
     project_rowspace,
     puffer,
     puffer_scaled,
     puffer_tau,
-    ridge_via_precond,
     rowspace_projector,
-    scaling_matrix,
 )
 from puffer_lasso.solver import solve
 
@@ -89,21 +87,26 @@ class TestPuffer:
         assert np.max(np.abs(pair.x_tilde.T @ pair.y_tilde - bols)) <= 1e-8
 
 
+def scaling_diagonal(x) -> np.ndarray:
+    """The diagonal of puffer_scaled's N, N_jj = sqrt of [(X'X)^-1]_jj."""
+    return puffer_scaled(x, np.ones(x.shape[0])).n_diag
+
+
 class TestScalingMatrix:
     def test_identity_gram(self):
         q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((9, 4)))
-        assert np.max(np.abs(scaling_matrix(q) - np.ones(4))) <= 1e-12
+        assert np.max(np.abs(scaling_diagonal(q) - np.ones(4))) <= 1e-12
 
     def test_diagonal_gram(self):
         x = np.zeros((5, 2))
         x[0, 0] = 2.0
         x[1, 1] = 4.0
-        assert np.allclose(scaling_matrix(x), [0.5, 0.25])
+        assert np.allclose(scaling_diagonal(x), [0.5, 0.25])
 
     def test_matches_elimination_oracle(self):
         x, _ = tall_problem(11, 8, 3)
         inv = oracles.gauss_jordan_inverse(x.T @ x)
-        assert np.max(np.abs(scaling_matrix(x) - np.sqrt(np.diag(inv)))) <= 1e-10
+        assert np.max(np.abs(scaling_diagonal(x) - np.sqrt(np.diag(inv)))) <= 1e-10
 
 
 class TestPufferScaled:
@@ -116,9 +119,21 @@ class TestPufferScaled:
         assert np.max(np.abs(plain.y_tilde - scaled.y_tilde)) <= 1e-10
         assert np.allclose(scaled.n_diag, np.ones(4))
 
+    def test_checks_x_then_shape_then_rank_then_y(self):
+        x, _ = wide_problem(1)
+        bad_y = np.full(3, np.nan)
+        with pytest.raises(DataError, match=r"^matrix contains NaN or Inf entries$"):
+            puffer_scaled(np.full((3, 7), np.nan), bad_y)
+        with pytest.raises(RankError, match=r"^puffer_scaled requires n > p, got n=3, p=7$"):
+            puffer_scaled(x, bad_y)
+        with pytest.raises(RankError, match="singular value"):
+            puffer_scaled(np.ones((6, 2)), np.full(6, np.nan))
+        with pytest.raises(DataError, match=r"^vector contains NaN or Inf entries$"):
+            puffer_scaled(tall_problem(6)[0], np.full(8, np.nan))
+
     def test_sign_preservation(self):
         x, _ = tall_problem(6)
-        n_diag = scaling_matrix(x)
+        n_diag = scaling_diagonal(x)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(x.shape[1])
         assert np.array_equal(np.sign(b / n_diag), np.sign(b))
@@ -129,7 +144,7 @@ class TestPufferScaled:
         scaled_ols = estimators.ols(x, y) / pair.n_diag
         lam = 0.3 * float(np.max(np.abs(scaled_ols)))
         fit = solve(pair.x_tilde, pair.y_tilde, lam, lasso())
-        target = np.array([soft_threshold(float(t), lam) for t in scaled_ols])
+        target = np.array([univariate_threshold(lasso(), float(t), lam) for t in scaled_ols])
         assert np.max(np.abs(fit.beta - target)) <= 1e-8
 
     @settings(deadline=None, max_examples=30)
@@ -146,7 +161,7 @@ class TestPufferScaled:
         # OLS after right-scaling equals N^-1 beta_ols equals sigma Z / sqrt(n)
         x, y = tall_problem(seed)
         sigma = 0.9
-        n_diag = scaling_matrix(x)
+        n_diag = scaling_diagonal(x)
         scaled_design_ols = estimators.ols(x * n_diag, y)
         bols = estimators.ols(x, y)
         assert np.max(np.abs(scaled_design_ols - bols / n_diag)) <= 1e-8
@@ -207,7 +222,7 @@ class TestOneFactorization:
             x, y, *_ = FULL_RANK_FAMILIES[family](seed)
             pair = puffer_scaled(x, y)
             x_ref, y_ref, n_ref = oracles.puffer_scaled_reference(x, y)
-            assert pair.n_diag.tobytes() == n_ref.tobytes() == scaling_matrix(x).tobytes()
+            assert pair.n_diag.tobytes() == n_ref.tobytes() == np.sqrt(linalg.gram_inverse_diagonal(x)).tobytes()
             for got, ref in ((pair.x_tilde, x_ref), (pair.y_tilde, y_ref)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
@@ -664,28 +679,34 @@ class TestRowspaceProjector:
             project(np.ones(3))
 
 
+def ridge_product(x, y, tau: float) -> np.ndarray:
+    """Ridge coefficients as (F_tau X)' F_tau Y, from the puffer_tau pair."""
+    pair = puffer_tau(x, y, tau)
+    return pair.x_tilde.T @ pair.y_tilde
+
+
 class TestRidgeViaPrecond:
     def test_square_invertible_interpolates(self):
         rng = np.random.default_rng(19)
         x = rng.standard_normal((4, 4)) + 3 * np.eye(4)
         y = rng.standard_normal(4)
-        beta = ridge_via_precond(x, y, 0.0)
+        beta = ridge_product(x, y, 0.0)
         expected = oracles.gauss_jordan_solve(x, y)
         assert np.max(np.abs(beta - expected)) <= 1e-8
 
     def test_seed_fixed_3x7_matches_ridge(self):
         x, y = wide_problem(20)
-        assert np.max(np.abs(ridge_via_precond(x, y, 1.0) - estimators.ridge(x, y, 1.0))) <= 1e-9
+        assert np.max(np.abs(ridge_product(x, y, 1.0) - estimators.ridge(x, y, 1.0))) <= 1e-9
 
     def test_zero_response(self):
         x, _ = wide_problem(21)
-        assert np.array_equal(ridge_via_precond(x, np.zeros(3), 0.5), np.zeros(7))
+        assert np.array_equal(ridge_product(x, np.zeros(3), 0.5), np.zeros(7))
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10**6), st.sampled_from([0.0, 0.1, 1.0, 10.0]))
     def test_matches_ridge_for_random_tau(self, seed, tau):
         x, y = wide_problem(seed)
-        a = ridge_via_precond(x, y, tau)
+        a = ridge_product(x, y, tau)
         b = estimators.ridge(x, y, tau)
         assert np.max(np.abs(a - b)) <= 1e-8
 
@@ -704,9 +725,9 @@ class TestOutOfRangeScale:
             project_rowspace(x * 1e160, np.ones(12), tau)
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
-    def test_puffer_tau_and_ridge_via_precond_overflow(self, tau):
+    def test_puffer_tau_and_ridge_product_overflow(self, tau):
         x, y = wide_problem(31, 6, 12)
-        for call in (puffer_tau, ridge_via_precond):
+        for call in (puffer_tau, ridge_product):
             with self.raises("XX' + tau I"):
                 call(x * 1e160, y, tau)
 
@@ -720,7 +741,7 @@ class TestOutOfRangeScale:
 
     def test_puffer_tau_inverse_root_at_tau_zero(self):
         x, y = wide_problem(32, 6, 12)
-        for call in (puffer_tau, ridge_via_precond):
+        for call in (puffer_tau, ridge_product):
             with self.raises("(XX' + tau I)^-1/2"):
                 call(x * 1e-165, y, 0.0)
 

@@ -16,7 +16,7 @@ from puffer_lasso.penalties import (
     mcp,
     pen_derivative,
     scad,
-    soft_threshold,
+    univariate_threshold,
 )
 from puffer_lasso.preconditioners import project_rowspace, puffer_tau
 from puffer_lasso.solver import (
@@ -67,7 +67,7 @@ class TestSolve:
         z = q.T @ y
         for lam in [0.05, 0.3, 2.0]:
             fit = solve(q, y, lam, lasso())
-            target = np.array([soft_threshold(float(t), lam) for t in z])
+            target = np.array([univariate_threshold(lasso(), float(t), lam) for t in z])
             assert np.max(np.abs(fit.beta - target)) <= 1e-8
 
     def test_seed_fixed_10x4_beats_random_perturbations(self):
@@ -104,7 +104,7 @@ class TestSolve:
         y = np.random.default_rng(10).standard_normal(10)
         lam = 0.8
         fit = solve(q, y, lam / 2.0, lasso())
-        target = np.array([soft_threshold(float(t), lam / 2.0) for t in q.T @ y])
+        target = np.array([univariate_threshold(lasso(), float(t), lam / 2.0) for t in q.T @ y])
         assert np.max(np.abs(fit.beta - target)) <= 1e-10
 
     def test_max_iter_exhaustion_returns_unconverged(self, monkeypatch):
@@ -950,6 +950,21 @@ class TestGramStore:
             else:
                 with pytest.raises(NumericalError, match="X'X overflows float64"):
                     gram[j]
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 5)], ids=["n>=p", "p>n"])
+    def test_a_response_whose_square_leaves_float64_raises(self, shape):
+        # X'X and X'Y are finite, but the objective squares the residual
+        x = np.arange(1.0, 1.0 + shape[0] * shape[1]).reshape(shape) % 2
+        y = np.zeros(shape[0])
+        y[0] = 1e308
+        calls = (
+            lambda: solve(x, y, 0.1, lasso()),
+            lambda: solve_path(x, y, [0.2, 0.1], lasso()),
+            lambda: multistart_local_minima(x, y, 0.1, scad(), 2),
+        )
+        for call in calls:
+            with pytest.raises(NumericalError, match=r"^Y'Y overflows float64; rescale the data$"):
+                call()
 
     @settings(deadline=None, max_examples=12)
     @given(seed=st.integers(0, 2**16), pen=st.sampled_from([scad(), mcp(1.5)]), frac=st.floats(0.05, 0.6))

@@ -478,7 +478,7 @@ class TestQuantileHelper:
 class TestIdentityEdgeCases:
     def test_stacked_orthonormal_blocks(self):
         # n = 2p design made of two stacked scaled orthogonal blocks
-        from puffer_lasso.penalties import lasso, soft_threshold
+        from puffer_lasso.penalties import lasso, univariate_threshold
         from puffer_lasso.solver import solve
 
         rng = np.random.default_rng(8)
@@ -492,7 +492,7 @@ class TestIdentityEdgeCases:
         # mid lambda: thresholding identity
         lam = 0.5 * float(np.max(np.abs(bols)))
         fit = solve(x, y, lam, lasso())
-        target = np.array([soft_threshold(float(b), lam) for b in bols])
+        target = np.array([univariate_threshold(lasso(), float(b), lam) for b in bols])
         assert np.max(np.abs(fit.beta - target)) <= 1e-8
         # lam beyond every coefficient: the dead zone covers everything
         fit = solve(x, y, 2.0 * float(np.max(np.abs(bols))), lasso())
