@@ -21,7 +21,8 @@ next piece.
 
 Where p > n, X'X is built a column at a time on first use (``_Gram``),
 as in glmnet's covariance updates (Friedman, Hastie & Tibshirani 2010),
-and kept only while its coordinate is nonzero or its slot is not needed.
+and a column whose coordinate moves to zero is dropped while more than
+64 are held.
 
 Note on conventions: the 0.5 factor above is fixed. The same problem
 written without it, ||Y - X b||^2 + lam' * ||b||_1, corresponds to
@@ -31,6 +32,7 @@ lam' = 2 * lam here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +111,8 @@ def solve(x, y, lam: float, pen: PenaltySpec, init=None) -> FitResult:
     the COORD_TOL and KKT tests still decide convergence, and
     ``iterations`` counts sweeps only. Every X'X beta the sweep refreshes
     its gradient with is taken over beta's support only, and a coordinate
-    that the sweep or the polish moves to zero releases its X'X row.
+    that the sweep or the polish moves to zero releases its X'X row, which
+    the store drops once it holds more than 64 rows.
     """
     m, v = linalg.as_design(x, y)
     linalg.require_scalar("lambda", lam)
@@ -126,7 +129,7 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
     # The sweep runs on Python floats and row views; the numpy beta is
     # rebuilt only where a matrix product needs it. The penalty's map and
     # each coordinate's level lam / c_j are resolved once per fit.
-    coef = gram.fit = beta.tolist()
+    coef = beta.tolist()
     diag = gram.diag.tolist()
     threshold = threshold_map(pen)
     levels = [lam / cj if cj > 0.0 else 0.0 for cj in diag]
@@ -186,7 +189,7 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
                 accepts += 1
                 for j in np.flatnonzero((beta != 0.0) & (polished == 0.0)).tolist():
                     gram.release(j)
-                coef = gram.fit = polished.tolist()
+                coef = polished.tolist()
                 np.subtract(xty, _gram_times(gram, polished), out=grad)
 
     beta = np.array(coef)
@@ -207,21 +210,10 @@ def _descent(gram: _Gram, lam: float, pen: PenaltySpec, init) -> FitResult:
 class _Gram(dict):
     """A validated design (X, Y), kept with its X'X and X'Y for every fit
     on it; gram[j] is row j of X'X, which is column j. Where n >= p, one
-    m.T @ m holds every row. Where p > n, the store keeps the rows of the
-    running fit's nonzero coordinates, in blocks of 64 slots, and the
-    diagonal is one einsum:
-
-    - row j is built on its first read as X'x_j by itself, so its bits
-      depend on (X, j) only, and a row built again has the same bits;
-    - ``release(j)`` marks row j as one whose coordinate has moved to
-      zero; it stays readable until its slot is taken;
-    - a new row takes the next free slot of the last block; when every
-      block is full, the slot of a released row whose coordinate is still
-      zero in ``fit``, the running fit's coefficient list; only then a new
-      block. A store that fits in its blocks evicts no row;
-    - ``pack()``, once 64 released rows are still zero and there is more
-      than one block, moves the other rows in place to the lowest slots
-      and frees the blocks left empty.
+    m.T @ m, ``block``, holds every row. Where p > n, the diagonal is one
+    einsum and row j is built on its first read as X'x_j by itself, so its
+    bits depend on (X, j) only; ``release(j)``, for a coordinate moved to
+    zero, drops the row only while more than 64 rows are held.
 
     NumericalError as ``linalg.normal_equations`` raises it, then where
     Y'Y leaves float64 (the objective squares the residual), and per row."""
@@ -229,104 +221,44 @@ class _Gram(dict):
     def __init__(self, m, v):
         self.m, self.v = m, v
         if m.shape[0] >= m.shape[1]:
-            block, self.xty = linalg.normal_equations(m, v)
-            self.diag = block.diagonal()
-            self.rows = block.__getitem__  # rows(idx) is block[idx]
-            self.cell = lambda idx: _take(block, idx, idx)
-            self.release = self.pack = lambda *_: None
-            self.update(enumerate(block))
+            self.block, self.xty = linalg.normal_equations(m, v)
+            self.diag = self.block.diagonal()
+            self.update(enumerate(self.block))
         else:
+            self.block = None
             self.diag = linalg.finite("X'X", lambda: np.einsum("ij,ij->j", m, m))
             self.xty = linalg.finite("X'Y", lambda: m.T @ v)
             linalg.require_resolved(m, self.diag)
-            # row j is blocks[k // 64][k % 64], k = slot[j], while held;
-            # slots below ``used`` are taken
-            self.blocks, self.slot, self.used = [], np.full(m.shape[1], -1), 0
-            self.fit = [0.0] * m.shape[1]
-            self.released = {}  # insertion-ordered, oldest first
         linalg.finite("Y'Y", lambda: v @ v)
 
     def __missing__(self, j):
-        """Row j, built by itself, in the slot ``_take_slot`` gives it."""
-        column = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])
-        k = self.slot[j] = self._take_slot()
-        row = self[j] = self.blocks[k // 64][k % 64]
-        row[:] = column
+        """Row j, built by itself."""
+        row = self[j] = linalg.finite("X'X", lambda: self.m.T @ self.m[:, j])
         return row
 
-    def _take_slot(self):
-        """The slot for a new row, by the rule in the class docstring; the
-        oldest released rows are looked at first."""
-        if self.used == 64 * len(self.blocks):
-            while self.released:
-                i = next(iter(self.released))
-                del self.released[i]
-                if self.fit[i] == 0.0:
-                    k, self.slot[i] = self.slot[i], -1
-                    del self[i]
-                    return k
-            self.blocks.append(np.empty((64, self.slot.size)))
-        self.used += 1
-        return self.used - 1
-
     def release(self, j):
-        """Row j's coordinate has moved to zero: its slot may be taken."""
-        self.released[j] = None
-
-    def pack(self):
-        """Free the blocks that the rows of ``fit``'s nonzeros leave empty
-        once 64 released rows are still zero, copying no block."""
-        if len(self.released) < 64 or len(self.blocks) < 2:
-            return
-        self.released = {j: None for j in self.released if self.fit[j] == 0.0}
-        if len(self.released) < 64:
-            return
-        self.released.clear()
-        held = np.flatnonzero(self.slot >= 0)
-        zero = np.array(self.fit)[held] == 0.0
-        for j in held[zero].tolist():
+        """Row j's coordinate has moved to zero."""
+        if self.block is None and len(self) > 64:
             del self[j]
-        self.slot[held[zero]] = -1
-        live = held[~zero]
-        for t, j in enumerate(live[np.argsort(self.slot[live])].tolist()):
-            s = self.slot[j]
-            if s != t:
-                row = self[j] = self.blocks[t // 64][t % 64]
-                row[:] = self.blocks[s // 64][s % 64]
-                self.slot[j] = t
-        self.used = live.size
-        del self.blocks[-(-self.used // 64):]
 
     def rows(self, idx, cols=None):
-        """Rows ``idx`` (distinct indices) of X'X, or their entries in
-        columns ``cols``, stacked in a new array."""
-        for j in idx[self.slot[idx] < 0].tolist():
-            self[j]
-        k = self.slot[idx]
-        if len(self.blocks) == 1:
-            return _take(self.blocks[0], k, cols)
-        out = np.empty((k.size, self.slot.size if cols is None else cols.size))
-        for b, block in enumerate(self.blocks):
-            inside = k // 64 == b
-            out[inside] = _take(block, k[inside] % 64, cols)
+        """Rows ``idx`` of X'X, or their entries in columns ``cols``,
+        stacked in a new array."""
+        if self.block is not None:
+            return self.block[idx] if cols is None else self.block[idx[:, None], cols]
+        out = np.empty((idx.size, self.diag.size if cols is None else cols.size))
+        for t, j in enumerate(idx.tolist()):
+            out[t] = self[j] if cols is None else self[j][cols]
         return out
 
     def cell(self, idx):
-        """X'X at rows and columns ``idx``, gathered from the blocks into
-        a new |idx| x |idx| array."""
+        """X'X at rows and columns ``idx``, a new |idx| x |idx| array."""
         return self.rows(idx, idx)
 
 
-def _take(block, rows, cols):
-    """block[rows], or its entries in columns ``cols`` (all for None)."""
-    return block[rows] if cols is None else block[rows[:, None], cols]
-
-
 def _gram_times(gram, beta):
-    """X'X @ beta from the ``_Gram`` rows at beta's nonzeros, packed
-    first: exact zeros for a zero beta, and a NaN coefficient is nonzero,
-    so it passes on."""
-    gram.pack()
+    """X'X @ beta from the ``_Gram`` rows at beta's nonzeros: exact zeros
+    for a zero beta, and a NaN coefficient is nonzero, so it passes on."""
     support = np.flatnonzero(beta)
     return beta[support] @ gram.rows(support)
 
@@ -449,6 +381,8 @@ def multistart_local_minima(x, y, lam: float, pen: PenaltySpec, starts: int = 8)
     linalg.require_scalar("lambda", lam)
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    if not isinstance(starts, numbers.Integral):
+        raise ValueError(f"starts must be an integer, got {starts}")
     if pen.convex or lam == 0.0:
         return [solve(x, y, lam, pen)]
     gram = _Gram(*linalg.as_design(x, y))

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,9 +93,12 @@ def _report(theorem_id, trials, max_discrepancy, tolerance, worst_case_seed, **d
 
 def _trials(seed: int, trials: int, trial) -> list[tuple]:
     """Rows (s, *trial(s)) for s = seed, ..., seed + trials - 1. A check
-    without trials would certify nothing, so trials < 1 raises; so does a
-    negative seed, which the families' generators cannot take."""
+    without trials would certify nothing, so a count below 1 or not an
+    integer raises; so does a negative seed, which the families'
+    generators cannot take."""
     linalg.require_scalar("trials", trials, "positive")
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials}")
     linalg.require_scalar("seed", seed)
     return [(s, *trial(s)) for s in range(seed, seed + trials)]
 

@@ -281,17 +281,24 @@ STACK = Path(__file__).resolve().parent / "golden" / "stack.json"
 # and of eq10_gap, one per trial; and 125 in lemma2's direct projections,
 # one per tau = 0 trial. Each projected vector took its own: 4,644 in all.
 VERIFY_SEED0_WIDE_FACTORIZATIONS = 817
-# python -m puffer_lasso with linalg._wide_svd counted; the count is the
-# last stderr line
+# X'X rows (solver._Gram.__missing__ calls) that verify --seed 0 builds on
+# the recorded stack; a store that dropped each released row at once built
+# 47,093
+VERIFY_SEED0_ROWS_BUILT = 6869
+# python -m puffer_lasso with linalg._wide_svd and solver._Gram.__missing__
+# counted; the counts are the last two stderr lines
 COUNTED_MAIN = """
 import runpy, sys
-from puffer_lasso import linalg
+from puffer_lasso import linalg, solver
 calls, factor = [], linalg._wide_svd
 linalg._wide_svd = lambda m: calls.append(None) or factor(m)
+rows, build = [], solver._Gram.__missing__
+solver._Gram.__missing__ = lambda self, j: rows.append(None) or build(self, j)
 try:
     runpy.run_module("puffer_lasso", run_name="__main__", alter_sys=True)
 finally:
     print(f"wide factorizations: {len(calls)}", file=sys.stderr)
+    print(f"X'X rows built: {len(rows)}", file=sys.stderr)
 """
 
 
@@ -319,7 +326,8 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 300.0
     assert len(reports) == 9
-    assert proc.stderr.splitlines()[-1] == f"wide factorizations: {VERIFY_SEED0_WIDE_FACTORIZATIONS}"
+    factorizations, rows = proc.stderr.splitlines()[-2:]
+    assert factorizations == f"wide factorizations: {VERIFY_SEED0_WIDE_FACTORIZATIONS}"
     assert payload["result"]["all_passed"] is True
     assert [r["theorem_id"] for r in reports] == [e[0] for e in VERIFY_SEED0_REPORTS]
     for r, (theorem_id, trials, tolerance, details) in zip(reports, VERIFY_SEED0_REPORTS):
@@ -329,6 +337,7 @@ def test_criterion_9_cli_verify_end_to_end(tmp_path):
         assert {k: r["details"][k] for k in counts} == counts, theorem_id
     if json.loads(STACK.read_text()) == {"numpy": np.__version__, "machine": platform.machine()}:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SEED0_SHA256
+        assert rows == f"X'X rows built: {VERIFY_SEED0_ROWS_BUILT}"
 
 
 def test_readme_quick_start_runs(tmp_path):

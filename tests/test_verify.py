@@ -263,6 +263,11 @@ class TestReports:
             check(trials=0, seed=0)
 
     @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    def test_non_integer_trials_rejected(self, check):
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got 2\.5$"):
+            check(trials=2.5, seed=0)
+
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
     def test_negative_seed_rejected(self, check):
         # default_suite would shift -1 into its positive seed blocks; the
         # checks would reach numpy's "expected non-negative integer"
